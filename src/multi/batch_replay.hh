@@ -25,8 +25,8 @@
  * references in order — tiles and chunks change only the interleaving
  * BETWEEN independent caches, never the reference order seen by any
  * one cache. Tiles share no mutable state, so runTile() calls for
- * different tiles may run on different threads (that is how
- * ParallelSweepRunner schedules them).
+ * different tiles may run on different threads (that is how the
+ * sweep planner's executor schedules them).
  */
 
 #ifndef OCCSIM_MULTI_BATCH_REPLAY_HH

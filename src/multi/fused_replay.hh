@@ -108,7 +108,7 @@ inline constexpr std::size_t kMaxGroupConfigs = 64;
  * keys with more than kMaxGroupConfigs members split). Ineligible
  * candidates are omitted entirely; groups of size one are returned
  * too — callers decide whether fusing a singleton is worth the plane
- * overhead (the sweep routers leave singletons batched).
+ * overhead (the sweep planner's fusableGroups leaves them batched).
  */
 std::vector<std::vector<std::size_t>>
 fusedGroups(const std::vector<CacheConfig> &configs,

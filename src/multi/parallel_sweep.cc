@@ -2,278 +2,62 @@
 
 #include <algorithm>
 
-#include "multi/sweep_detail.hh"
-#include "obs/telemetry.hh"
 #include "util/logging.hh"
 
 namespace occsim {
 
-namespace {
-
-using sweep_detail::ConfigPartition;
-using sweep_detail::partitionConfigs;
-using sweep_detail::poolOrGlobal;
-using sweep_detail::selectConfigs;
-
-/** Bitwise SweepResult equality (the fast path's contract). */
-bool
-sameSweepResult(const SweepResult &a, const SweepResult &b)
-{
-    return a.grossBytes == b.grossBytes &&
-           a.missRatio == b.missRatio &&
-           a.warmMissRatio == b.warmMissRatio &&
-           a.trafficRatio == b.trafficRatio &&
-           a.warmTrafficRatio == b.warmTrafficRatio &&
-           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
-           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio;
-}
-
-} // namespace
-
 ParallelSweepRunner::ParallelSweepRunner(
     const std::vector<CacheConfig> &configs, ThreadPool *pool,
     SweepEngine engine, bool allow_sharding)
-    : pool_(pool), engineMode_(engine),
-      allowSharding_(allow_sharding), configs_(configs),
-      routes_(configs.size())
+    : pool_(pool), engine_(engine), allowSharding_(allow_sharding),
+      plan_(planSweep(configs, engine, SweepInput::MemRefs, {},
+                      static_cast<unsigned>(poolOrGlobal(pool).size()),
+                      allow_sharding))
 {
-    occsim_assert(!configs_.empty(), "sweep needs at least one config");
-
-    const ConfigPartition part = partitionConfigs(configs_, engine);
-
-    directIndex_ = part.direct;
-
-    // Split I/D configs route to dedicated SplitCache pairs under
-    // every engine mode: the pair partitions by reference kind, which
-    // none of the batched kernels model.
-    for (const std::size_t i : directIndex_) {
-        if (configs_[i].partition != CachePartition::SplitID)
-            continue;
-        routes_[i].engine = kRouteSplit;
-        routes_[i].slot = static_cast<std::uint32_t>(splits_.size());
-        splitIndex_.push_back(i);
-        const CacheConfig half = evenSplitHalf(configs_[i]);
-        splits_.push_back(std::make_unique<SplitCache>(half, half));
-    }
-
-    // Fused group routing happens here — the grouping key is pure
-    // config geometry, so unlike sharding it needs no trace. Groups
-    // of one stay batched: a lone config gains nothing from the
-    // group pass but still pays the plane indirection.
-    if (engine != SweepEngine::DirectOnly && allowSharding_) {
-        for (const auto &group : fusedGroups(configs_, part.direct)) {
-            if (group.size() < 2)
-                continue;
-            const auto g = static_cast<std::uint32_t>(fused_.size());
-            for (std::size_t k = 0; k < group.size(); ++k) {
-                routes_[group[k]].engine = kRouteFused;
-                routes_[group[k]].slot =
-                    static_cast<std::uint32_t>(fusedSlots_.size());
-                fusedSlots_.emplace_back(
-                    g, static_cast<std::uint32_t>(k));
-            }
-            fusedIndex_.push_back(group);
-            fused_.push_back(std::make_unique<FusedReplay>(
-                selectConfigs(configs_, group)));
-        }
-    }
-
-    batchIndex_.clear();
-    for (const std::size_t i : directIndex_) {
-        if (routes_[i].engine == kRouteFused ||
-            routes_[i].engine == kRouteSplit)
-            continue;
-        routes_[i].engine = kRouteDirect;
-        routes_[i].slot = static_cast<std::uint32_t>(batchIndex_.size());
-        batchIndex_.push_back(i);
-    }
-    if (engine == SweepEngine::DirectOnly) {
-        caches_.reserve(batchIndex_.size());
-        for (const std::size_t i : batchIndex_)
-            caches_.push_back(std::make_unique<Cache>(configs_[i]));
-    } else if (!batchIndex_.empty()) {
-        batch_ = std::make_unique<BatchReplay>(
-            selectConfigs(configs_, batchIndex_));
-    }
-
-    engines_.reserve(part.groups.size());
-    engineIndex_ = part.groups;
-    for (std::size_t g = 0; g < part.groups.size(); ++g) {
-        for (std::size_t k = 0; k < part.groups[g].size(); ++k) {
-            const std::size_t i = part.groups[g][k];
-            routes_[i].engine = static_cast<std::int32_t>(g);
-            routes_[i].slot = static_cast<std::uint32_t>(k);
-        }
-        engines_.push_back(std::make_unique<SinglePassEngine>(
-            selectConfigs(configs_, part.groups[g])));
-    }
-
-    if (engine == SweepEngine::CrossCheck) {
-        // Every config is on an optimized engine (single-pass or
-        // batched); shadow every 4th one (at least one) on the direct
-        // engine and have run() verify the summaries bitwise.
-        const std::size_t stride =
-            std::max<std::size_t>(1, configs_.size() / 4);
-        for (std::size_t i = 0; i < configs_.size(); i += stride) {
-            // Split pairs are already on the direct engine (a
-            // dedicated SplitCache) — shadowing one would compare the
-            // same code against itself.
-            if (routes_[i].engine == kRouteSplit)
-                continue;
-            shadowIndex_.push_back(i);
-            shadowCaches_.push_back(
-                std::make_unique<Cache>(configs_[i]));
-        }
-    }
 }
 
-bool
-ParallelSweepRunner::fastPathed(std::size_t i) const
+SweepRoute
+ParallelSweepRunner::route(std::size_t i) const
 {
-    occsim_assert(i < routes_.size(), "config index out of range");
-    return routes_[i].engine >= 0;
+    occsim_assert(i < plan_.route.size(), "config index out of range");
+    return plan_.route[i];
 }
 
 std::size_t
-ParallelSweepRunner::fastPathCount() const
+ParallelSweepRunner::count(SweepRoute route) const
 {
-    return configs_.size() - directIndex_.size();
+    return static_cast<std::size_t>(
+        std::count(plan_.route.begin(), plan_.route.end(), route));
 }
 
-std::size_t
-ParallelSweepRunner::batchedCount() const
+const FusedReplay &
+ParallelSweepRunner::fusedGroup(std::size_t g) const
 {
-    return batch_ != nullptr ? batch_->size() : 0;
-}
-
-bool
-ParallelSweepRunner::sharded(std::size_t i) const
-{
-    occsim_assert(i < routes_.size(), "config index out of range");
-    return routes_[i].engine == kRouteShard;
-}
-
-bool
-ParallelSweepRunner::fused(std::size_t i) const
-{
-    occsim_assert(i < routes_.size(), "config index out of range");
-    return routes_[i].engine == kRouteFused;
-}
-
-bool
-ParallelSweepRunner::split(std::size_t i) const
-{
-    occsim_assert(i < routes_.size(), "config index out of range");
-    return routes_[i].engine == kRouteSplit;
-}
-
-ShardTelemetry
-ParallelSweepRunner::shardTelemetry() const
-{
-    ShardTelemetry telem;
-    for (const auto &engine : shards_)
-        telem.accumulate(*engine);
-    for (const auto &engine : fused_) {
-        if (engine->numShards() > 1)
-            telem.accumulate(*engine);
-    }
-    return telem;
-}
-
-void
-ParallelSweepRunner::finalizeRoutes(unsigned threads,
-                                    std::uint64_t limit)
-{
-    if (routesFinal_)
-        return;
-    routesFinal_ = true;
-    if (!allowSharding_ || (batch_ == nullptr && fused_.empty()))
-        return;  // pinned, DirectOnly, or nothing to refine
-
-    // Task inventory if nothing is sharded: batch tiles, one task per
-    // fused group, plus single-pass levels. When that alone saturates
-    // the pool, task parallelism already wins and sharding only adds
-    // merge overhead.
-    std::size_t competing =
-        (batch_ != nullptr ? batch_->numTiles() : 0) + fused_.size();
-    for (const auto &engine : engines_)
-        competing += engine->numLevels();
-
-    const ShardMode mode = shardModeFromEnv();
-
-    // Fused groups shard as a unit: every member shares the grouping
-    // geometry, so one member's verdict (and shard count) is the
-    // group's. Nothing has replayed yet, so rebuilding the engine
-    // with shards loses no state.
-    for (std::size_t g = 0; g < fused_.size(); ++g) {
-        const CacheConfig &rep = configs_[fusedIndex_[g].front()];
-        if (shouldShard(mode, rep, threads, limit, competing)) {
-            fused_[g] = std::make_unique<FusedReplay>(
-                selectConfigs(configs_, fusedIndex_[g]),
-                planShardCount(rep, threads));
-        }
-    }
-
-    if (batch_ == nullptr)
-        return;
-    std::vector<std::size_t> batch_list;
-    for (const std::size_t i : batchIndex_) {
-        if (shouldShard(mode, configs_[i], threads, limit,
-                        competing)) {
-            routes_[i].engine = kRouteShard;
-            routes_[i].slot =
-                static_cast<std::uint32_t>(shards_.size());
-            shardIndex_.push_back(i);
-            shards_.push_back(std::make_unique<ShardReplay>(
-                configs_[i], planShardCount(configs_[i], threads)));
-        } else {
-            batch_list.push_back(i);
-        }
-    }
-    if (shards_.empty())
-        return;
-
-    // Rebuild the batched engine over the remaining configs; nothing
-    // has replayed yet, so no state is lost.
-    batchIndex_ = batch_list;
-    for (std::size_t j = 0; j < batchIndex_.size(); ++j) {
-        routes_[batchIndex_[j]].engine = kRouteDirect;
-        routes_[batchIndex_[j]].slot = static_cast<std::uint32_t>(j);
-    }
-    batch_ = batchIndex_.empty()
-                 ? nullptr
-                 : std::make_unique<BatchReplay>(
-                       selectConfigs(configs_, batchIndex_));
+    occsim_assert(!plan_.traces.empty(), "fusedGroup() before run()");
+    return *plan_.traces[0].fused.at(g);
 }
 
 const Cache &
 ParallelSweepRunner::cache(std::size_t i) const
 {
-    occsim_assert(i < routes_.size(), "config index out of range");
-    occsim_assert(routes_[i].engine != kRouteShard,
-                  "config %zu (%s) is served by the set-sharded "
-                  "engine and has no single Cache; construct the "
-                  "runner with SweepEngine::DirectOnly (or set "
-                  "OCCSIM_SHARD=0) to keep one",
-                  i, configs_[i].shortName().c_str());
-    occsim_assert(routes_[i].engine != kRouteFused,
-                  "config %zu (%s) rides a fused group pass and has "
+    const SweepRoute r = route(i);
+    occsim_assert(r == SweepRoute::Batch || r == SweepRoute::Direct,
+                  "config %zu (%s) is served by the %s engine and has "
                   "no single Cache; construct the runner with "
-                  "SweepEngine::DirectOnly (or allow_sharding = "
-                  "false) to keep one",
-                  i, configs_[i].shortName().c_str());
-    occsim_assert(routes_[i].engine != kRouteSplit,
-                  "config %zu (%s) is a split I/D pair with no single "
-                  "Cache",
-                  i, configs_[i].shortName().c_str());
-    occsim_assert(routes_[i].engine == kRouteDirect,
-                  "config %zu (%s) is served by the single-pass "
-                  "engine and has no Cache; construct the runner "
-                  "with SweepEngine::DirectOnly to keep one",
-                  i, configs_[i].shortName().c_str());
-    if (batch_ != nullptr)
-        return batch_->cache(routes_[i].slot);
-    return *caches_[routes_[i].slot];
+                  "SweepEngine::DirectOnly to keep one",
+                  i, plan_.configs[i].shortName().c_str(), routeName(r));
+    occsim_assert(!plan_.traces.empty(), "cache() before run()");
+    const TracePlan &tp = plan_.traces[0];
+    if (r == SweepRoute::Direct) {
+        const auto it = std::find(plan_.directIndex.begin(),
+                                  plan_.directIndex.end(), i);
+        return *tp.direct[static_cast<std::size_t>(
+            it - plan_.directIndex.begin())];
+    }
+    const auto it =
+        std::find(tp.batchIndex.begin(), tp.batchIndex.end(), i);
+    return tp.batch->cache(
+        static_cast<std::size_t>(it - tp.batchIndex.begin()));
 }
 
 Cache &
@@ -288,184 +72,15 @@ ParallelSweepRunner::run(const std::shared_ptr<const VectorTrace> &trace,
                          std::uint64_t max_refs)
 {
     occsim_assert(trace != nullptr, "null trace");
-    const std::vector<MemRef> &refs = trace->refs();
-    const std::uint64_t limit =
-        max_refs == 0
-            ? refs.size()
-            : std::min<std::uint64_t>(max_refs, refs.size());
-
-    // First run: decide which direct configs go to the set-sharded
-    // engine (depends on the pool width and the trace length).
-    finalizeRoutes(poolOrGlobal(pool_).size(), limit);
-
-    // Decode the trace once for the batched/sharded/fused engines
-    // (memoized across runners sharing the trace).
-    std::shared_ptr<const PackedTrace> packed;
-    if (batch_ != nullptr || !shards_.empty() || !fused_.empty())
-        packed = packedTraceShared(trace);
-
-    // Partition the packed trace for every sharded config (memoized
-    // per distinct (blockBits, shardBits), so configs agreeing on the
-    // block size share one partition).
-    std::vector<std::shared_ptr<const ShardedPackedTrace>> shard_traces;
-    std::vector<std::pair<std::size_t, std::uint32_t>> shard_tasks;
-    shard_traces.reserve(shards_.size());
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-        shard_traces.push_back(shardedTraceShared(
-            packed, shards_[k]->blockBits(), shards_[k]->shardBits(),
-            limit));
-        for (std::uint32_t s = 0; s < shards_[k]->numShards(); ++s)
-            shard_tasks.emplace_back(k, s);
+    ThreadPool &pool = poolOrGlobal(pool_);
+    // First run: fix the routes for this trace length and pool width.
+    if (plan_.traces.empty()) {
+        plan_ = planSweep(plan_.configs, engine_, SweepInput::MemRefs,
+                          {refLimit(trace->refs().size(), max_refs)},
+                          static_cast<unsigned>(pool.size()),
+                          allowSharding_);
     }
-
-    // Fused groups: one task per group (unsharded — driven straight
-    // off the packed records, no partition copy) or per (group,
-    // shard). An unsharded group's task is marked shard == numShards.
-    std::vector<std::shared_ptr<const ShardedPackedTrace>> fused_traces(
-        fused_.size());
-    std::vector<std::pair<std::size_t, std::uint32_t>> fused_tasks;
-    for (std::size_t g = 0; g < fused_.size(); ++g) {
-        if (fused_[g]->numShards() == 1) {
-            fused_tasks.emplace_back(g, 1u);
-            continue;
-        }
-        fused_traces[g] = shardedTraceShared(
-            packed, fused_[g]->blockBits(), fused_[g]->shardBits(),
-            limit);
-        for (std::uint32_t s = 0; s < fused_[g]->numShards(); ++s)
-            fused_tasks.emplace_back(g, s);
-    }
-
-    // One task per direct cache (DirectOnly) or per batch tile
-    // (Auto/CrossCheck), plus one per (sharded config, shard) and one
-    // per (engine, level): the worker that claims a task drains the
-    // full trace (or its shard of it) into it. Caches, tiles, shards,
-    // and engine levels are touched by exactly one worker each, the
-    // trace by all of them — read-only.
-    std::vector<std::pair<std::size_t, std::size_t>> level_tasks;
-    for (std::size_t e = 0; e < engines_.size(); ++e) {
-        for (std::size_t l = 0; l < engines_[e]->numLevels(); ++l)
-            level_tasks.emplace_back(e, l);
-    }
-
-    const std::size_t batch_tasks =
-        batch_ != nullptr ? batch_->numTiles() : caches_.size();
-    const std::size_t sharded_tasks = batch_tasks + shard_tasks.size();
-    const std::size_t fused_end = sharded_tasks + fused_tasks.size();
-    const std::size_t routed_tasks = fused_end + level_tasks.size();
-    const std::size_t split_end = routed_tasks + splits_.size();
-    poolOrGlobal(pool_).parallelFor(
-        split_end + shadowCaches_.size(), [&](std::size_t task) {
-            if (task < batch_tasks) {
-                if (batch_ != nullptr) {
-                    batch_->runTile(task, *packed, max_refs);
-                    return;
-                }
-                OCCSIM_TELEM_STAGE("engine.direct");
-                Cache &cache = *caches_[task];
-                for (std::uint64_t r = 0; r < limit; ++r)
-                    cache.access(refs[r]);
-                cache.finalizeResidencies();
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(MemRef));
-            } else if (task < sharded_tasks) {
-                const auto [k, s] = shard_tasks[task - batch_tasks];
-                shards_[k]->runShard(s, *shard_traces[k]);
-            } else if (task < fused_end) {
-                const auto [g, s] = fused_tasks[task - sharded_tasks];
-                if (s == fused_[g]->numShards())
-                    fused_[g]->run(packed->data(), limit);
-                else
-                    fused_[g]->runShard(s, *fused_traces[g]);
-            } else if (task < routed_tasks) {
-                const auto [e, l] = level_tasks[task - fused_end];
-                engines_[e]->runLevel(l, *trace, max_refs);
-            } else if (task < split_end) {
-                OCCSIM_TELEM_STAGE("engine.direct");
-                SplitCache &pair = *splits_[task - routed_tasks];
-                for (std::uint64_t r = 0; r < limit; ++r)
-                    pair.access(refs[r]);
-                pair.finalizeResidencies();
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(MemRef));
-            } else {
-                OCCSIM_TELEM_STAGE("engine.shadow");
-                Cache &cache = *shadowCaches_[task - split_end];
-                for (std::uint64_t r = 0; r < limit; ++r)
-                    cache.access(refs[r]);
-                cache.finalizeResidencies();
-                OCCSIM_TELEM_COUNT("engine.shadow.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.shadow.bytes",
-                                   limit * sizeof(MemRef));
-            }
-        });
-
-    // CrossCheck: the optimized engines must reproduce every shadow's
-    // summary bit for bit, on this very trace.
-    for (std::size_t s = 0; s < shadowIndex_.size(); ++s) {
-        const std::size_t i = shadowIndex_[s];
-        const Route &route = routes_[i];
-        SweepResult fast;
-        const char *engine_name = nullptr;
-        if (route.engine >= 0) {
-            fast = engines_[static_cast<std::size_t>(route.engine)]
-                       ->results()[route.slot];
-            engine_name = "single-pass";
-        } else if (route.engine == kRouteShard) {
-            fast = shards_[route.slot]->result();
-            engine_name = "set-sharded";
-        } else if (route.engine == kRouteFused) {
-            const auto [g, k] = fusedSlots_[route.slot];
-            fast = fused_[g]->result(k);
-            engine_name = "fused";
-        } else {
-            fast = summarizeCache(batch_->cache(route.slot));
-            engine_name = "batched";
-        }
-        const SweepResult want = summarizeCache(*shadowCaches_[s]);
-        if (!sameSweepResult(fast, want)) {
-            fatal("cross-check mismatch: %s engine disagrees "
-                  "with direct simulation for config %s on trace %s",
-                  engine_name, configs_[i].fullName().c_str(),
-                  trace->name().c_str());
-        }
-    }
-    if (!shadowIndex_.empty())
-        OCCSIM_TELEM_COUNT("cross_check.samples", shadowIndex_.size());
-    return limit;
-}
-
-std::vector<SweepResult>
-ParallelSweepRunner::results() const
-{
-    std::vector<SweepResult> out(configs_.size());
-    if (batch_ != nullptr) {
-        const auto batch_results = batch_->results();
-        for (std::size_t j = 0; j < batch_results.size(); ++j)
-            out[batchIndex_[j]] = batch_results[j];
-    } else {
-        for (std::size_t j = 0; j < caches_.size(); ++j)
-            out[batchIndex_[j]] = summarizeCache(*caches_[j]);
-    }
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-        out[shardIndex_[k]] = shards_[k]->result();
-    for (std::size_t k = 0; k < splits_.size(); ++k) {
-        out[splitIndex_[k]] =
-            summarizeSplit(configs_[splitIndex_[k]], *splits_[k]);
-    }
-    for (std::size_t g = 0; g < fused_.size(); ++g) {
-        const auto group_results = fused_[g]->results();
-        for (std::size_t k = 0; k < group_results.size(); ++k)
-            out[fusedIndex_[g][k]] = group_results[k];
-    }
-    for (std::size_t e = 0; e < engines_.size(); ++e) {
-        const auto engine_results = engines_[e]->results();
-        for (std::size_t k = 0; k < engine_results.size(); ++k)
-            out[engineIndex_[e][k]] = engine_results[k];
-    }
-    return out;
+    return runSweepPlan(plan_, {trace}, {}, max_refs, pool);
 }
 
 } // namespace occsim

@@ -1,35 +1,14 @@
 /**
  * @file
- * Parallel multi-configuration simulation over shared immutable
- * traces.
+ * One-trace sweep runner over a shared immutable trace: the probe- and
+ * test-facing handle on the sweep planner (multi/sweep_plan.hh).
  *
- * The sweep workload is embarrassingly parallel: every Cache is fully
- * independent and a VectorTrace, once built, is never mutated. The
- * parallel engine exploits both facts — configurations of one sweep
- * are partitioned dynamically across a thread pool, each worker
- * driving its own caches with a private cursor over one shared
- * `std::shared_ptr<const VectorTrace>`, and suite runs additionally
- * parallelize across traces (supplied by the buildTraceShared cache,
- * so each workload executes the VM exactly once).
- *
- * On top of PR 1's parallelism, configurations that are pure per-set
- * LRU stacks (LRU + demand fetch + sub-block == block +
- * write-allocate, see singlePassEligible) are routed to the
- * single-pass SinglePassEngine by default: one engine per (trace,
- * block size) prices every such config in one trace pass per distinct
- * set count, instead of one full pass per config. Among the rest,
- * groups of two or more fusedEligible configs sharing one FusedKey
- * (same effective sets x ways x block plus replacement/write
- * policies — the paper's sub-block and load-forward sweeps) go to the
- * fused group engine (FusedReplay): block-level tag/replacement
- * simulation once per group per trace pass, per-config 64-bit
- * sub-block mask planes for what differs. Everything else — prefetch,
- * Random replacement, fused singletons — goes to the batched replay
- * engine (BatchReplay): the trace is pre-decoded once into a
- * PackedTrace and streamed chunk by chunk through tiles of
- * specialized-kernel caches. SweepEngine::DirectOnly forces plain
- * per-config Cache::access simulation everywhere (used by tests and
- * benchmarks as the reference engine).
+ * A ParallelSweepRunner is a one-trace SweepPlan plus its executor
+ * state. The planner decides every config's route — split pair,
+ * single-pass level, fused group, set-sharded run, batched tile, or
+ * (under SweepEngine::DirectOnly) a plain Cache — and runSweepPlan
+ * runs the plan's tasks across the pool, each worker driving its own
+ * engine with a private cursor over the shared trace.
  *
  * Determinism guarantee: results are bit-identical to sequential
  * per-config Cache simulation no matter how the work is scheduled and
@@ -43,57 +22,23 @@
 #include <memory>
 #include <vector>
 
-#include "multi/batch_replay.hh"
-#include "multi/fused_replay.hh"
-#include "multi/shard_replay.hh"
-#include "multi/single_pass.hh"
-#include "multi/sweep_runner.hh"
-#include "util/thread_pool.hh"
+#include "multi/sweep_plan.hh"
 
 namespace occsim {
-
-/** Engine selection policy for parallel sweeps. */
-enum class SweepEngine : std::uint8_t {
-    /** Single-pass fast path for eligible configs, batched packed
-     *  replay for the rest (the default). */
-    Auto = 0,
-    /** Direct per-config Cache simulation for every config. */
-    DirectOnly = 1,
-    /**
-     * Auto routing plus a runtime differential check: a sampled
-     * subset of the optimized-engine configs (single-pass AND
-     * batched) is shadow-simulated on the direct Cache engine as
-     * extra pool tasks, and after each run() the optimized engine's
-     * summaries must match the shadows bit for bit — any divergence
-     * is a fatal error naming the config. The belt to occsim-fuzz's
-     * suspenders: it validates the routing on the real workload
-     * actually being swept, at a bounded (~25% of configs) overhead.
-     */
-    CrossCheck = 2,
-    /**
-     * SMARTS-style statistical sampling (multi/sample_replay.hh):
-     * systematic measurement units with functional warming between
-     * them, reported as per-metric estimates with standard errors
-     * and 95% CIs on SweepResult::sampled. NEVER auto-routed — the
-     * exact engines stay the default; opting in is the caller
-     * declaring that estimates (10-100x cheaper on long traces) are
-     * acceptable. Knobs in SweepRequest::sample; incompatible with
-     * SweepRequest::probe (no full-trace Cache exists to inspect).
-     */
-    Sampled = 3,
-};
 
 /**
  * Runs many cache configurations over one shared immutable trace,
  * partitioned across a thread pool, reporting results in config
  * order.
  *
- * With SweepEngine::Auto (the default), single-pass eligible configs
- * have no backing Cache — cache(i) panics for them (probe-style
- * callers that need a Cache for every config should construct with
- * SweepEngine::DirectOnly); batched configs keep one, driven through
- * the specialized replay kernels. run() may be called repeatedly; all
- * engines accumulate as if the traces were concatenated.
+ * Routes are planned at construction with no trace (nothing shards
+ * yet) and fixed at the first run(), which re-plans with that trace's
+ * length and the pool width. With SweepEngine::Auto (the default),
+ * only batched configs keep a backing Cache — cache(i) panics for the
+ * rest (probe-style callers that need a Cache for every config should
+ * construct with SweepEngine::DirectOnly). run() may be called
+ * repeatedly; all engines accumulate as if the traces were
+ * concatenated.
  */
 class ParallelSweepRunner
 {
@@ -122,24 +67,33 @@ class ParallelSweepRunner
      *
      * Engine-internal entry point: callers outside the engine layer
      * drive sweeps through runSweep(SweepRequest) in
-     * multi/sweep_api.hh, which wraps runners like this one.
+     * multi/sweep_api.hh.
      * @return references consumed per config.
      */
     std::uint64_t run(const std::shared_ptr<const VectorTrace> &trace,
                       std::uint64_t max_refs = 0);
 
-    std::size_t size() const { return configs_.size(); }
+    std::size_t size() const { return plan_.configs.size(); }
+
+    /** The plan: routes, and after the first run() the engines. */
+    const SweepPlan &plan() const { return plan_; }
 
     /** @return true when config @p i is served by the single-pass
      *  engine (no backing Cache exists). */
-    bool fastPathed(std::size_t i) const;
+    bool fastPathed(std::size_t i) const
+    {
+        return route(i) == SweepRoute::SinglePass;
+    }
 
     /** Number of configs served by the single-pass engine. */
-    std::size_t fastPathCount() const;
+    std::size_t fastPathCount() const
+    {
+        return count(SweepRoute::SinglePass);
+    }
 
     /** Number of configs served by the batched replay engine (zero
      *  under SweepEngine::DirectOnly). */
-    std::size_t batchedCount() const;
+    std::size_t batchedCount() const { return count(SweepRoute::Batch); }
 
     /**
      * Number of configs served by the set-sharded engine. Routing to
@@ -147,116 +101,82 @@ class ParallelSweepRunner
      * and pool width — see shouldShard), so this is zero before then
      * and sticky afterwards.
      */
-    std::size_t shardedCount() const { return shardIndex_.size(); }
+    std::size_t shardedCount() const { return count(SweepRoute::Shard); }
 
     /** @return true when config @p i went to the set-sharded engine
      *  (decided at first run(); no single backing Cache exists). */
-    bool sharded(std::size_t i) const;
+    bool sharded(std::size_t i) const
+    {
+        return route(i) == SweepRoute::Shard;
+    }
 
-    /** Number of configs served by fused group engines (routed at
-     *  construction — the grouping is trace-independent — and zero
-     *  under DirectOnly or allow_sharding == false). */
-    std::size_t fusedCount() const { return fusedSlots_.size(); }
+    /** Number of configs served by fused group engines (the grouping
+     *  is trace-independent, so known at construction; zero under
+     *  DirectOnly or allow_sharding == false). */
+    std::size_t fusedCount() const { return count(SweepRoute::Fused); }
 
     /** @return true when config @p i rides a fused group pass (no
      *  single backing Cache exists). */
-    bool fused(std::size_t i) const;
+    bool fused(std::size_t i) const
+    {
+        return route(i) == SweepRoute::Fused;
+    }
 
     /** Number of configs served by dedicated split I/D pairs
      *  (every CachePartition::SplitID config, regardless of engine
      *  mode — no batched kernel exists for a routed pair). */
-    std::size_t splitCount() const { return splits_.size(); }
+    std::size_t splitCount() const { return count(SweepRoute::Split); }
 
     /** @return true when config @p i is simulated as a split I/D
      *  pair (no single backing Cache exists). */
-    bool split(std::size_t i) const;
+    bool split(std::size_t i) const
+    {
+        return route(i) == SweepRoute::Split;
+    }
 
     /** Number of fused groups (each >= 2 configs). */
-    std::size_t fusedGroupCount() const { return fused_.size(); }
-
-    /** Fused group @p g's engine (test/bench introspection). */
-    const FusedReplay &fusedGroup(std::size_t g) const
+    std::size_t fusedGroupCount() const
     {
-        return *fused_[g];
+        return plan_.fusedGroups.size();
     }
+
+    /** Fused group @p g's engine (after the first run()). */
+    const FusedReplay &fusedGroup(std::size_t g) const;
 
     /** Imbalance summary over this runner's sharded runs (all zeros
      *  when nothing sharded). */
-    ShardTelemetry shardTelemetry() const;
+    ShardTelemetry shardTelemetry() const
+    {
+        return planShardTelemetry(plan_);
+    }
 
-    /** Number of optimized-engine configs shadow-verified per run()
-     *  (non-zero only under SweepEngine::CrossCheck). */
-    std::size_t crossCheckCount() const { return shadowIndex_.size(); }
+    /** Number of configs shadow-verified per run() (non-zero only
+     *  under SweepEngine::CrossCheck). */
+    std::size_t crossCheckCount() const
+    {
+        return plan_.shadowIndex.size();
+    }
 
-    /** Backing Cache of config @p i; panics if fastPathed(i). */
+    /** Backing Cache of config @p i (after the first run()); panics
+     *  unless the config is batched or direct. */
     const Cache &cache(std::size_t i) const;
     Cache &cache(std::size_t i);
 
-    /** Summaries in config order. */
-    std::vector<SweepResult> results() const;
+    /** Summaries in config order (after the first run()). */
+    std::vector<SweepResult> results() const
+    {
+        return planResults(plan_, 0);
+    }
 
   private:
-    /** Where a config's simulation lives: a Cache outside the
-     *  single-pass engines (engine == kRouteDirect; slot into caches_
-     *  under DirectOnly, into batch_ otherwise), the set-sharded
-     *  engine (engine == kRouteShard; slot into shards_), a fused
-     *  group (engine == kRouteFused; slot into fusedSlots_), a split
-     *  I/D pair (engine == kRouteSplit; slot into splits_), or a
-     *  single-pass engine (engine >= 0; slot into that engine's
-     *  config list). */
-    struct Route
-    {
-        std::int32_t engine = -1;
-        std::uint32_t slot = 0;
-    };
-    static constexpr std::int32_t kRouteDirect = -1;
-    static constexpr std::int32_t kRouteShard = -2;
-    static constexpr std::int32_t kRouteFused = -3;
-    static constexpr std::int32_t kRouteSplit = -4;
-
-    /** First-run() routing refinement: move heuristically (or
-     *  OCCSIM_SHARD-forced) chosen direct configs from the batched
-     *  engine to per-config ShardReplay engines. Sticky: later runs
-     *  reuse the same routes. */
-    void finalizeRoutes(unsigned threads, std::uint64_t limit);
+    SweepRoute route(std::size_t i) const;
+    std::size_t count(SweepRoute route) const;
 
     ThreadPool *pool_;
-    SweepEngine engineMode_;
+    SweepEngine engine_;
     bool allowSharding_;
-    std::vector<CacheConfig> configs_;
-    std::vector<Route> routes_;
-    bool routesFinal_ = false;
-    /** DirectOnly: caches_[j] simulates configs_[directIndex_[j]]. */
-    std::vector<std::unique_ptr<Cache>> caches_;
-    /** All non-single-pass config indices (DirectOnly slot order). */
-    std::vector<std::size_t> directIndex_;
-    /** batch_->cache(j) simulates configs_[batchIndex_[j]]; equals
-     *  directIndex_ until finalizeRoutes carves out sharded configs. */
-    std::vector<std::size_t> batchIndex_;
-    /** shards_[k] simulates configs_[shardIndex_[k]]. */
-    std::vector<std::size_t> shardIndex_;
-    /** fused_[g] simulates configs_[fusedIndex_[g][k]] as member k. */
-    std::vector<std::vector<std::size_t>> fusedIndex_;
-    std::vector<std::unique_ptr<FusedReplay>> fused_;
-    /** Flat Route::slot -> (group, member) for fused configs. */
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> fusedSlots_;
-    /** Auto/CrossCheck: batched replay engine over the non-eligible,
-     *  non-sharded configs (same slot order as batchIndex_). */
-    std::unique_ptr<BatchReplay> batch_;
-    /** Set-sharded engines (one per sharded config). */
-    std::vector<std::unique_ptr<ShardReplay>> shards_;
-    /** splits_[k] simulates configs_[splitIndex_[k]] as an I/D pair. */
-    std::vector<std::size_t> splitIndex_;
-    std::vector<std::unique_ptr<SplitCache>> splits_;
-    /** One engine per distinct eligible block size. */
-    std::vector<std::unique_ptr<SinglePassEngine>> engines_;
-    /** engineIndex_[e][k] = config index of engines_[e]'s k-th. */
-    std::vector<std::vector<std::size_t>> engineIndex_;
-    /** CrossCheck only: sampled optimized-engine config indices with
-     *  a shadow direct Cache each (shadowCaches_[s] simulates
-     *  configs_[shadowIndex_[s]]). */
-    std::vector<std::size_t> shadowIndex_;
-    std::vector<std::unique_ptr<Cache>> shadowCaches_;
+    /** Routes only until the first run(); then one trace's engines. */
+    SweepPlan plan_;
 };
 
 } // namespace occsim

@@ -5,538 +5,12 @@
 #include <functional>
 
 #include "coherence/coherent_system.hh"
-#include "multi/sweep_detail.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
 namespace occsim {
 
 namespace {
-
-using sweep_detail::partitionConfigs;
-using sweep_detail::poolOrGlobal;
-using sweep_detail::selectConfigs;
-
-/** Per-trace reference limit under @p max_refs (0 = whole trace). */
-std::uint64_t
-traceLimit(const VectorTrace &trace, std::uint64_t max_refs)
-{
-    const std::uint64_t size = trace.refs().size();
-    return max_refs == 0 ? size : std::min(max_refs, size);
-}
-
-/** Set-sharded engine activity of one sweep, for the manifest. */
-struct ShardInfo
-{
-    ShardTelemetry telem;
-    /** shardedConfigs[c]: config c was sharded on >= 1 trace. */
-    std::vector<bool> shardedConfigs;
-};
-
-/** Fused group engine activity of one sweep, for the manifest. */
-struct FusedInfo
-{
-    std::size_t fusedRuns = 0;  ///< (trace, group) passes run
-    /** fusedConfigs[c]: config c rode a fused pass on >= 1 trace. */
-    std::vector<bool> fusedConfigs;
-};
-
-/**
- * Verification / probe path: one ParallelSweepRunner per trace (still
- * parallel within each trace), so per-config shadows exist
- * (CrossCheck) and finished Caches can be inspected (probe). A probe
- * pins its runners off the set-sharded engine — probes read
- * runner.cache(i), which sharded configs cannot serve.
- */
-std::uint64_t
-runPerTraceRunners(const SweepRequest &request, SweepReport &report,
-                   std::size_t &cross_check_samples,
-                   ShardInfo &shard_info, FusedInfo &fused_info)
-{
-    std::uint64_t refs = 0;
-    report.perTrace.reserve(request.traces.size());
-    for (std::size_t t = 0; t < request.traces.size(); ++t) {
-        ParallelSweepRunner runner(request.configs, request.pool,
-                                   request.engine,
-                                   /*allow_sharding=*/!request.probe);
-        refs += runner.run(request.traces[t], request.maxRefs);
-        cross_check_samples += runner.crossCheckCount();
-        shard_info.telem.accumulate(runner.shardTelemetry());
-        fused_info.fusedRuns += runner.fusedGroupCount();
-        for (std::size_t c = 0; c < request.configs.size(); ++c) {
-            if (runner.sharded(c))
-                shard_info.shardedConfigs[c] = true;
-            if (runner.fused(c))
-                fused_info.fusedConfigs[c] = true;
-        }
-        if (request.probe)
-            request.probe(t, runner);
-        report.perTrace.push_back(runner.results());
-    }
-    return refs;
-}
-
-/**
- * Grid path: the whole (trace, config) grid flattened to one task
- * list over the pool — batch tiles plus single-pass levels plus
- * direct per-config tasks. Each task writes only its own caches/
- * levels/tiles, so scheduling order cannot affect the results.
- */
-std::uint64_t
-runFlattenedGrid(const SweepRequest &request, SweepReport &report,
-                 ShardInfo &shard_info, FusedInfo &fused_info)
-{
-    const auto &traces = request.traces;
-    const auto &configs = request.configs;
-    const std::uint64_t max_refs = request.maxRefs;
-
-    report.perTrace.assign(traces.size(),
-                           std::vector<SweepResult>(configs.size()));
-    auto &out = report.perTrace;
-
-    const sweep_detail::ConfigPartition part =
-        partitionConfigs(configs, request.engine);
-
-    // Split I/D configs always get a dedicated SplitCache pair task:
-    // the pair routes by reference kind, which no batched kernel
-    // models.
-    std::vector<std::size_t> split_list;
-    std::vector<std::size_t> direct;
-    for (const std::size_t c : part.direct) {
-        if (configs[c].partition == CachePartition::SplitID)
-            split_list.push_back(c);
-        else
-            direct.push_back(c);
-    }
-
-    // Fast path: one single-pass engine per (trace, block-size
-    // group), parallelized one task per (engine, set-count level).
-    std::vector<std::vector<CacheConfig>> group_configs;
-    group_configs.reserve(part.groups.size());
-    for (const auto &group : part.groups)
-        group_configs.push_back(selectConfigs(configs, group));
-
-    const std::size_t num_groups = part.groups.size();
-    std::vector<std::unique_ptr<SinglePassEngine>> engines(
-        traces.size() * num_groups);
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            engines[t * num_groups + g] =
-                std::make_unique<SinglePassEngine>(group_configs[g]);
-        }
-    }
-
-    // Non-eligible configs: under Auto, fusable groups of two or more
-    // FusedKey-sharing configs ride one fused group pass per trace,
-    // the rest go to one batched replay engine per trace over the
-    // shared packed trace, parallelized per config tile — except the
-    // (trace, config) runs shouldShard routes to the set-sharded
-    // engine (fused groups shard as a unit), each split into one task
-    // per shard; under DirectOnly, one plain Cache task per (trace,
-    // config) pair.
-    const bool batched = request.engine != SweepEngine::DirectOnly &&
-                         !direct.empty();
-
-    // The grouping is pure config geometry, so it is shared by every
-    // trace; shard decisions are per trace (lengths differ).
-    std::vector<std::vector<std::size_t>> fused_groups;
-    std::vector<std::size_t> residual = direct;
-    if (batched) {
-        residual.clear();
-        std::vector<bool> in_group(configs.size(), false);
-        for (auto &group : fusedGroups(configs, direct)) {
-            if (group.size() < 2)
-                continue;
-            for (const std::size_t c : group)
-                in_group[c] = true;
-            fused_groups.push_back(std::move(group));
-        }
-        for (const std::size_t c : direct) {
-            if (!in_group[c])
-                residual.push_back(c);
-        }
-    }
-    std::vector<std::vector<std::unique_ptr<FusedReplay>>>
-        fused_engines(traces.size());
-
-    std::vector<std::unique_ptr<BatchReplay>> batches;
-    std::vector<std::shared_ptr<const PackedTrace>> packed;
-    // Per trace: which residual configs stay batched, which shard.
-    std::vector<std::vector<std::size_t>> batch_index(traces.size());
-    std::vector<std::vector<std::size_t>> shard_index(traces.size());
-    std::vector<std::vector<std::unique_ptr<ShardReplay>>>
-        shard_engines(traces.size());
-    if (batched) {
-        const unsigned threads =
-            static_cast<unsigned>(poolOrGlobal(request.pool).size());
-        const ShardMode shard_mode = shardModeFromEnv();
-        // Task inventory if nothing shards: batch tiles, fused group
-        // passes, plus single-pass levels, over every trace.
-        std::size_t levels_per_trace = 0;
-        for (std::size_t g = 0; g < num_groups; ++g)
-            levels_per_trace += engines[g]->numLevels();
-        const std::size_t tiles_per_trace =
-            (residual.size() + BatchReplay::kDefaultTileConfigs - 1) /
-            BatchReplay::kDefaultTileConfigs;
-        const std::size_t competing =
-            traces.size() * (tiles_per_trace + fused_groups.size() +
-                             levels_per_trace);
-
-        batches.resize(traces.size());
-        packed.reserve(traces.size());
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-            const std::uint64_t limit =
-                traceLimit(*traces[t], max_refs);
-            for (const auto &group : fused_groups) {
-                const CacheConfig &rep = configs[group.front()];
-                const bool shard =
-                    shouldShard(shard_mode, rep, threads, limit,
-                                competing);
-                fused_engines[t].push_back(
-                    std::make_unique<FusedReplay>(
-                        selectConfigs(configs, group),
-                        shard ? planShardCount(rep, threads) : 1));
-            }
-            for (const std::size_t c : residual) {
-                if (shouldShard(shard_mode, configs[c], threads,
-                                limit, competing)) {
-                    shard_index[t].push_back(c);
-                    shard_engines[t].push_back(
-                        std::make_unique<ShardReplay>(
-                            configs[c],
-                            planShardCount(configs[c], threads)));
-                } else {
-                    batch_index[t].push_back(c);
-                }
-            }
-            if (!batch_index[t].empty()) {
-                batches[t] = std::make_unique<BatchReplay>(
-                    selectConfigs(configs, batch_index[t]));
-            }
-            packed.push_back(packedTraceShared(traces[t]));
-        }
-    }
-
-    // Flatten everything to one task list: every (trace, direct
-    // config) pair or (trace, tile) pair, plus every (trace, group,
-    // level) triple.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(traces.size() *
-                  (part.direct.size() + num_groups));
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        if (batched) {
-            if (batches[t] != nullptr) {
-                for (std::size_t tile = 0;
-                     tile < batches[t]->numTiles(); ++tile) {
-                    tasks.push_back(
-                        [&batches, &packed, max_refs, t, tile] {
-                            batches[t]->runTile(tile, *packed[t],
-                                                max_refs);
-                        });
-                }
-            }
-            const std::uint64_t limit =
-                traceLimit(*traces[t], max_refs);
-            for (auto &engine : fused_engines[t]) {
-                FusedReplay *eng = engine.get();
-                if (eng->numShards() == 1) {
-                    // Unsharded: drive the group pass straight off
-                    // the packed records, no partition copy.
-                    const PackedTrace *ptrace = packed[t].get();
-                    tasks.push_back([eng, ptrace, limit] {
-                        eng->run(ptrace->data(), limit);
-                    });
-                    continue;
-                }
-                auto strace = shardedTraceShared(
-                    packed[t], eng->blockBits(), eng->shardBits(),
-                    limit);
-                for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
-            for (auto &engine : shard_engines[t]) {
-                // Partition the packed trace for this engine's
-                // (blockBits, shardBits); memoized, so configs
-                // agreeing on the block size share one partition.
-                auto strace = shardedTraceShared(
-                    packed[t], engine->blockBits(),
-                    engine->shardBits(), limit);
-                ShardReplay *eng = engine.get();
-                for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
-        } else {
-            for (const std::size_t c : direct) {
-                tasks.push_back([&, t, c] {
-                    OCCSIM_TELEM_STAGE("engine.direct");
-                    const std::vector<MemRef> &refs =
-                        traces[t]->refs();
-                    const std::uint64_t limit =
-                        traceLimit(*traces[t], max_refs);
-                    Cache cache(configs[c]);
-                    for (std::uint64_t r = 0; r < limit; ++r)
-                        cache.access(refs[r]);
-                    cache.finalizeResidencies();
-                    out[t][c] = summarizeCache(cache);
-                    OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                    OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                       limit * sizeof(MemRef));
-                });
-            }
-        }
-        for (const std::size_t c : split_list) {
-            tasks.push_back([&, t, c] {
-                OCCSIM_TELEM_STAGE("engine.direct");
-                const std::vector<MemRef> &refs = traces[t]->refs();
-                const std::uint64_t limit =
-                    traceLimit(*traces[t], max_refs);
-                SplitCache pair = makeEvenSplit(configs[c]);
-                for (std::uint64_t r = 0; r < limit; ++r)
-                    pair.access(refs[r]);
-                pair.finalizeResidencies();
-                out[t][c] = summarizeSplit(configs[c], pair);
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(MemRef));
-            });
-        }
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            SinglePassEngine &eng = *engines[t * num_groups + g];
-            for (std::size_t l = 0; l < eng.numLevels(); ++l) {
-                tasks.push_back([&eng, &traces, max_refs, t, l] {
-                    eng.runLevel(l, *traces[t], max_refs);
-                });
-            }
-        }
-    }
-
-    poolOrGlobal(request.pool)
-        .parallelFor(tasks.size(),
-                     [&](std::size_t i) { tasks[i](); });
-
-    std::uint64_t refs = 0;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        refs += traceLimit(*traces[t], max_refs);
-        if (batched) {
-            if (batches[t] != nullptr) {
-                const auto results = batches[t]->results();
-                for (std::size_t k = 0; k < results.size(); ++k)
-                    out[t][batch_index[t][k]] = results[k];
-            }
-            for (std::size_t k = 0; k < shard_engines[t].size();
-                 ++k) {
-                out[t][shard_index[t][k]] =
-                    shard_engines[t][k]->result();
-                shard_info.telem.accumulate(*shard_engines[t][k]);
-                shard_info.shardedConfigs[shard_index[t][k]] = true;
-            }
-            for (std::size_t g = 0; g < fused_engines[t].size();
-                 ++g) {
-                const FusedReplay &eng = *fused_engines[t][g];
-                const auto results = eng.results();
-                for (std::size_t k = 0; k < results.size(); ++k) {
-                    out[t][fused_groups[g][k]] = results[k];
-                    fused_info.fusedConfigs[fused_groups[g][k]] =
-                        true;
-                }
-                ++fused_info.fusedRuns;
-                if (eng.numShards() > 1)
-                    shard_info.telem.accumulate(eng);
-            }
-        }
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            const auto results =
-                engines[t * num_groups + g]->results();
-            for (std::size_t k = 0; k < results.size(); ++k)
-                out[t][part.groups[g][k]] = results[k];
-        }
-    }
-    return refs;
-}
-
-/**
- * Packed path: replay already packed traces (typically corpus files
- * mapped read-only) with no MemRef stream in sight. Every config goes
- * through the batch engine's config tiles — or the set-sharded engine
- * where shouldShard routes it — so the task shapes and results are
- * exactly those the flattened grid produces for its non-single-pass
- * configs.
- */
-std::uint64_t
-runPackedGrid(const SweepRequest &request, SweepReport &report,
-              ShardInfo &shard_info, FusedInfo &fused_info)
-{
-    const auto &traces = request.packedTraces;
-    const auto &configs = request.configs;
-    const std::uint64_t max_refs = request.maxRefs;
-
-    report.perTrace.assign(traces.size(),
-                           std::vector<SweepResult>(configs.size()));
-    auto &out = report.perTrace;
-
-    // Split I/D configs get dedicated SplitCache pair tasks over the
-    // packed records; fusable groups next (shared by every trace —
-    // the grouping is pure config geometry); the residual goes to
-    // batch/shard.
-    std::vector<std::size_t> split_list;
-    std::vector<std::size_t> candidates;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (configs[c].partition == CachePartition::SplitID)
-            split_list.push_back(c);
-        else
-            candidates.push_back(c);
-    }
-    std::vector<std::vector<std::size_t>> fused_groups;
-    std::vector<bool> in_group(configs.size(), false);
-    for (auto &group : fusedGroups(configs, candidates)) {
-        if (group.size() < 2)
-            continue;
-        for (const std::size_t c : group)
-            in_group[c] = true;
-        fused_groups.push_back(std::move(group));
-    }
-    std::vector<std::size_t> residual;
-    for (const std::size_t c : candidates) {
-        if (!in_group[c])
-            residual.push_back(c);
-    }
-    std::vector<std::vector<std::unique_ptr<FusedReplay>>>
-        fused_engines(traces.size());
-
-    const unsigned threads =
-        static_cast<unsigned>(poolOrGlobal(request.pool).size());
-    const ShardMode shard_mode = shardModeFromEnv();
-    const std::size_t tiles_per_trace =
-        (residual.size() + BatchReplay::kDefaultTileConfigs - 1) /
-        BatchReplay::kDefaultTileConfigs;
-    const std::size_t competing =
-        traces.size() * (tiles_per_trace + fused_groups.size());
-
-    std::vector<std::unique_ptr<BatchReplay>> batches(traces.size());
-    std::vector<std::vector<std::size_t>> batch_index(traces.size());
-    std::vector<std::vector<std::size_t>> shard_index(traces.size());
-    std::vector<std::vector<std::unique_ptr<ShardReplay>>>
-        shard_engines(traces.size());
-
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        const std::uint64_t limit =
-            max_refs == 0
-                ? traces[t]->size()
-                : std::min<std::uint64_t>(max_refs, traces[t]->size());
-        for (const auto &group : fused_groups) {
-            const CacheConfig &rep = configs[group.front()];
-            const bool shard = shouldShard(shard_mode, rep, threads,
-                                           limit, competing);
-            auto engine = std::make_unique<FusedReplay>(
-                selectConfigs(configs, group),
-                shard ? planShardCount(rep, threads) : 1);
-            FusedReplay *eng = engine.get();
-            if (eng->numShards() == 1) {
-                const PackedTrace *ptrace = traces[t].get();
-                tasks.push_back([eng, ptrace, limit] {
-                    eng->run(ptrace->data(), limit);
-                });
-            } else {
-                auto strace = shardedTraceShared(
-                    traces[t], eng->blockBits(), eng->shardBits(),
-                    limit);
-                for (std::uint32_t s = 0; s < eng->numShards();
-                     ++s) {
-                    tasks.push_back([eng, strace, s] {
-                        eng->runShard(s, *strace);
-                    });
-                }
-            }
-            fused_engines[t].push_back(std::move(engine));
-        }
-        for (const std::size_t c : residual) {
-            if (shouldShard(shard_mode, configs[c], threads, limit,
-                            competing)) {
-                shard_index[t].push_back(c);
-                shard_engines[t].push_back(
-                    std::make_unique<ShardReplay>(
-                        configs[c],
-                        planShardCount(configs[c], threads)));
-            } else {
-                batch_index[t].push_back(c);
-            }
-        }
-        if (!batch_index[t].empty()) {
-            batches[t] = std::make_unique<BatchReplay>(
-                selectConfigs(configs, batch_index[t]));
-            for (std::size_t tile = 0; tile < batches[t]->numTiles();
-                 ++tile) {
-                tasks.push_back([&batches, &traces, max_refs, t, tile] {
-                    batches[t]->runTile(tile, *traces[t], max_refs);
-                });
-            }
-        }
-        for (auto &engine : shard_engines[t]) {
-            auto strace =
-                shardedTraceShared(traces[t], engine->blockBits(),
-                                   engine->shardBits(), limit);
-            ShardReplay *eng = engine.get();
-            for (std::uint32_t s = 0; s < eng->numShards(); ++s) {
-                tasks.push_back(
-                    [eng, strace, s] { eng->runShard(s, *strace); });
-            }
-        }
-        for (const std::size_t c : split_list) {
-            tasks.push_back([&, t, c, limit] {
-                OCCSIM_TELEM_STAGE("engine.direct");
-                SplitCache pair = makeEvenSplit(configs[c]);
-                pair.replayPacked(traces[t]->data(),
-                                  static_cast<std::size_t>(limit));
-                pair.finalizeResidencies();
-                out[t][c] = summarizeSplit(configs[c], pair);
-                OCCSIM_TELEM_COUNT("engine.direct.refs", limit);
-                OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                                   limit * sizeof(PackedRecord));
-            });
-        }
-    }
-
-    poolOrGlobal(request.pool)
-        .parallelFor(tasks.size(),
-                     [&](std::size_t i) { tasks[i](); });
-
-    std::uint64_t refs = 0;
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        refs += max_refs == 0
-                    ? traces[t]->size()
-                    : std::min<std::uint64_t>(max_refs,
-                                              traces[t]->size());
-        if (batches[t] != nullptr) {
-            const auto results = batches[t]->results();
-            for (std::size_t k = 0; k < results.size(); ++k)
-                out[t][batch_index[t][k]] = results[k];
-        }
-        for (std::size_t k = 0; k < shard_engines[t].size(); ++k) {
-            out[t][shard_index[t][k]] = shard_engines[t][k]->result();
-            shard_info.telem.accumulate(*shard_engines[t][k]);
-            shard_info.shardedConfigs[shard_index[t][k]] = true;
-        }
-        for (std::size_t g = 0; g < fused_engines[t].size(); ++g) {
-            const FusedReplay &eng = *fused_engines[t][g];
-            const auto results = eng.results();
-            for (std::size_t k = 0; k < results.size(); ++k) {
-                out[t][fused_groups[g][k]] = results[k];
-                fused_info.fusedConfigs[fused_groups[g][k]] = true;
-            }
-            ++fused_info.fusedRuns;
-            if (eng.numShards() > 1)
-                shard_info.telem.accumulate(eng);
-        }
-    }
-    return refs;
-}
 
 /**
  * Scenario path: every (trace, config) pair is one CoherentSystem
@@ -563,13 +37,10 @@ runScenarioGrid(const SweepRequest &request, SweepReport &report)
     tasks.reserve(num_traces * configs.size());
     std::uint64_t refs = 0;
     for (std::size_t t = 0; t < num_traces; ++t) {
-        const std::uint64_t limit =
-            packed_path
-                ? (max_refs == 0
-                       ? request.packedTraces[t]->size()
-                       : std::min<std::uint64_t>(
-                             max_refs, request.packedTraces[t]->size()))
-                : traceLimit(*request.traces[t], max_refs);
+        const std::uint64_t limit = refLimit(
+            packed_path ? request.packedTraces[t]->size()
+                        : request.traces[t]->refs().size(),
+            max_refs);
         refs += limit;
         for (std::size_t c = 0; c < configs.size(); ++c) {
             tasks.push_back([&, t, c, limit] {
@@ -633,7 +104,7 @@ runSampledGrid(const SweepRequest &request, SweepReport &report,
         engines.push_back(std::make_unique<SampleReplay>(
             request.configs, request.sample));
         engines.back()->prepare(*packed.back(), request.maxRefs);
-        refs += traceLimit(*trace, request.maxRefs);
+        refs += refLimit(trace->refs().size(), request.maxRefs);
     }
 
     std::vector<std::function<void()>> warm_tasks;
@@ -670,27 +141,6 @@ runSampledGrid(const SweepRequest &request, SweepReport &report,
     }
     sample_info.sampledRuns = traces.size() * request.configs.size();
     return refs;
-}
-
-/** Engine a config routes to under @p engine (manifest vocabulary).
- *  @p sharded: the set-sharded engine served it on >= 1 trace;
- *  @p fused: a fused group pass did (the two are exclusive — a fused
- *  config shards inside its group, reported as "fused"). */
-const char *
-configEngineName(const CacheConfig &config, SweepEngine engine,
-                 bool sharded, bool is_fused)
-{
-    if (config.partition == CachePartition::SplitID)
-        return "split";
-    if (engine == SweepEngine::Sampled)
-        return "sample";
-    if (engine == SweepEngine::DirectOnly)
-        return "direct";
-    if (is_fused)
-        return "fused";
-    if (sharded)
-        return "shard";
-    return singlePassEligible(config) ? "single_pass" : "batch";
 }
 
 } // namespace
@@ -749,8 +199,8 @@ runSweep(const SweepRequest &request)
         }
     }
     if (packed_path && !multicore) {
-        // Packed records carry no MemRef stream, so only the replay
-        // engines (batch / set-sharded) can serve this path.
+        // Packed records carry no MemRef stream, so only the packed
+        // replay engines can serve this path.
         occsim_assert(request.engine == SweepEngine::Auto,
                       "packedTraces requires SweepEngine::Auto (the "
                       "%s policy needs a MemRef stream)",
@@ -763,17 +213,29 @@ runSweep(const SweepRequest &request)
     const auto start = std::chrono::steady_clock::now();
 
     SweepReport report;
-    std::size_t cross_check_samples = 0;
-    ShardInfo shard_info;
-    shard_info.shardedConfigs.assign(request.configs.size(), false);
-    FusedInfo fused_info;
-    fused_info.fusedConfigs.assign(request.configs.size(), false);
+    obs::SweepRecord record;
+    ShardTelemetry shard_telem;
     SampleInfo sample_info;
+    ThreadPool &pool = poolOrGlobal(request.pool);
+    const auto threads = static_cast<unsigned>(pool.size());
+    // Manifest route per config: the planned route on the exact
+    // single-cache paths, the one engine of the others.
+    std::vector<const char *> engines(
+        request.configs.size(), multicore ? "coherent" : "sample");
+    const auto record_plan = [&](const SweepPlan &plan) {
+        const std::size_t runs = plan.traces.size();
+        record.crossCheckSamples += runs * plan.shadowIndex.size();
+        record.fusedRuns += runs * plan.fusedGroups.size();
+        record.fusedConfigs = static_cast<std::size_t>(
+            std::count(plan.route.begin(), plan.route.end(),
+                       SweepRoute::Fused));
+        shard_telem.accumulate(planShardTelemetry(plan));
+        for (std::size_t c = 0; c < engines.size(); ++c)
+            engines[c] = routeName(plan.route[c]);
+    };
     std::uint64_t refs = 0;
     if (multicore) {
         refs = runScenarioGrid(request, report);
-    } else if (packed_path) {
-        refs = runPackedGrid(request, report, shard_info, fused_info);
     } else if (request.engine == SweepEngine::Sampled) {
         // A probe needs a finished full-trace Cache to inspect; the
         // sampling engine never has one.
@@ -781,14 +243,34 @@ runSweep(const SweepRequest &request)
                       "probe is incompatible with SweepEngine::"
                       "Sampled (no full-trace Cache exists)");
         refs = runSampledGrid(request, report, sample_info);
-    } else if (request.engine == SweepEngine::CrossCheck ||
-               request.probe) {
-        refs = runPerTraceRunners(request, report,
-                                  cross_check_samples, shard_info,
-                                  fused_info);
+    } else if (request.probe) {
+        // One runner per trace, pinned off the fused and set-sharded
+        // engines, so the probe can read each trace's finished Caches.
+        for (std::size_t t = 0; t < request.traces.size(); ++t) {
+            ParallelSweepRunner runner(request.configs, &pool,
+                                       request.engine,
+                                       /*allow_sharding=*/false);
+            refs += runner.run(request.traces[t], request.maxRefs);
+            request.probe(t, runner);
+            report.perTrace.push_back(runner.results());
+            record_plan(runner.plan());
+        }
     } else {
-        refs = runFlattenedGrid(request, report, shard_info,
-                                fused_info);
+        std::vector<std::uint64_t> limits;
+        for (const auto &trace : request.traces)
+            limits.push_back(
+                refLimit(trace->refs().size(), request.maxRefs));
+        for (const auto &trace : request.packedTraces)
+            limits.push_back(refLimit(trace->size(), request.maxRefs));
+        SweepPlan plan = planSweep(
+            request.configs, request.engine,
+            packed_path ? SweepInput::Packed : SweepInput::MemRefs,
+            limits, threads);
+        refs = runSweepPlan(plan, request.traces, request.packedTraces,
+                            request.maxRefs, pool);
+        for (std::size_t t = 0; t < plan.traces.size(); ++t)
+            report.perTrace.push_back(planResults(plan, t));
+        record_plan(plan);
     }
     report.refs = refs;
 
@@ -820,26 +302,17 @@ runSweep(const SweepRequest &request)
     for (const auto &trace : request.packedTraces)
         obs::recordTrace(trace->name(), trace->size());
 
-    obs::SweepRecord record;
     record.label = request.label.empty() ? "sweep" : request.label;
     record.engineMode = sweepEngineName(request.engine);
-    record.threads =
-        static_cast<unsigned>(poolOrGlobal(request.pool).size());
-    record.numTraces =
-        packed_path ? request.packedTraces.size()
-                    : request.traces.size();
+    record.threads = threads;
+    record.numTraces = report.perTrace.size();
     record.maxRefs = request.maxRefs;
     record.refsSimulated = simulated;
     record.wallMs = wall_ms;
-    record.crossCheckSamples = cross_check_samples;
-    record.shardedRuns = shard_info.telem.shardedRuns;
-    record.shardMaxShards = shard_info.telem.maxShards;
-    record.shardMaxRefs = shard_info.telem.maxShardRefs;
-    record.shardMinRefs = shard_info.telem.minShardRefs;
-    record.fusedRuns = fused_info.fusedRuns;
-    record.fusedConfigs = static_cast<std::size_t>(std::count(
-        fused_info.fusedConfigs.begin(),
-        fused_info.fusedConfigs.end(), true));
+    record.shardedRuns = shard_telem.shardedRuns;
+    record.shardMaxShards = shard_telem.maxShards;
+    record.shardMaxRefs = shard_telem.maxShardRefs;
+    record.shardMinRefs = shard_telem.minShardRefs;
     record.sampledRuns = sample_info.sampledRuns;
     if (sample_info.sampledRuns > 0) {
         record.sampleUnitRefs = request.sample.unitRefs;
@@ -886,23 +359,7 @@ runSweep(const SweepRequest &request)
         const CacheConfig &config = request.configs[c];
         obs::ConfigRoute route;
         route.config = config.shortName();
-        // The packed path has no single-pass fallback: everything not
-        // split, fused or sharded ran through the batch engine.
-        route.engine =
-            multicore
-                ? "coherent"
-                : (packed_path
-                       ? (config.partition == CachePartition::SplitID
-                              ? "split"
-                              : (fused_info.fusedConfigs[c]
-                                     ? "fused"
-                                     : (shard_info.shardedConfigs[c]
-                                            ? "shard"
-                                            : "batch")))
-                       : configEngineName(
-                             config, request.engine,
-                             shard_info.shardedConfigs[c],
-                             fused_info.fusedConfigs[c]));
+        route.engine = engines[c];
         if (!sampled_avg.empty() && sampled_avg[c].sampled.active) {
             route.sampled = true;
             route.missRatioMean =

@@ -3,24 +3,19 @@
  * The unified sweep API: one request/report pair in front of every
  * sweep engine.
  *
- * Before this header, callers picked between three overlapping entry
- * points (sequential SweepRunner::run, ParallelSweepRunner::run, free
- * runSweeps — all since deleted) and hard-coded engine plumbing —
- * thread pools, engine modes, averaging, instrumentation — at every
- * call site. The supported surface is now:
- *
  *   SweepRequest request;
  *   request.traces = buildSuiteTraces(suite);
  *   request.configs = paperGrid(1024, 2);
  *   SweepReport report = runSweep(request);
  *   // report.perTrace, report.average, report.manifest
  *
- * Everything the deleted entry points could do is a field of the
- * request: engine policy, explicit pool, reference cap, a telemetry
- * sink, and an optional per-trace probe for callers that need to
- * inspect a finished Cache (Table 6's residency statistics).
- * tests/test_sweep_api.cpp holds the cross-engine exact-equality
- * proof.
+ * Everything else is a field of the request: engine policy, explicit
+ * pool, reference cap, a telemetry sink, and an optional per-trace
+ * probe for callers that need to inspect a finished Cache (Table 6's
+ * residency statistics). Exact single-cache sweeps are routed by the
+ * sweep planner (multi/sweep_plan.hh), and the manifest records the
+ * routes it chose. tests/test_sweep_api.cpp holds the cross-engine
+ * exact-equality proof.
  *
  * Scenario-first: SweepRequest::scenario names the machine the grid
  * is priced on. The default (1 core) is today's single-cache model,
@@ -65,9 +60,10 @@ struct SweepRequest
      * Already packed traces — e.g. corpus files mapped read-only by
      * TraceCorpus::open(), replayed in place with no decode and no
      * copy. Packed records carry no MemRef stream, so this path is
-     * served entirely by the batch/set-sharded replay engines (whose
-     * results are bit-identical to every other engine); it requires
-     * SweepEngine::Auto and is incompatible with probe.
+     * served entirely by the packed replay engines — fused, batch,
+     * set-sharded and split pairs (whose results are bit-identical to
+     * every other engine); it requires SweepEngine::Auto and is
+     * incompatible with probe.
      */
     std::vector<std::shared_ptr<const PackedTrace>> packedTraces;
 
@@ -119,9 +115,9 @@ struct SweepRequest
      * after that trace's sweep finishes, before results are
      * collected. Setting a probe forces runner-per-trace execution
      * (each trace gets its own ParallelSweepRunner; results stay
-     * bit-identical) and pins those runners off the set-sharded
-     * engine, so probes can read runner.cache(i) for statistics
-     * SweepResult does not carry — construct with
+     * bit-identical) and pins those runners off the fused and
+     * set-sharded engines, so probes can read runner.cache(i) for
+     * statistics SweepResult does not carry — construct with
      * SweepEngine::DirectOnly if every config must keep a Cache.
      */
     std::function<void(std::size_t, const ParallelSweepRunner &)> probe;
@@ -149,7 +145,7 @@ struct SweepReport
 /**
  * Run @p request: every config over every trace, partitioned across
  * the pool, routed per SweepRequest::engine. The one supported sweep
- * entry point; bit-identical to the legacy paths it replaced.
+ * entry point; bit-identical whichever engine serves a config.
  */
 SweepReport runSweep(const SweepRequest &request);
 

@@ -43,9 +43,10 @@ struct TraceRecord
 struct ConfigRoute
 {
     std::string config;  ///< CacheConfig::shortName()
-    std::string engine;  ///< "direct" / "single_pass" / "batch" /
-                         ///< "shard" (sharded on at least one trace)
-                         ///< / "split" / "sample" / "coherent"
+    std::string engine;  ///< "direct" / "single_pass" / "fused" /
+                         ///< "batch" / "shard" (sharded on at least
+                         ///< one trace) / "split" / "sample" /
+                         ///< "coherent"
     /** Sampling engine only: the headline miss-ratio estimate
      *  (cross-trace mean with its standard error), so a sampled
      *  manifest carries the uncertainty of its numbers. Absent from

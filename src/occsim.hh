@@ -8,8 +8,8 @@
  * pulls in cache configuration and simulation, trace generation and
  * filtering, the unified sweep API (SweepRequest -> runSweep ->
  * SweepReport), the paper harnesses, and the observability subsystem
- * (telemetry, run manifests). Internal headers — sweep_detail.hh,
- * the engine internals, the VM — are deliberately not included;
+ * (telemetry, run manifests). Internal headers — the engine
+ * internals, the VM — are deliberately not included;
  * embedders that reach for them are off the supported surface.
  *
  * examples/quickstart.cpp builds against this header alone.

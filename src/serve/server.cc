@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "multi/fused_replay.hh"
 #include "multi/sweep_api.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -318,19 +317,16 @@ SweepServer::executeSweep(
     if (misses > 0)
         count("serve.cache_miss", misses);
 
-    // Reorder each trace's misses so configs sharing a fused grouping
-    // key sit adjacent: the tiles below slice this list, and the
-    // sweep engine can only fuse members that land in the same tile.
-    // Ineligible configs and fused singletons keep their order after
-    // the groups.
+    // Reorder each trace's misses so the planner's fused groups sit
+    // adjacent: the tiles below slice this list, and the sweep engine
+    // can only fuse members that land in the same tile. Ineligible
+    // configs and fused singletons keep their order after the groups.
     for (auto &missing : miss_configs) {
         std::vector<std::size_t> ordered;
         ordered.reserve(missing.size());
         std::vector<char> placed(nc, 0);
         for (const auto &group :
-             fusedGroups(request.configs, missing)) {
-            if (group.size() < 2)
-                continue;
+             fusableGroups(request.configs, missing)) {
             for (const std::size_t c : group) {
                 ordered.push_back(c);
                 placed[c] = 1;

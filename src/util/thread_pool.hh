@@ -93,6 +93,13 @@ class ThreadPool
  */
 ThreadPool &globalThreadPool();
 
+/** @p pool, or globalThreadPool() when it is null. */
+inline ThreadPool &
+poolOrGlobal(ThreadPool *pool)
+{
+    return pool != nullptr ? *pool : globalThreadPool();
+}
+
 } // namespace occsim
 
 #endif // OCCSIM_UTIL_THREAD_POOL_HH

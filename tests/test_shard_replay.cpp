@@ -24,6 +24,8 @@
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
+#include "env_guard.hh"
+
 using namespace occsim;
 
 namespace {
@@ -105,36 +107,6 @@ forcedShardMerge(const CacheConfig &config, const PackedTrace &packed,
     }
     return summarizeStats(config, geom.grossBytes(), merged);
 }
-
-/** RAII environment-variable override (restores the prior value). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            hadOld_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (hadOld_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool hadOld_ = false;
-    std::string old_;
-};
 
 } // namespace
 

@@ -5,17 +5,24 @@
  * per-config Cache simulation and ParallelSweepRunner::run — for
  * every engine policy and thread count; the request knobs (maxRefs,
  * wantAverage, probe, explicit telemetry sink) must each do what they
- * say; and the attached manifest must serialize to valid
- * occsim.run_manifest/1 JSON.
+ * say; the attached manifest must serialize to valid
+ * occsim.run_manifest/1 JSON; and the planner's routes must not depend
+ * on the policy that runs them, with every route's manifest name
+ * matching the engine that actually ran it.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "multi/sweep_api.hh"
 #include "multi/sweep_runner.hh"
 #include "obs/json.hh"
 #include "workload/suites.hh"
+
+#include "env_guard.hh"
 
 using namespace occsim;
 
@@ -84,6 +91,17 @@ struct Fixture
     std::vector<std::shared_ptr<const VectorTrace>> traces;
     std::vector<CacheConfig> configs;
 };
+
+/** The manifest route names of @p report's sweep, in config order. */
+std::vector<std::string>
+manifestRoutes(const SweepReport &report)
+{
+    std::vector<std::string> out;
+    for (const obs::ConfigRoute &route :
+         report.manifest.sweeps.back().routes)
+        out.push_back(route.engine);
+    return out;
+}
 
 } // namespace
 
@@ -285,6 +303,114 @@ TEST(SweepApi, ReportManifestIsValidSchemaJson)
     const obs::JsonValue *traces = doc.find("traces");
     ASSERT_NE(traces, nullptr);
     EXPECT_GE(traces->items.size(), 2u);
+}
+
+TEST(SweepApi, CrossCheckRoutesExactlyLikeAuto)
+{
+    // Six traces of one shard-eligible config: the six batch tiles
+    // alone fill a 4-worker pool, so the shard heuristic says no. The
+    // verdict must weigh the whole sweep under CrossCheck too — its
+    // shadows verify the routes Auto runs, not some other routes.
+    const EnvGuard guard("OCCSIM_SHARD", nullptr);
+    const Suite suite = pdp11Suite();
+    std::vector<std::shared_ptr<const VectorTrace>> traces;
+    for (std::size_t t = 0; t < 6; ++t)
+        traces.push_back(buildTraceShared(suite.traces[t], 300000));
+    CacheConfig config = makeConfig(1024, 32, 8, suite.profile.wordSize);
+    config.fetch = FetchPolicy::LoadForward;
+
+    ThreadPool pool(4);
+    SweepRequest request;
+    request.traces = traces;
+    request.configs = {config};
+    request.pool = &pool;
+    const SweepReport automatic = runSweep(request);
+    request.engine = SweepEngine::CrossCheck;
+    const SweepReport checked = runSweep(request);
+
+    const obs::SweepRecord &a = automatic.manifest.sweeps.back();
+    const obs::SweepRecord &c = checked.manifest.sweeps.back();
+    EXPECT_EQ(manifestRoutes(automatic),
+              std::vector<std::string>{"batch"});
+    EXPECT_EQ(manifestRoutes(checked), manifestRoutes(automatic));
+    EXPECT_EQ(a.shardedRuns, 0u);
+    EXPECT_EQ(c.shardedRuns, a.shardedRuns);
+    EXPECT_GT(c.crossCheckSamples, 0u);
+    expectIdenticalGrid(checked.perTrace, automatic.perTrace);
+}
+
+TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
+{
+    // One mixed grid reaching every route: a split I/D pair, a
+    // single-pass config, a two-member fused group, a lone sector
+    // config (batched, or sharded under OCCSIM_SHARD=1), and a Random
+    // config (never shard-eligible, so always batched).
+    const Fixture fx;
+    const std::uint32_t word = pdp11Suite().profile.wordSize;
+    CacheConfig split = makeConfig(1024, 16, 16, word);
+    split.partition = CachePartition::SplitID;
+    CacheConfig sector = makeConfig(1024, 32, 8, word);
+    CacheConfig forward = sector;
+    forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig random = makeConfig(1024, 16, 8, word);
+    random.replacement = ReplacementPolicy::Random;
+    const std::vector<CacheConfig> configs{
+        split, makeConfig(1024, 16, 16, word), sector, forward,
+        makeConfig(2048, 32, 8, word), random};
+
+    ThreadPool pool(4);
+    SweepRequest request;
+    request.traces = fx.traces;
+    request.configs = configs;
+    request.pool = &pool;
+    request.engine = SweepEngine::DirectOnly;
+    const SweepReport direct = runSweep(request);
+
+    const bool was_enabled = obs::telemetryEnabled();
+    obs::setTelemetryEnabled(true);
+    std::map<std::string, std::vector<std::string>> seen;
+    for (const char *shard : {"0", "1", "direct"}) {
+        const bool direct_only = std::string(shard) == "direct";
+        const EnvGuard guard("OCCSIM_SHARD", direct_only ? nullptr
+                                                         : shard);
+        request.engine = direct_only ? SweepEngine::DirectOnly
+                                     : SweepEngine::Auto;
+        obs::telemetry().reset();
+        const SweepReport report = runSweep(request);
+        const auto counters = obs::telemetry().counters();
+        const auto routes = manifestRoutes(report);
+        ASSERT_EQ(routes.size(), configs.size());
+        seen[shard] = routes;
+
+        // Each engine's refs counter counts config-refs, so it must
+        // equal the refs of exactly the configs the manifest names
+        // for it (split pairs run on the direct engine).
+        std::map<std::string, std::uint64_t> want;
+        for (const std::string &route : routes)
+            want[route == "split" ? "direct" : route] += report.refs;
+        for (const char *engine :
+             {"single_pass", "fused", "shard", "batch", "direct",
+              "shadow"}) {
+            std::uint64_t got = 0;
+            for (const obs::CounterSnapshot &counter : counters) {
+                if (counter.name == std::string("engine.") + engine +
+                                        ".refs")
+                    got = counter.value;
+            }
+            EXPECT_EQ(got, want[engine]) << shard << " " << engine;
+        }
+        expectIdenticalGrid(report.perTrace, direct.perTrace);
+    }
+    obs::telemetry().reset();
+    obs::setTelemetryEnabled(was_enabled);
+
+    using Routes = std::vector<std::string>;
+    EXPECT_EQ(seen["0"], (Routes{"split", "single_pass", "fused",
+                                 "fused", "batch", "batch"}));
+    EXPECT_EQ(seen["1"], (Routes{"split", "single_pass", "fused",
+                                 "fused", "shard", "batch"}));
+    EXPECT_EQ(seen["direct"], (Routes{"split", "direct", "direct",
+                                      "direct", "direct", "direct"}));
 }
 
 TEST(SweepApi, EngineNamesAreStable)
