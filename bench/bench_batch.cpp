@@ -1,8 +1,8 @@
 /**
  * @file
  * Direct-vs-batched wall-clock comparison on the paper's sector and
- * load-forward grid — exactly the configurations the single-pass
- * engine cannot take (sub-block < block, load-forward fetch), which
+ * load-forward grid — configurations a Mattson stack pass cannot
+ * price (sub-block < block, load-forward fetch), which
  * before the batched engine all fell back to per-reference
  * Cache::access simulation.
  *
@@ -37,8 +37,8 @@ namespace {
  * The sector/load-forward design points behind Figures 4-9: every
  * (block, sub-block) pair with sub < block at the paper's standard
  * 1024-byte net size, crossed with demand and load-forward fetch.
- * None are single-pass eligible, so Auto routes the whole grid to
- * the batched replay engine.
+ * Auto routes the grid to the fused and batched packed-replay
+ * engines.
  */
 std::vector<CacheConfig>
 sectorLoadForwardGrid(std::uint32_t word_size)

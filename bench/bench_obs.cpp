@@ -86,57 +86,37 @@ sectorLoadForwardGrid(std::uint32_t word_size)
     return configs;
 }
 
-/** The un-instrumented reference loop. */
-std::uint64_t
-runGridPlain(const std::vector<std::shared_ptr<const VectorTrace>> &traces,
-             const std::vector<CacheConfig> &configs)
+/** The un-instrumented reference loop: one (trace, config) replay.
+ *  Both replays stay out of line so each regime times one fixed copy
+ *  of its loop rather than whatever the timing loop inlined. */
+[[gnu::noinline]] void
+replayPlain(const std::vector<MemRef> &refs, const CacheConfig &config)
 {
-    std::uint64_t accesses = 0;
-    for (const auto &trace : traces) {
-        const std::vector<MemRef> &refs = trace->refs();
-        for (const CacheConfig &config : configs) {
-            Cache cache(config);
-            for (std::size_t base = 0; base < refs.size();
-                 base += kChunk) {
-                const std::size_t end =
-                    std::min(refs.size(), base + kChunk);
-                for (std::size_t i = base; i < end; ++i)
-                    cache.access(refs[i]);
-                accesses += end - base;
-            }
-        }
+    Cache cache(config);
+    for (std::size_t base = 0; base < refs.size(); base += kChunk) {
+        const std::size_t end = std::min(refs.size(), base + kChunk);
+        for (std::size_t i = base; i < end; ++i)
+            cache.access(refs[i]);
     }
-    return accesses;
 }
 
 /** Identical loop with the engines' hook pattern per chunk. Under
  *  OCCSIM_NO_TELEMETRY the macros vanish and this compiles to
- *  runGridPlain. */
-std::uint64_t
-runGridInstrumented(
-    const std::vector<std::shared_ptr<const VectorTrace>> &traces,
-    const std::vector<CacheConfig> &configs)
+ *  replayPlain. */
+[[gnu::noinline]] void
+replayInstrumented(const std::vector<MemRef> &refs,
+                   const CacheConfig &config)
 {
-    std::uint64_t accesses = 0;
-    for (const auto &trace : traces) {
-        const std::vector<MemRef> &refs = trace->refs();
-        for (const CacheConfig &config : configs) {
-            Cache cache(config);
-            for (std::size_t base = 0; base < refs.size();
-                 base += kChunk) {
-                const std::size_t end =
-                    std::min(refs.size(), base + kChunk);
-                OCCSIM_TELEM_STAGE("bench.chunk");
-                for (std::size_t i = base; i < end; ++i)
-                    cache.access(refs[i]);
-                OCCSIM_TELEM_COUNT("bench.chunk.refs", end - base);
-                OCCSIM_TELEM_COUNT("bench.chunk.bytes",
-                                   (end - base) * sizeof(MemRef));
-                accesses += end - base;
-            }
-        }
+    Cache cache(config);
+    for (std::size_t base = 0; base < refs.size(); base += kChunk) {
+        const std::size_t end = std::min(refs.size(), base + kChunk);
+        OCCSIM_TELEM_STAGE("bench.chunk");
+        for (std::size_t i = base; i < end; ++i)
+            cache.access(refs[i]);
+        OCCSIM_TELEM_COUNT("bench.chunk.refs", end - base);
+        OCCSIM_TELEM_COUNT("bench.chunk.bytes",
+                           (end - base) * sizeof(MemRef));
     }
-    return accesses;
 }
 
 template <typename Fn>
@@ -169,40 +149,59 @@ main()
         accesses += trace->size() * configs.size();
     std::printf("telemetry overhead benchmark (%s): %zu traces x "
                 "%zu configs, %llu cache accesses per pass, "
-                "%zu-ref spans, best of %d\n",
+                "%zu-ref spans, best of %d per replay\n",
                 kBenchName, traces.size(), configs.size(),
                 static_cast<unsigned long long>(accesses),
                 kChunk, kReps);
 
     // Warm-up pass so page faults and first-touch allocation are not
     // charged to whichever regime runs first.
-    runGridPlain(traces, configs);
+    for (const auto &trace : traces)
+        for (const CacheConfig &config : configs)
+            replayPlain(trace->refs(), config);
 
     obs::Telemetry &telem = obs::telemetry();
     const bool was_enabled = telem.enabled();
 
-    // The regimes are interleaved within each repetition (plain,
-    // disabled, enabled, plain, ...) rather than timed in three
-    // back-to-back phases: a slow period on the host — scheduler
-    // preemption, a cgroup CPU-quota throttle window — then inflates
-    // some repetition of EVERY regime instead of landing wholly on
-    // one of them, and the per-regime minimum discards it. With
-    // phase-at-a-time timing a single throttle window spanning one
-    // phase reads as tens of percent of systematic "overhead".
-    double plain_ms = 0.0, disabled_ms = 0.0, enabled_ms = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        telem.setEnabled(false);
-        keepMin(plain_ms,
-                timeOnce([&] { runGridPlain(traces, configs); }), rep);
-        keepMin(disabled_ms,
-                timeOnce([&] { runGridInstrumented(traces, configs); }),
-                rep);
-        telem.setEnabled(true);
-        keepMin(enabled_ms,
-                timeOnce([&] { runGridInstrumented(traces, configs); }),
-                rep);
+    // The regimes are interleaved per (trace, config) replay, not per
+    // whole-grid pass: each replay runs kReps times in every regime,
+    // back to back, with the regime that goes first rotated each
+    // repetition, and a regime's time is the sum over replays of its
+    // per-replay minimum. A slow period on the host (a busy sibling
+    // vCPU, preemption, a CPU-quota throttle window) lasts far longer
+    // than one replay, so it inflates all three regimes of the replays
+    // it covers alike instead of one regime's whole pass. Timing whole
+    // passes in a fixed plain-disabled-enabled order charged a host
+    // that turned slow partway through to the later regimes, which
+    // read as tens of percent of "overhead" even in the notelem build,
+    // where the two loops are the same code.
+    enum Regime { kPlain, kDisabled, kEnabled, kRegimes };
+    double regime_ms[kRegimes] = {};
+    for (const auto &trace : traces) {
+        const std::vector<MemRef> &refs = trace->refs();
+        for (const CacheConfig &config : configs) {
+            double best[kRegimes] = {};
+            for (int rep = 0; rep < kReps; ++rep) {
+                for (int k = 0; k < kRegimes; ++k) {
+                    const int regime = (rep + k) % kRegimes;
+                    telem.setEnabled(regime == kEnabled);
+                    const double ms = timeOnce([&] {
+                        if (regime == kPlain)
+                            replayPlain(refs, config);
+                        else
+                            replayInstrumented(refs, config);
+                    });
+                    keepMin(best[regime], ms, rep);
+                }
+            }
+            for (int regime = 0; regime < kRegimes; ++regime)
+                regime_ms[regime] += best[regime];
+        }
     }
     telem.setEnabled(was_enabled);
+    const double plain_ms = regime_ms[kPlain];
+    const double disabled_ms = regime_ms[kDisabled];
+    const double enabled_ms = regime_ms[kEnabled];
 
     const double disabled_pct =
         plain_ms > 0.0 ? (disabled_ms - plain_ms) / plain_ms * 100.0

@@ -55,9 +55,9 @@ main()
     const Suite suite = pdp11Suite();
     const std::uint64_t refs = defaultTraceLength();
 
-    // A sector config (sub < block): shard-eligible but never
-    // single-pass eligible, so the batched engine is the honest
-    // baseline. 16 KB / 32 B blocks / 4-way = 128 sets >= 8 shards.
+    // A lone sector config (sub < block): shard-eligible and never
+    // fused, so the batched engine is the honest baseline.
+    // 16 KB / 32 B blocks / 4-way = 128 sets >= 8 shards.
     CacheConfig config =
         makeConfig(16384, 32, 8, suite.profile.wordSize);
     config.fetch = FetchPolicy::LoadForward;

@@ -3,10 +3,10 @@
  * occsim-fuzz: the differential property-fuzz driver. Generates
  * seeded random (cache config, adversarial trace) pairs and runs
  * every engine occsim owns over each — the naive ReferenceCache
- * oracle, the direct Cache, the parallel routing layer with and
- * without the single-pass fast path, and the standalone single-pass
- * engine — diffing every counter and derived metric exactly. On a
- * mismatch the case is auto-shrunk (trace bisection + config
+ * oracle, the direct Cache, the parallel routing layer under both
+ * DirectOnly and Auto, and the standalone batched, set-sharded and
+ * fused engines — diffing every counter and derived metric exactly.
+ * On a mismatch the case is auto-shrunk (trace bisection + config
  * simplification) and printed as a replayable case seed plus a
  * paste-ready standalone test body.
  *

@@ -25,39 +25,6 @@ CacheStats::prefetchAccuracy() const
 }
 
 void
-CacheStats::loadDemandRun(std::uint64_t accesses,
-                          std::uint64_t ifetch_accesses,
-                          std::uint64_t misses,
-                          std::uint64_t ifetch_misses,
-                          std::uint64_t cold_misses,
-                          std::uint64_t write_accesses,
-                          std::uint64_t write_misses,
-                          bool write_through,
-                          std::uint32_t words_per_block)
-{
-    occsim_assert(accesses_ == 0 && writeAccesses_ == 0,
-                  "loadDemandRun on a non-empty CacheStats");
-    accesses_ = accesses;
-    misses_ = misses;
-    blockMisses_ = misses;  // sub-block == block: every miss is one
-    coldMisses_ = cold_misses;
-    ifetchAccesses_ = ifetch_accesses;
-    ifetchMisses_ = ifetch_misses;
-    writeAccesses_ = write_accesses;
-    writeMisses_ = write_misses;
-    wordsFetched_ = misses * words_per_block;
-    coldWords_ = cold_misses * words_per_block;
-    bursts_ = misses;
-    writeWords_ = write_misses * words_per_block;
-    if (write_through)
-        storeWords_ = write_accesses;
-    if (misses != 0)
-        burstWords_.sample(words_per_block, misses);
-    if (cold_misses != 0)
-        coldBurstWords_.sample(words_per_block, cold_misses);
-}
-
-void
 CacheStats::mergeFrom(const CacheStats &other)
 {
     occsim_assert(subBlocksPerBlock_ == other.subBlocksPerBlock_,

@@ -158,29 +158,6 @@ class CacheStats
         residencyTouched_.sample(touched);
     }
 
-    /**
-     * Bulk-load the totals of a conventional (sub-block == block)
-     * LRU demand-fetch write-allocate run, as produced by the
-     * single-pass sweep engine. Every derived metric is then computed
-     * by exactly the same code as after a direct simulation, so the
-     * resulting doubles are bit-identical to the per-reference
-     * recording path: each counted miss is one burst of
-     * @p words_per_block words, each write miss one write burst, and
-     * (for write-through) each write one store word. Must be called
-     * on a freshly constructed (or reset) CacheStats.
-     *
-     * Not loaded (out of the single-pass model): residency
-     * histograms, evictions, and copy-back write-back traffic.
-     */
-    void loadDemandRun(std::uint64_t accesses,
-                       std::uint64_t ifetch_accesses,
-                       std::uint64_t misses,
-                       std::uint64_t ifetch_misses,
-                       std::uint64_t cold_misses,
-                       std::uint64_t write_accesses,
-                       std::uint64_t write_misses, bool write_through,
-                       std::uint32_t words_per_block);
-
     void reset();
 
     /**

@@ -13,7 +13,6 @@
 #include "multi/fused_replay.hh"
 #include "multi/parallel_sweep.hh"
 #include "multi/shard_replay.hh"
-#include "multi/single_pass.hh"
 #include "multi/sweep_runner.hh"
 #include "trace/packed_trace.hh"
 
@@ -47,29 +46,6 @@ diffSweepResult(const std::string &label, const SweepResult &got,
           want.warmNibbleTrafficRatio);
 }
 
-/** Exact comparison of single-pass raw totals vs the oracle's. */
-void
-diffCounts(const SinglePassEngine::Counts &got,
-           const ReferenceStats &want, std::vector<std::string> &out)
-{
-    const auto field = [&](const char *name, std::uint64_t got_v,
-                           std::uint64_t want_v) {
-        if (got_v != want_v) {
-            std::ostringstream os;
-            os << "single-pass." << name << ": " << got_v
-               << " != " << want_v;
-            out.push_back(os.str());
-        }
-    };
-    field("accesses", got.accesses, want.accesses);
-    field("misses", got.misses, want.misses);
-    field("coldMisses", got.coldMisses, want.coldMisses);
-    field("ifetchAccesses", got.ifetchAccesses, want.ifetchAccesses);
-    field("ifetchMisses", got.ifetchMisses, want.ifetchMisses);
-    field("writeAccesses", got.writeAccesses, want.writeAccesses);
-    field("writeMisses", got.writeMisses, want.writeMisses);
-}
-
 /** Copy a raw reference vector into a shareable VectorTrace. */
 std::shared_ptr<const VectorTrace>
 packTrace(const std::vector<MemRef> &refs)
@@ -94,9 +70,9 @@ runDifferentialCase(const CacheConfig &config,
     // pair of naive ReferenceCache halves partitioned by reference
     // kind, diffed per side against the SplitCache pair, and the
     // parallel routing layer must reproduce the combined summary bit
-    // for bit under both engine modes. The batch, single-pass, shard
-    // and fused engines are unified-only, so the main path below
-    // keeps covering them.
+    // for bit under both engine modes. The batch, shard and fused
+    // engines are unified-only, so the main path below keeps covering
+    // them.
     if (config.partition == CachePartition::SplitID) {
         const CacheConfig half = evenSplitHalf(config);
         ReferenceCache i_oracle(half);
@@ -159,9 +135,9 @@ runDifferentialCase(const CacheConfig &config,
 
     const SweepResult direct_summary = summarizeCache(direct);
 
-    // Engines 2 and 3: the parallel routing layer, with and without
-    // the single-pass fast path. Both must reproduce the direct
-    // engine's summary bit for bit.
+    // Engines 2 and 3: the parallel routing layer under DirectOnly and
+    // Auto. Both must reproduce the direct engine's summary bit for
+    // bit.
     const auto trace = packTrace(refs);
     const std::vector<CacheConfig> configs{config};
 
@@ -190,17 +166,7 @@ runDifferentialCase(const CacheConfig &config,
                         report.diffs);
     }
 
-    // Engine 5: the single-pass engine standalone, when eligible —
-    // raw totals against the oracle, summary against the direct run.
-    if (singlePassEligible(config)) {
-        SinglePassEngine engine(configs);
-        engine.processTrace(*trace);
-        diffCounts(engine.countsFor(0), want, report.diffs);
-        diffSweepResult("single-pass", engine.results()[0],
-                        direct_summary, report.diffs);
-    }
-
-    // Engine 6: the set-sharded replay engine, when eligible — the
+    // Engine 5: the set-sharded replay engine, when eligible — the
     // per-shard sub-traces must merge bit-identically to the direct
     // run at awkward shard counts (the smallest, the largest legal
     // one, and a mid-size split when the geometry allows it).
@@ -229,7 +195,7 @@ runDifferentialCase(const CacheConfig &config,
         }
     }
 
-    // Engine 7: the fused group engine, when eligible — the config
+    // Engine 6: the fused group engine, when eligible — the config
     // rides one group pass alongside deliberately awkward companion
     // siblings (same FusedKey, different sub-block size and fetch
     // policy), so the per-config mask planes are exercised against

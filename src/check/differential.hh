@@ -10,16 +10,21 @@
  *  2. ParallelSweepRunner with SweepEngine::DirectOnly vs the direct
  *     Cache's SweepResult (the routing layer must be a no-op).
  *  3. ParallelSweepRunner with SweepEngine::Auto vs the same (this
- *     exercises the SinglePassEngine fast path whenever the config
- *     is eligible, and the batched replay engine otherwise).
+ *     exercises the batched replay engine, or the set-sharded one
+ *     when the shard heuristic picks it).
  *  4. A standalone BatchReplay run with a deliberately awkward
  *     tiling (1-config tiles, 7-record chunks): full statistics vs
  *     the oracle and the summarized SweepResult vs the direct
  *     engine's, so the specialized kernels and the chunk-boundary
  *     logic are diffed on every case.
- *  5. For single-pass-eligible configs, a standalone SinglePassEngine
- *     run: raw Counts vs the oracle's counters and the summarized
- *     SweepResult vs the direct engine's.
+ *  5. For shard-eligible configs, standalone ShardReplay runs at
+ *     awkward shard counts vs the direct engine's SweepResult.
+ *  6. For fused-eligible configs, FusedReplay group passes (unsharded
+ *     and sharded) with awkward sibling configs; every member vs its
+ *     own direct run.
+ *
+ * Split I/D configs take their own stack: a pair of oracle halves vs
+ * the SplitCache, and both routing modes vs its summary.
  *
  * All comparisons are exact — the engines promise bit-identical
  * numbers, so any difference, however small, is a bug in one of

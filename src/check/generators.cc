@@ -34,10 +34,11 @@ ConfigGen::next()
 
     config.assoc = 1u << rng_.below(5);                   // 1..16
 
-    // A quarter of all points are forced onto the single-pass fast
-    // path (LRU + demand + sub == block + write-allocate): unbiased
-    // sampling would hit that conjunction only ~3% of the time,
-    // starving the engine the fuzzer most needs to cross-check.
+    // A quarter of all points are forced to LRU + demand + sub ==
+    // block + write-allocate: the sampling engine's checkpoint path
+    // (checkpointEligible) and the sub == block case of the fused and
+    // batched kernels. Unbiased sampling would hit that conjunction
+    // only ~3% of the time.
     if (rng_.chance(0.25)) {
         config.subBlockSize = config.blockSize;
         config.replacement = ReplacementPolicy::LRU;

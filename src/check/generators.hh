@@ -32,10 +32,11 @@ namespace occsim {
  * powers of two with sub <= block <= net and at most 64 sub-blocks
  * per block — plus the ablation dimensions: associativity 1..16,
  * LRU/FIFO/Random, all four fetch policies, both write policies, and
- * no-allocate writes. A quarter of all points are forced onto the
- * single-pass fast path (LRU + demand + sub==block + write-allocate)
- * so the SinglePassEngine is cross-checked by a healthy fraction of
- * cases, not the ~3% unbiased sampling would yield.
+ * no-allocate writes. A quarter of all points are forced to LRU +
+ * demand + sub==block + write-allocate — the sampling engine's
+ * checkpoint family and the fused/batched engines' one-bit-mask case
+ * — so both are cross-checked by a healthy fraction of cases, not the
+ * ~3% unbiased sampling would yield.
  */
 class ConfigGen
 {

@@ -3,18 +3,18 @@
  * The differential-testing oracle: a deliberately naive sub-block
  * cache simulator written for auditability, not speed.
  *
- * occsim has three independent ways to price one cache configuration
- * — the direct Cache/SectorCache engines, the ParallelSweepRunner
- * routing layer, and the Fenwick-tree SinglePassEngine — all
- * promising bit-identical results. This file supplies the fourth,
- * trusted leg of the comparison: every structure is a plain
- * std::vector<bool> or an explicit list, every policy is written out
- * longhand from the semantics in cache/cache.hh and the paper's
- * Section 3.2 definitions, and every statistic is a plain integer
- * counter re-derived from first principles. There are no bitmasks,
- * no popcounts, no Fenwick trees, and no shared hot-path code; a
- * reader should be able to check each member function against the
- * paper in isolation.
+ * occsim has several independent ways to price one cache
+ * configuration — the direct Cache/SectorCache engines, the
+ * ParallelSweepRunner routing layer, and the batched, set-sharded and
+ * fused replay kernels — all promising bit-identical results. This
+ * file supplies the trusted leg of the comparison: every structure is
+ * a plain std::vector<bool> or an explicit list, every policy is
+ * written out longhand from the semantics in cache/cache.hh and the
+ * paper's Section 3.2 definitions, and every statistic is a plain
+ * integer counter re-derived from first principles. There are no
+ * bitmasks, no popcounts, no Fenwick trees, and no shared hot-path
+ * code; a reader should be able to check each member function
+ * against the paper in isolation.
  *
  * The one piece of deliberately shared code is the xoshiro Rng: the
  * Random replacement policy is *defined* by the victim sequence that

@@ -10,7 +10,7 @@ ParallelSweepRunner::ParallelSweepRunner(
     const std::vector<CacheConfig> &configs, ThreadPool *pool,
     SweepEngine engine, bool allow_sharding)
     : pool_(pool), engine_(engine), allowSharding_(allow_sharding),
-      plan_(planSweep(configs, engine, SweepInput::MemRefs, {},
+      plan_(planSweep(configs, engine, {},
                       static_cast<unsigned>(poolOrGlobal(pool).size()),
                       allow_sharding))
 {
@@ -43,8 +43,8 @@ ParallelSweepRunner::cache(std::size_t i) const
     const SweepRoute r = route(i);
     occsim_assert(r == SweepRoute::Batch || r == SweepRoute::Direct,
                   "config %zu (%s) is served by the %s engine and has "
-                  "no single Cache; construct the runner with "
-                  "SweepEngine::DirectOnly to keep one",
+                  "no single Cache; allow_sharding = false keeps one "
+                  "for every unified config",
                   i, plan_.configs[i].shortName().c_str(), routeName(r));
     occsim_assert(!plan_.traces.empty(), "cache() before run()");
     const TracePlan &tp = plan_.traces[0];
@@ -75,7 +75,7 @@ ParallelSweepRunner::run(const std::shared_ptr<const VectorTrace> &trace,
     ThreadPool &pool = poolOrGlobal(pool_);
     // First run: fix the routes for this trace length and pool width.
     if (plan_.traces.empty()) {
-        plan_ = planSweep(plan_.configs, engine_, SweepInput::MemRefs,
+        plan_ = planSweep(plan_.configs, engine_,
                           {refLimit(trace->refs().size(), max_refs)},
                           static_cast<unsigned>(pool.size()),
                           allowSharding_);

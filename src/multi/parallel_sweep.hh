@@ -5,8 +5,8 @@
  *
  * A ParallelSweepRunner is a one-trace SweepPlan plus its executor
  * state. The planner decides every config's route — split pair,
- * single-pass level, fused group, set-sharded run, batched tile, or
- * (under SweepEngine::DirectOnly) a plain Cache — and runSweepPlan
+ * fused group, set-sharded run, batched tile, or (under
+ * SweepEngine::DirectOnly) a plain Cache — and runSweepPlan
  * runs the plan's tasks across the pool, each worker driving its own
  * engine with a private cursor over the shared trace.
  *
@@ -33,11 +33,11 @@ namespace occsim {
  *
  * Routes are planned at construction with no trace (nothing shards
  * yet) and fixed at the first run(), which re-plans with that trace's
- * length and the pool width. With SweepEngine::Auto (the default),
- * only batched configs keep a backing Cache — cache(i) panics for the
- * rest (probe-style callers that need a Cache for every config should
- * construct with SweepEngine::DirectOnly). run() may be called
- * repeatedly; all engines accumulate as if the traces were
+ * length and the pool width. Batched and direct configs keep a
+ * backing Cache; cache(i) panics for the rest (fused, sharded and
+ * split ones). Probe-style callers that need a Cache for every
+ * unified config construct with allow_sharding = false. run() may be
+ * called repeatedly; all engines accumulate as if the traces were
  * concatenated.
  */
 class ParallelSweepRunner
@@ -46,13 +46,12 @@ class ParallelSweepRunner
     /**
      * @param configs one result slot per entry.
      * @param pool pool to run on; nullptr means globalThreadPool().
-     * @param engine fast-path policy (Auto routes eligible configs to
-     *        the single-pass engine).
-     * @param allow_sharding false pins every non-single-pass config
-     *        to the batched/direct engines even when OCCSIM_SHARD or
-     *        the heuristic would shard it, and also disables fused
-     *        group routing (probe callers need a backing Cache per
-     *        config; neither engine keeps one).
+     * @param engine routing policy (see SweepEngine).
+     * @param allow_sharding false pins every non-split config to the
+     *        batched/direct engines even when OCCSIM_SHARD or the
+     *        heuristic would shard it, and also disables fused group
+     *        routing (probe callers need a backing Cache per config;
+     *        neither engine keeps one).
      */
     explicit ParallelSweepRunner(const std::vector<CacheConfig> &configs,
                                  ThreadPool *pool = nullptr,
@@ -77,19 +76,6 @@ class ParallelSweepRunner
 
     /** The plan: routes, and after the first run() the engines. */
     const SweepPlan &plan() const { return plan_; }
-
-    /** @return true when config @p i is served by the single-pass
-     *  engine (no backing Cache exists). */
-    bool fastPathed(std::size_t i) const
-    {
-        return route(i) == SweepRoute::SinglePass;
-    }
-
-    /** Number of configs served by the single-pass engine. */
-    std::size_t fastPathCount() const
-    {
-        return count(SweepRoute::SinglePass);
-    }
 
     /** Number of configs served by the batched replay engine (zero
      *  under SweepEngine::DirectOnly). */

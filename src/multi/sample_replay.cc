@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "cache/cache_geometry.hh"
-#include "multi/single_pass.hh"
 #include "multi/sweep_runner.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -57,11 +56,14 @@ planSampleUnits(std::uint64_t limit, const SampleSpec &spec)
 bool
 checkpointEligible(const CacheConfig &config)
 {
-    // The single-pass family minus FIFO: the warm MRU arrays are LRU
-    // stacks, and only LRU has the prefix-inclusion property that
-    // lets one maxAssoc-deep row seed every shallower associativity.
-    return singlePassEligible(config) &&
-           config.replacement == ReplacementPolicy::LRU;
+    // A pure per-set LRU stack: the warm MRU arrays are LRU stacks,
+    // and only LRU has the prefix-inclusion property that lets one
+    // maxAssoc-deep row seed every shallower associativity.
+    return config.replacement == ReplacementPolicy::LRU &&
+           config.fetch == FetchPolicy::Demand &&
+           config.subBlockSize == config.blockSize &&
+           config.writeAllocate &&
+           config.partition == CachePartition::Unified;
 }
 
 SampleReplay::SampleReplay(const std::vector<CacheConfig> &configs,

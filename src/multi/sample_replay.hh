@@ -19,8 +19,8 @@
  * On top of per-config sampling sits checkpoint amortization: for
  * LRU + demand + sub-block==block + write-allocate configs, the cache
  * content of every (set count, associativity) point is a prefix of
- * one per-set LRU stack (the inclusion property the single-pass
- * engine exploits). One warming pass per (trace, block size)
+ * one per-set LRU stack (the inclusion property of Mattson stack
+ * simulation). One warming pass per (trace, block size)
  * maintains a maxAssoc-deep MRU array per set count and snapshots it
  * at every measurement-unit boundary ("live points"); each config
  * then replays only the measured units, seeding its frames from the

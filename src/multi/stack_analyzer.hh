@@ -15,9 +15,9 @@
  *    the miss ratio of every associativity at once.
  *
  * Both analyzers run on the shared SetLruTracker order-statistics
- * structure (hash map + Fenwick tree, see single_pass.hh), so a
- * reference costs O(log depth) instead of the O(depth) linear stack
- * scan of the classic implementation. Distances beyond max_depth are
+ * structure (hash map + Fenwick tree, below), so a reference costs
+ * O(log depth) instead of the O(depth) linear stack scan of the
+ * classic implementation. Distances beyond max_depth are
  * classified exactly as the historical bounded-stack code did: a
  * bounded LRU stack of depth D evicts a block precisely when its true
  * reuse distance exceeds D, so exact-distance classification
@@ -33,13 +33,88 @@
 #define OCCSIM_MULTI_STACK_ANALYZER_HH
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
-#include "multi/single_pass.hh"
 #include "trace/trace.hh"
 #include "util/bitops.hh"
 
 namespace occsim {
+
+/**
+ * Order-statistics multiset of block last-touch times.
+ *
+ * Times are inserted in strictly increasing order, so the backing
+ * array stays sorted by construction; a Fenwick tree over array
+ * positions counts the live (not yet superseded) entries, giving
+ * O(log n) rank queries and updates where the classic LRU stack
+ * needs an O(n) scan. Superseded entries are dropped lazily: the
+ * array is compacted once more than half of it is dead, so memory
+ * stays proportional to the live set.
+ */
+class TouchTimeSet
+{
+  public:
+    /** Insert @p t, which must exceed every time ever inserted. */
+    void insertNew(std::uint64_t t);
+
+    /**
+     * Re-touch: supersede the live entry @p prev with the new
+     * maximal time @p t.
+     * @return the number of live entries greater than @p prev — the
+     *         number of distinct blocks touched since, i.e. the
+     *         0-based LRU stack depth.
+     */
+    std::uint64_t touch(std::uint64_t prev, std::uint64_t t);
+
+    /** Number of live entries (distinct blocks tracked). */
+    std::uint64_t live() const { return live_; }
+
+  private:
+    /** Live entries among positions [1, pos] (1-based, inclusive). */
+    std::uint64_t prefix(std::size_t pos) const;
+
+    /** Append @p t as a live entry (t beyond every present time). */
+    void append(std::uint64_t t);
+
+    /** Drop dead entries once they dominate the array. */
+    void maybeCompact();
+
+    std::vector<std::uint64_t> times_;  ///< sorted; live and dead
+    std::vector<std::uint8_t> alive_;   ///< parallel liveness flags
+    std::vector<std::uint32_t> tree_;   ///< 1-based Fenwick of live counts
+    std::uint64_t live_ = 0;
+};
+
+/**
+ * Per-set LRU stack-distance tracker: one shared hash map of block
+ * last-touch times plus one TouchTimeSet per set. This is the
+ * O(log depth) replacement for the linear touchStack scan, shared by
+ * both analyzers below.
+ */
+class SetLruTracker
+{
+  public:
+    /** Distance returned for the first touch of a block. */
+    static constexpr std::uint64_t kFirstTouch = ~0ULL;
+
+    /** @param num_sets power-of-two set count. */
+    explicit SetLruTracker(std::uint32_t num_sets);
+
+    /**
+     * Record a touch of @p block (a block address, i.e. addr >>
+     * log2(blockSize)).
+     * @return the 1-based LRU stack distance of the block within its
+     *         set, or kFirstTouch if never seen before.
+     */
+    std::uint64_t touch(Addr block);
+
+  private:
+    Addr mask_;
+    std::vector<TouchTimeSet> sets_;
+    std::unordered_map<Addr, std::uint64_t> lastTouch_;
+    std::uint64_t clock_ = 0;
+};
 
 /** Fully-associative LRU stack-distance profiler. */
 class StackAnalyzer

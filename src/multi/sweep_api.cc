@@ -262,10 +262,8 @@ runSweep(const SweepRequest &request)
                 refLimit(trace->refs().size(), request.maxRefs));
         for (const auto &trace : request.packedTraces)
             limits.push_back(refLimit(trace->size(), request.maxRefs));
-        SweepPlan plan = planSweep(
-            request.configs, request.engine,
-            packed_path ? SweepInput::Packed : SweepInput::MemRefs,
-            limits, threads);
+        SweepPlan plan =
+            planSweep(request.configs, request.engine, limits, threads);
         refs = runSweepPlan(plan, request.traces, request.packedTraces,
                             request.maxRefs, pool);
         for (std::size_t t = 0; t < plan.traces.size(); ++t)

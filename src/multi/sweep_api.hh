@@ -82,7 +82,7 @@ struct SweepRequest
      */
     ScenarioConfig scenario;
 
-    /** Engine routing policy (Auto = fast paths where eligible). */
+    /** Engine routing policy (see SweepEngine). */
     SweepEngine engine = SweepEngine::Auto;
 
     /** Pool to run on; nullptr means globalThreadPool(). */
@@ -116,9 +116,9 @@ struct SweepRequest
      * collected. Setting a probe forces runner-per-trace execution
      * (each trace gets its own ParallelSweepRunner; results stay
      * bit-identical) and pins those runners off the fused and
-     * set-sharded engines, so probes can read runner.cache(i) for
-     * statistics SweepResult does not carry — construct with
-     * SweepEngine::DirectOnly if every config must keep a Cache.
+     * set-sharded engines, so probes can read runner.cache(i) of
+     * every non-split config for statistics SweepResult does not
+     * carry.
      */
     std::function<void(std::size_t, const ParallelSweepRunner &)> probe;
 };

@@ -66,8 +66,6 @@ const char *
 routeName(SweepRoute route)
 {
     switch (route) {
-    case SweepRoute::SinglePass:
-        return "single_pass";
     case SweepRoute::Fused:
         return "fused";
     case SweepRoute::Shard:
@@ -94,41 +92,23 @@ fusableGroups(const std::vector<CacheConfig> &configs,
 
 SweepPlan
 planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
-          SweepInput input, const std::vector<std::uint64_t> &trace_limits,
-          unsigned threads, bool allow_sharding)
+          const std::vector<std::uint64_t> &trace_limits, unsigned threads,
+          bool allow_sharding)
 {
     occsim_assert(!configs.empty(), "sweep needs at least one config");
-    occsim_assert(input == SweepInput::MemRefs ||
-                      engine == SweepEngine::Auto,
-                  "packed input needs SweepEngine::Auto");
     SweepPlan plan;
     plan.configs = configs;
-    plan.input = input;
     plan.route.assign(configs.size(), SweepRoute::Batch);
 
-    // Trace-independent routes first: split pairs, single-pass groups
-    // (by block size, first-appearance order), DirectOnly caches. The
-    // rest are candidates for fused, shard or batch.
+    // Trace-independent routes first: split pairs and DirectOnly
+    // caches. The rest are candidates for fused, shard or batch.
     const bool optimized = engine != SweepEngine::DirectOnly;
-    std::vector<std::uint32_t> group_blocks;
     std::vector<std::size_t> candidates;
     for (std::size_t c = 0; c < configs.size(); ++c) {
         SweepRoute &route = plan.route[c];
         if (configs[c].partition == CachePartition::SplitID) {
             route = SweepRoute::Split;
             plan.splitIndex.push_back(c);
-        } else if (optimized && input == SweepInput::MemRefs &&
-                   singlePassEligible(configs[c])) {
-            route = SweepRoute::SinglePass;
-            const auto g = static_cast<std::size_t>(
-                std::find(group_blocks.begin(), group_blocks.end(),
-                          configs[c].blockSize) -
-                group_blocks.begin());
-            if (g == group_blocks.size()) {
-                group_blocks.push_back(configs[c].blockSize);
-                plan.singlePassGroups.emplace_back();
-            }
-            plan.singlePassGroups[g].push_back(c);
         } else if (!optimized) {
             route = SweepRoute::Direct;
             plan.directIndex.push_back(c);
@@ -159,27 +139,16 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     }
 
     plan.traces.resize(trace_limits.size());
-    for (TracePlan &tp : plan.traces) {
-        for (const auto &group : plan.singlePassGroups) {
-            tp.singlePass.push_back(std::make_unique<SinglePassEngine>(
-                selectConfigs(configs, group)));
-        }
-    }
 
-    // The unsharded task inventory of the whole sweep: batch tiles,
-    // fused passes and single-pass levels over every trace. When that
-    // alone saturates the pool, task parallelism wins and sharding
-    // only adds merge overhead (see shouldShard).
-    std::size_t competing = 0;
-    if (!plan.traces.empty()) {
-        std::size_t per_trace =
-            (candidates.size() + BatchReplay::kDefaultTileConfigs - 1) /
-                BatchReplay::kDefaultTileConfigs +
-            plan.fusedGroups.size();
-        for (const auto &sp : plan.traces.front().singlePass)
-            per_trace += sp->numLevels();
-        competing = plan.traces.size() * per_trace;
-    }
+    // The unsharded task inventory of the whole sweep: batch tiles and
+    // fused passes over every trace. When that alone saturates the
+    // pool, task parallelism wins and sharding only adds merge
+    // overhead (see shouldShard).
+    const std::size_t competing =
+        plan.traces.size() *
+        ((candidates.size() + BatchReplay::kDefaultTileConfigs - 1) /
+             BatchReplay::kDefaultTileConfigs +
+         plan.fusedGroups.size());
     const ShardMode mode = shardModeFromEnv();
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
@@ -245,8 +214,6 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
         });
         add(PlanTask::Kind::Direct, tp.direct.size(), one);
         add(PlanTask::Kind::Split, tp.splits.size(), one);
-        add(PlanTask::Kind::Level, tp.singlePass.size(),
-            [&](std::size_t e) { return tp.singlePass[e]->numLevels(); });
         add(PlanTask::Kind::Shadow, tp.shadows.size(), one);
     }
     return plan;
@@ -258,7 +225,9 @@ runSweepPlan(SweepPlan &plan,
              const std::vector<std::shared_ptr<const PackedTrace>> &packed,
              std::uint64_t max_refs, ThreadPool &pool)
 {
-    const bool memrefs = plan.input == SweepInput::MemRefs;
+    const bool memrefs = !traces.empty();
+    occsim_assert(!memrefs || packed.empty(),
+                  "MemRef and packed traces are mutually exclusive");
     occsim_assert((memrefs ? traces.size() : packed.size()) ==
                       plan.traces.size(),
                   "plan covers %zu traces", plan.traces.size());
@@ -330,10 +299,6 @@ runSweepPlan(SweepPlan &plan,
                                in.limit * in.recordBytes);
             break;
         }
-        case PlanTask::Kind::Level:
-            tp.singlePass[task.engine]->runLevel(task.part, *in.refs,
-                                                 max_refs);
-            break;
         case PlanTask::Kind::Shadow: {
             OCCSIM_TELEM_STAGE("engine.shadow");
             replayDirect(*tp.shadows[task.engine], in);
@@ -359,7 +324,9 @@ runSweepPlan(SweepPlan &plan,
                       "with direct simulation for config %s on trace %s",
                       routeName(plan.route[c]),
                       plan.configs[c].fullName().c_str(),
-                      inputs[t].refs->name().c_str());
+                      (memrefs ? traces[t]->name()
+                               : packed[t]->name())
+                          .c_str());
             }
         }
         OCCSIM_TELEM_COUNT("cross_check.samples", plan.shadowIndex.size());
@@ -390,8 +357,6 @@ planResults(const SweepPlan &plan, std::size_t t)
         const std::size_t c = plan.splitIndex[k];
         out[c] = summarizeSplit(plan.configs[c], *tp.splits[k]);
     }
-    for (std::size_t e = 0; e < tp.singlePass.size(); ++e)
-        place(plan.singlePassGroups[e], tp.singlePass[e]->results());
     return out;
 }
 

@@ -4,18 +4,16 @@
  * exact single-cache sweep is priced, and the one executor that runs
  * the decision.
  *
- * planSweep() is pure in its inputs — configs, engine policy, input
- * kind, per-trace reference limits, pool width, whether fused/sharded
- * routes are allowed (plus the OCCSIM_SHARD override it reads) — and
- * returns a SweepPlan: every config's route, the engine instances for
- * each trace, and one flat task list in one fixed order. Routing, in
+ * planSweep() is pure in its inputs — configs, engine policy, per-trace
+ * reference limits, pool width, whether fused/sharded routes are
+ * allowed (plus the OCCSIM_SHARD override it reads) — and returns a
+ * SweepPlan: every config's route, the engine instances for each
+ * trace, and one flat task list in one fixed order. Routing, in
  * priority order:
  *
  *  - split        CachePartition::SplitID — a dedicated SplitCache
  *                 pair under every policy (no batched kernel routes by
  *                 reference kind);
- *  - single_pass  singlePassEligible configs with a MemRef stream,
- *                 one SinglePassEngine per (trace, block size);
  *  - direct       everything else under SweepEngine::DirectOnly, one
  *                 plain Cache per (trace, config);
  *  - fused        groups of >= 2 configs sharing a FusedKey
@@ -25,16 +23,18 @@
  *  - batch        the rest, one BatchReplay per trace.
  *
  * The shard verdict is per trace (lengths differ) and weighs the whole
- * sweep's unsharded task count — batch tiles, fused passes and
- * single-pass levels over every trace — so a request routes the same
- * way whichever policy (Auto or CrossCheck) runs it. A fused group
- * shards as a unit and keeps the route "fused".
+ * sweep's unsharded task count — batch tiles and fused passes over
+ * every trace — so a request routes the same way whichever policy
+ * (Auto or CrossCheck) runs it. A fused group shards as a unit and
+ * keeps the route "fused".
  *
- * runSweepPlan() executes a plan over the traces it was planned for;
- * every task touches only its own engine, cache, tile, level or shard,
- * so results are bit-identical to sequential per-config simulation
- * however the pool schedules them. Running the same plan again feeds
- * every engine the next trace as if the traces were concatenated.
+ * runSweepPlan() executes a plan over the traces it was planned for,
+ * given either as MemRef traces or as packed records (the plan is the
+ * same for both); every task touches only its own engine, cache, tile
+ * or shard, so results are bit-identical to sequential per-config
+ * simulation however the pool schedules them. Running the same plan
+ * again feeds every engine the next trace as if the traces were
+ * concatenated.
  */
 
 #ifndef OCCSIM_MULTI_SWEEP_PLAN_HH
@@ -48,15 +48,14 @@
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
 #include "multi/shard_replay.hh"
-#include "multi/single_pass.hh"
 #include "util/thread_pool.hh"
 
 namespace occsim {
 
 /** Engine selection policy for sweeps. */
 enum class SweepEngine : std::uint8_t {
-    /** Single-pass fast path for eligible configs, fused / set-sharded
-     *  / batched packed replay for the rest (the default). */
+    /** Fused / set-sharded / batched packed replay for every
+     *  unified config (the default). */
     Auto = 0,
     /** Direct per-config Cache simulation for every config. */
     DirectOnly = 1,
@@ -86,7 +85,6 @@ enum class SweepEngine : std::uint8_t {
 
 /** How one config of a planned sweep is priced. */
 enum class SweepRoute : std::uint8_t {
-    SinglePass,
     Fused,
     Shard,
     Batch,
@@ -94,14 +92,9 @@ enum class SweepRoute : std::uint8_t {
     Split,
 };
 
-/** @return the manifest name of @p route ("single_pass", "fused",
- *  "shard", "batch", "direct", "split"). */
+/** @return the manifest name of @p route ("fused", "shard", "batch",
+ *  "direct", "split"). */
 const char *routeName(SweepRoute route);
-
-/** What the swept traces carry. Packed records have no MemRef
- *  stream: no single-pass levels, split pairs replay the packed
- *  records, and only SweepEngine::Auto applies. */
-enum class SweepInput : std::uint8_t { MemRefs, Packed };
 
 /** References one trace of @p size contributes under @p max_refs
  *  (0 = whole trace). */
@@ -126,7 +119,6 @@ fusableGroups(const std::vector<CacheConfig> &configs,
  *  list (the plan-wide ones unless noted). */
 struct TracePlan
 {
-    std::vector<std::unique_ptr<SinglePassEngine>> singlePass;
     std::vector<std::unique_ptr<FusedReplay>> fused;
     std::unique_ptr<BatchReplay> batch;  ///< null when nothing batches
     std::vector<std::size_t> batchIndex;  ///< this trace's batch configs
@@ -138,7 +130,7 @@ struct TracePlan
 };
 
 /** One schedulable unit of a plan: @p part of engine slot @p engine
- *  (a tile, shard or level; 0 for whole-engine tasks) on trace
+ *  (a tile or shard; 0 for whole-engine tasks) on trace
  *  @p trace. */
 struct PlanTask
 {
@@ -148,7 +140,6 @@ struct PlanTask
         Shard,
         Direct,
         Split,
-        Level,
         Shadow,
     };
     Kind kind = Kind::BatchTile;
@@ -161,11 +152,9 @@ struct PlanTask
 struct SweepPlan
 {
     std::vector<CacheConfig> configs;
-    SweepInput input = SweepInput::MemRefs;
     /** route[c]: config c's engine ("shard" if sharded on >= 1 trace). */
     std::vector<SweepRoute> route;
-    /** Config indices per SinglePassEngine / FusedReplay slot. */
-    std::vector<std::vector<std::size_t>> singlePassGroups;
+    /** Config indices per FusedReplay slot. */
     std::vector<std::vector<std::size_t>> fusedGroups;
     /** Config indices of the direct Caches, split pairs and
      *  CrossCheck shadow Caches (the same on every trace). */
@@ -175,7 +164,7 @@ struct SweepPlan
     /** One per planned trace. */
     std::vector<TracePlan> traces;
     /** Per trace: batch tiles, fused passes (or their shards), shard
-     *  runs, direct caches, split pairs, single-pass levels, shadows. */
+     *  runs, direct caches, split pairs, shadows. */
     std::vector<PlanTask> tasks;
 };
 
@@ -184,19 +173,19 @@ struct SweepPlan
  * @p trace_limits (references each will replay; an empty list plans
  * the routes alone — nothing shards — with no engines) on @p threads
  * workers. @p allow_sharding false also disables fused routing: every
- * config then keeps a single backing Cache or single-pass slot (probe
+ * config but a split pair then keeps a single backing Cache (probe
  * callers read them).
  */
 SweepPlan planSweep(const std::vector<CacheConfig> &configs,
-                    SweepEngine engine, SweepInput input,
+                    SweepEngine engine,
                     const std::vector<std::uint64_t> &trace_limits,
                     unsigned threads, bool allow_sharding = true);
 
 /**
  * Run every task of @p plan on @p pool over @p traces (MemRef input)
- * or @p packed (packed input) — one per planned trace — capped at
- * @p max_refs references each, then verify CrossCheck shadows (fatal
- * on a mismatch).
+ * or, when @p traces is empty, @p packed — one per planned trace —
+ * capped at @p max_refs references each, then verify CrossCheck
+ * shadows (fatal on a mismatch).
  * @return references consumed per config, summed over traces.
  */
 std::uint64_t

@@ -3,8 +3,8 @@
  * Sweep results and the shared summarization arithmetic.
  *
  * The paper's tables evaluate dozens of cache design points per
- * trace. All engines — direct, single-pass, batched, sharded, fused,
- * sampled, and the coherent multicore engine — funnel their finished
+ * trace. All engines — direct, batched, sharded, fused, sampled, and
+ * the coherent multicore engine — funnel their finished
  * statistics through summarizeStats() here, so every SweepResult's
  * derived doubles come from exactly one piece of arithmetic
  * (bit-identical across engines by construction).
@@ -84,9 +84,9 @@ SweepResult summarizeCache(const Cache &cache);
 
 /**
  * Summarize finished run statistics into a SweepResult. This is the
- * code path behind summarizeCache, exposed so the single-pass engine
- * can produce its summaries through exactly the same derived-metric
- * arithmetic (bit-identical doubles).
+ * code path behind summarizeCache, exposed so the fused, sharded and
+ * sampled engines produce their summaries through exactly the same
+ * derived-metric arithmetic (bit-identical doubles).
  */
 SweepResult summarizeStats(const CacheConfig &config,
                            std::uint64_t gross_bytes,

@@ -222,8 +222,8 @@ currentManifest()
     }
 
     for (const char *engine :
-         {"direct", "single_pass", "batch", "shard", "fused",
-          "shadow", "sample", "coherent"}) {
+         {"direct", "batch", "shard", "fused", "shadow", "sample",
+          "coherent"}) {
         appendEngineUsage(manifest.engines, manifest.stages,
                           manifest.counters, engine);
     }

@@ -5,7 +5,7 @@
  * configs routed to which engine, how many threads, how long each
  * stage took, what the binary and source tree were.
  *
- * Motivation: after the parallel, single-pass and batched engines, a
+ * Motivation: after the parallel, batched and fused engines, a
  * single sweep call fans out across engines and threads invisibly.
  * Trustworthy trace-driven results need a record of exactly what was
  * simulated and how (Bueno et al.), and a fast multi-config
@@ -43,9 +43,9 @@ struct TraceRecord
 struct ConfigRoute
 {
     std::string config;  ///< CacheConfig::shortName()
-    std::string engine;  ///< "direct" / "single_pass" / "fused" /
-                         ///< "batch" / "shard" (sharded on at least
-                         ///< one trace) / "split" / "sample" /
+    std::string engine;  ///< "direct" / "fused" / "batch" /
+                         ///< "shard" (sharded on at least one
+                         ///< trace) / "split" / "sample" /
                          ///< "coherent"
     /** Sampling engine only: the headline miss-ratio estimate
      *  (cross-trace mean with its standard error), so a sampled

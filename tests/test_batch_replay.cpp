@@ -54,8 +54,8 @@ expectIdentical(const SweepResult &a, const SweepResult &b)
     EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
 }
 
-/** The paper's sector/load-forward style grid: every config here is
- *  single-pass-INeligible, so Auto routes all of them to the batched
+/** The paper's sector/load-forward style grid: no two configs here
+ *  share a fused group key, so Auto routes all of them to the batched
  *  engine. */
 std::vector<CacheConfig>
 sectorGrid(std::uint32_t word_size)
@@ -71,6 +71,46 @@ sectorGrid(std::uint32_t word_size)
                 configs.push_back(config);
             }
         }
+    }
+    return configs;
+}
+
+/** The Table 1 size x associativity grid at the standard 8-byte
+ *  block (sub-block == block): net 64 B..8 KB x assoc 1/2/4/8. */
+std::vector<CacheConfig>
+sizeAssocGrid(std::uint32_t word_size)
+{
+    std::vector<CacheConfig> configs;
+    for (std::uint32_t net = 64; net <= 8192; net *= 2) {
+        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
+            CacheConfig config = makeConfig(net, 8, 8, word_size);
+            config.assoc = assoc;
+            configs.push_back(config);
+        }
+    }
+    return configs;
+}
+
+/** LRU and FIFO side by side at sub-block == block, plus copy-back
+ *  FIFO points (the write policy must stay free). */
+std::vector<CacheConfig>
+fifoLruGrid(std::uint32_t word_size)
+{
+    std::vector<CacheConfig> configs;
+    for (const std::uint32_t net : {1024u, 4096u}) {
+        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
+            for (const ReplacementPolicy repl :
+                 {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+                CacheConfig c = makeConfig(net, 16, 16, word_size);
+                c.assoc = assoc;
+                c.replacement = repl;
+                configs.push_back(c);
+            }
+        }
+        CacheConfig c = makeConfig(net, 16, 16, word_size);
+        c.replacement = ReplacementPolicy::FIFO;
+        c.write = WritePolicy::CopyBack;
+        configs.push_back(c);
     }
     return configs;
 }
@@ -248,25 +288,31 @@ TEST(BatchReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
-    // Mixed grid: single-pass-eligible AND batched configs.
-    const auto configs = paperGrid(1024, suite.profile.wordSize);
+    const std::uint32_t word = suite.profile.wordSize;
+    // The paper grid mixes fused, batched and (sub == block) configs;
+    // the size x assoc and FIFO/LRU grids are all sub == block.
+    const std::vector<std::vector<CacheConfig>> grids{
+        paperGrid(1024, word), sizeAssocGrid(word), fifoLruGrid(word)};
 
-    for (const std::size_t threads : {1u, 2u, 7u}) {
-        ThreadPool pool(threads);
-        ParallelSweepRunner reference(configs, &pool,
-                                      SweepEngine::DirectOnly);
-        reference.run(trace);
-        const auto expected = reference.results();
+    for (const auto &configs : grids) {
+        for (const std::size_t threads : {1u, 2u, 7u}) {
+            ThreadPool pool(threads);
+            ParallelSweepRunner reference(configs, &pool,
+                                          SweepEngine::DirectOnly);
+            reference.run(trace);
+            const auto expected = reference.results();
 
-        ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-        EXPECT_GT(routed.batchedCount(), 0u)
-            << "the paper grid contains sector configs";
-        routed.run(trace);
-        const auto actual = routed.results();
+            ParallelSweepRunner routed(configs, &pool,
+                                       SweepEngine::Auto);
+            EXPECT_GT(routed.batchedCount(), 0u)
+                << "every grid has configs outside any fused group";
+            routed.run(trace);
+            const auto actual = routed.results();
 
-        ASSERT_EQ(actual.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i)
-            expectIdentical(actual[i], expected[i]);
+            ASSERT_EQ(actual.size(), expected.size());
+            for (std::size_t i = 0; i < expected.size(); ++i)
+                expectIdentical(actual[i], expected[i]);
+        }
     }
 }
 

@@ -17,6 +17,7 @@
 #include "check/generators.hh"
 #include "harness/experiment.hh"
 #include "multi/parallel_sweep.hh"
+#include "multi/sample_replay.hh"
 #include "multi/sweep_api.hh"
 
 using namespace occsim;
@@ -94,14 +95,15 @@ TEST(Generators, ConfigGenCoversTheDesignSpace)
         replacements.insert(config.replacement);
         fetches.insert(config.fetch);
         writes.insert(config.write);
-        if (singlePassEligible(config))
+        if (checkpointEligible(config))
             ++eligible;
     }
     EXPECT_EQ(replacements.size(), 3u);
     EXPECT_EQ(fetches.size(), 4u);
     EXPECT_EQ(writes.size(), 2u);
-    // The single-pass fast path must be exercised by a healthy
-    // fraction of cases.
+    // The forced quarter (all LRU + demand + sub == block +
+    // write-allocate) keeps the checkpoint family a healthy fraction
+    // of cases.
     EXPECT_GE(eligible, 40u);
 }
 
@@ -202,10 +204,10 @@ TEST(Fuzz, InjectedOffByOneIsCaughtAndShrunk)
     EXPECT_EQ(replay.repro, summary.repro);
 }
 
-TEST(CrossCheck, ShadowVerifiesTheFastPath)
+TEST(CrossCheck, ShadowVerifiesTheOptimizedEngines)
 {
-    // A mixed grid: eligible configs (fast-pathed) alongside
-    // ineligible ones (batched); shadows sample across both.
+    // A mixed grid: fused groups alongside lone configs (batched);
+    // shadows sample across both.
     std::vector<CacheConfig> configs;
     for (const std::uint32_t net : {256u, 1024u}) {
         for (const CacheConfig &config : paperGrid(net, 2))
@@ -219,8 +221,7 @@ TEST(CrossCheck, ShadowVerifiesTheFastPath)
                                 SweepEngine::CrossCheck);
     EXPECT_GE(checked.crossCheckCount(), 1u);
     EXPECT_LE(checked.crossCheckCount(), checked.size());
-    EXPECT_EQ(checked.fastPathCount() + checked.batchedCount() +
-                  checked.fusedCount(),
+    EXPECT_EQ(checked.batchedCount() + checked.fusedCount(),
               checked.size())
         << "under CrossCheck every config is on an optimized engine";
     EXPECT_GE(checked.fusedCount(), 2u)

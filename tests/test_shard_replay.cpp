@@ -389,10 +389,9 @@ TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
-    // Mix of single-pass, batched-ineligible-for-sharding, and
-    // shardable configs.
+    // Mix of sharding-ineligible and shardable configs.
     std::vector<CacheConfig> configs =
-        {makeConfig(8192, 16, 16, suite.profile.wordSize),   // 1-pass
+        {makeConfig(8192, 16, 16, suite.profile.wordSize),   // sub==block
          makeConfig(8192, 32, 8, suite.profile.wordSize)};   // sector
     {
         CacheConfig c = makeConfig(8192, 16, 8,
@@ -409,11 +408,10 @@ TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
 
     ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
     routed.run(trace);
-    EXPECT_EQ(routed.shardedCount(), 1u)
-        << "exactly the sector config shards (single-pass config is "
-           "fast-pathed, Random is ineligible)";
+    EXPECT_EQ(routed.shardedCount(), 2u)
+        << "the sub==block and sector configs shard, Random is ineligible";
     EXPECT_TRUE(routed.sharded(1));
-    EXPECT_FALSE(routed.sharded(0));
+    EXPECT_TRUE(routed.sharded(0));
     EXPECT_FALSE(routed.sharded(2));
 
     const auto actual = routed.results();
@@ -422,7 +420,7 @@ TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
         expectIdentical(actual[i], expected[i]);
 
     const ShardTelemetry telem = routed.shardTelemetry();
-    EXPECT_EQ(telem.shardedRuns, 1u);
+    EXPECT_EQ(telem.shardedRuns, 2u);
     EXPECT_GE(telem.maxShards, 2u);
 }
 
@@ -475,59 +473,4 @@ TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
                                   SweepEngine::DirectOnly);
     reference.run(request.traces[0]);
     expectIdentical(report.perTrace[0][0], reference.results()[0]);
-}
-
-TEST(SinglePassFifo, MatchesDirectAcrossTheGrid)
-{
-    // FIFO one-pass satellite: FIFO + demand + sub == block +
-    // write-allocate configs ride the single-pass engine and must be
-    // bit-identical to direct simulation across (sets, assoc) points
-    // sharing the pass with LRU points.
-    const Suite suite = pdp11Suite();
-    const auto trace = buildTraceShared(suite.traces.front(), kRefs);
-
-    std::vector<CacheConfig> configs;
-    for (const std::uint32_t net : {1024u, 4096u}) {
-        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
-            for (const ReplacementPolicy repl :
-                 {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
-                CacheConfig c =
-                    makeConfig(net, 16, 16, suite.profile.wordSize);
-                c.assoc = assoc;
-                c.replacement = repl;
-                ASSERT_TRUE(singlePassEligible(c));
-                configs.push_back(c);
-            }
-        }
-        // Copy-back FIFO: write policy must stay free.
-        CacheConfig c = makeConfig(net, 16, 16,
-                                   suite.profile.wordSize);
-        c.replacement = ReplacementPolicy::FIFO;
-        c.write = WritePolicy::CopyBack;
-        configs.push_back(c);
-    }
-
-    SinglePassEngine engine(configs);
-    engine.processTrace(*trace);
-    const auto actual = engine.results();
-    ASSERT_EQ(actual.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        expectIdentical(actual[i], directResult(configs[i], *trace));
-    }
-}
-
-TEST(SinglePassFifo, AutoRoutesFifoConfigsToTheFastPath)
-{
-    const Suite suite = pdp11Suite();
-    const auto trace = buildTraceShared(suite.traces.front(), 10000);
-    CacheConfig fifo = makeConfig(1024, 16, 16,
-                                  suite.profile.wordSize);
-    fifo.replacement = ReplacementPolicy::FIFO;
-    const std::vector<CacheConfig> configs{fifo};
-
-    ThreadPool pool(2);
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    EXPECT_TRUE(routed.fastPathed(0));
-    routed.run(trace);
-    expectIdentical(routed.results()[0], directResult(fifo, *trace));
 }

@@ -5,7 +5,9 @@
  * with sub-block == block, the analyzer's one-pass predictions must
  * match direct Cache simulation exactly, for every capacity — and
  * likewise per-set for every associativity. This gives the simulator
- * an independent correctness oracle.
+ * an independent correctness oracle. The order-statistics structures
+ * under both analyzers (SetLruTracker, TouchTimeSet) are checked
+ * against brute-force linear LRU models.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "cache/cache.hh"
 #include "multi/stack_analyzer.hh"
+#include "util/random.hh"
 #include "workload/synthetic.hh"
 
 using namespace occsim;
@@ -217,5 +220,160 @@ TEST(SetStackAnalyzer, HistogramMatchesLinearStackOracle)
         EXPECT_DOUBLE_EQ(analyzer.missRatioForAssoc(assoc),
                          1.0 - double(hits) / 60000.0)
             << "assoc " << assoc;
+    }
+}
+
+TEST(TouchTimeSet, MatchesLinearStackOracle)
+{
+    // SetLruTracker distances vs a brute-force per-set linear LRU
+    // stack, over a stream with enough churn to trigger compaction.
+    constexpr std::uint32_t kSets = 4;
+    SetLruTracker tracker(kSets);
+    std::vector<std::vector<Addr>> stacks(kSets);  // MRU at back
+
+    std::uint64_t state = 12345;
+    auto next_block = [&]() -> Addr {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Mix tight reuse (16 blocks) with a long tail (4096 blocks).
+        return (state >> 33) % 2 == 0
+                   ? static_cast<Addr>((state >> 40) % 16)
+                   : static_cast<Addr>((state >> 40) % 4096);
+    };
+
+    for (int i = 0; i < 60000; ++i) {
+        const Addr block = next_block();
+        auto &stack = stacks[block % kSets];
+        std::uint64_t expected = SetLruTracker::kFirstTouch;
+        for (std::size_t j = stack.size(); j-- > 0;) {
+            if (stack[j] == block) {
+                expected = stack.size() - j;
+                stack.erase(stack.begin() +
+                            static_cast<std::ptrdiff_t>(j));
+                break;
+            }
+        }
+        stack.push_back(block);
+        ASSERT_EQ(tracker.touch(block), expected) << "ref " << i;
+    }
+}
+
+// ---------------------------------------------------------------- //
+// TouchTimeSet compaction-boundary edge cases. The structure
+// lazily drops superseded entries once the backing array reaches 64
+// entries AND more than half of it is dead; these tests pin the
+// behavior exactly at and around that boundary against a naive
+// linear model.
+// ---------------------------------------------------------------- //
+
+namespace {
+
+/** Transparent reference model: a plain list of live times. */
+class NaiveTouchSet
+{
+  public:
+    void insertNew(std::uint64_t t) { live_.push_back(t); }
+
+    std::uint64_t touch(std::uint64_t prev, std::uint64_t t)
+    {
+        std::uint64_t deeper = 0;
+        for (std::uint64_t &v : live_) {
+            if (v > prev)
+                ++deeper;
+        }
+        live_.erase(std::find(live_.begin(), live_.end(), prev));
+        live_.push_back(t);
+        return deeper;
+    }
+
+    std::uint64_t live() const { return live_.size(); }
+
+  private:
+    std::vector<std::uint64_t> live_;
+};
+
+} // namespace
+
+TEST(TouchTimeSet, AgreesWithNaiveModelAcrossCompaction)
+{
+    // A round-robin re-touch pattern over few blocks keeps the live
+    // count small while the array grows one dead entry per touch —
+    // the densest compaction workload possible. Sized to cross the
+    // 64-entry threshold (and subsequent ones) many times.
+    for (const std::size_t blocks : {1u, 2u, 3u, 31u, 32u, 33u}) {
+        TouchTimeSet fast;
+        NaiveTouchSet naive;
+        std::vector<std::uint64_t> last(blocks);
+        std::uint64_t clock = 0;
+        for (std::size_t b = 0; b < blocks; ++b) {
+            last[b] = ++clock;
+            fast.insertNew(clock);
+            naive.insertNew(clock);
+        }
+        for (int round = 0; round < 600; ++round) {
+            const std::size_t b = round % blocks;
+            ++clock;
+            const std::uint64_t got = fast.touch(last[b], clock);
+            const std::uint64_t want = naive.touch(last[b], clock);
+            ASSERT_EQ(got, want)
+                << blocks << " blocks, round " << round;
+            ASSERT_EQ(fast.live(), naive.live());
+            last[b] = clock;
+        }
+    }
+}
+
+TEST(TouchTimeSet, RandomizedAgreesWithNaiveModel)
+{
+    // Interleaved inserts and random re-touches: live set drifts up
+    // and down across the size-64 boundary instead of pinning it.
+    Rng rng(0x70c4ull);
+    TouchTimeSet fast;
+    NaiveTouchSet naive;
+    std::vector<std::uint64_t> last;
+    std::uint64_t clock = 0;
+    for (int op = 0; op < 4000; ++op) {
+        if (last.empty() || rng.chance(0.125)) {
+            last.push_back(++clock);
+            fast.insertNew(clock);
+            naive.insertNew(clock);
+        } else {
+            const std::size_t i = rng.below(last.size());
+            ++clock;
+            ASSERT_EQ(fast.touch(last[i], clock),
+                      naive.touch(last[i], clock))
+                << "op " << op;
+            last[i] = clock;
+        }
+        ASSERT_EQ(fast.live(), naive.live());
+    }
+}
+
+TEST(TouchTimeSet, ExactBoundaryStepAroundSixtyFour)
+{
+    // Walk the array size one step at a time through 63, 64, 65
+    // entries with exactly half of them dead, checking the reported
+    // depth at every step: compaction must never perturb ranks.
+    TouchTimeSet fast;
+    NaiveTouchSet naive;
+    std::vector<std::uint64_t> last;
+    std::uint64_t clock = 0;
+    // 20 live entries, then re-touch the oldest one 60 times: array
+    // length passes through every size in [21, 80] while live stays
+    // 20, crossing the (>= 64 entries, > 2x live) compaction gate
+    // exactly at 64 and again after each compaction.
+    for (int i = 0; i < 20; ++i) {
+        last.push_back(++clock);
+        fast.insertNew(clock);
+        naive.insertNew(clock);
+    }
+    for (int step = 0; step < 60; ++step) {
+        // Oldest live entry: depth must always be live - 1.
+        const auto oldest =
+            std::min_element(last.begin(), last.end());
+        ++clock;
+        const std::uint64_t got = fast.touch(*oldest, clock);
+        ASSERT_EQ(got, naive.touch(*oldest, clock)) << "step " << step;
+        ASSERT_EQ(got, fast.live() - 1);
+        *oldest = clock;
     }
 }

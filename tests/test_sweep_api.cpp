@@ -70,8 +70,8 @@ sequentialSweep(const std::vector<CacheConfig> &configs,
     return out;
 }
 
-/** Two traces + a mixed grid (single-pass eligible and not) so every
- *  engine route is exercised. */
+/** Two traces + a mixed grid (fused groups, sub == block and sector
+ *  configs) so every engine route is exercised. */
 struct Fixture
 {
     Fixture()
@@ -80,8 +80,8 @@ struct Fixture
         traces.push_back(buildTraceShared(suite.traces[0], kRefs));
         traces.push_back(buildTraceShared(suite.traces[1], kRefs));
         configs = paperGrid(1024, suite.profile.wordSize);
-        // Add a sector point (sub < block): never single-pass
-        // eligible, so Auto routes it to the batched engine.
+        // Add a sector point (sub < block) with no fused sibling, so
+        // Auto routes it to the batched engine.
         CacheConfig sector =
             makeConfig(1024, 32, 8, suite.profile.wordSize);
         sector.fetch = FetchPolicy::LoadForward;
@@ -292,7 +292,6 @@ TEST(SweepApi, ReportManifestIsValidSchemaJson)
         const obs::JsonValue *engine = route.find("engine");
         ASSERT_NE(engine, nullptr);
         EXPECT_TRUE(engine->text == "direct" ||
-                    engine->text == "single_pass" ||
                     engine->text == "batch" ||
                     engine->text == "shard" ||
                     engine->text == "fused")
@@ -341,10 +340,10 @@ TEST(SweepApi, CrossCheckRoutesExactlyLikeAuto)
 
 TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
 {
-    // One mixed grid reaching every route: a split I/D pair, a
-    // single-pass config, a two-member fused group, a lone sector
-    // config (batched, or sharded under OCCSIM_SHARD=1), and a Random
-    // config (never shard-eligible, so always batched).
+    // One mixed grid reaching every route: a split I/D pair, a lone
+    // sub == block config and a lone sector config (batched, or
+    // sharded under OCCSIM_SHARD=1), a two-member fused group, and a
+    // Random config (never shard-eligible, so always batched).
     const Fixture fx;
     const std::uint32_t word = pdp11Suite().profile.wordSize;
     CacheConfig split = makeConfig(1024, 16, 16, word);
@@ -389,8 +388,7 @@ TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
         for (const std::string &route : routes)
             want[route == "split" ? "direct" : route] += report.refs;
         for (const char *engine :
-             {"single_pass", "fused", "shard", "batch", "direct",
-              "shadow"}) {
+             {"fused", "shard", "batch", "direct", "shadow"}) {
             std::uint64_t got = 0;
             for (const obs::CounterSnapshot &counter : counters) {
                 if (counter.name == std::string("engine.") + engine +
@@ -405,12 +403,70 @@ TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
     obs::setTelemetryEnabled(was_enabled);
 
     using Routes = std::vector<std::string>;
-    EXPECT_EQ(seen["0"], (Routes{"split", "single_pass", "fused",
-                                 "fused", "batch", "batch"}));
-    EXPECT_EQ(seen["1"], (Routes{"split", "single_pass", "fused",
-                                 "fused", "shard", "batch"}));
+    EXPECT_EQ(seen["0"], (Routes{"split", "batch", "fused", "fused",
+                                 "batch", "batch"}));
+    EXPECT_EQ(seen["1"], (Routes{"split", "shard", "fused", "fused",
+                                 "shard", "batch"}));
     EXPECT_EQ(seen["direct"], (Routes{"split", "direct", "direct",
                                       "direct", "direct", "direct"}));
+}
+
+TEST(SweepApi, SubBlockEqualsBlockConfigsJoinTheirSectorSiblings)
+{
+    // Every sub == block point of the paper grid that has sector
+    // siblings (block > word) shares their fused group key, so Auto
+    // prices it in their group pass. The block == word point has no
+    // sibling and batches.
+    const Suite suite = pdp11Suite();
+    SweepRequest request;
+    request.traces = {buildTraceShared(suite.traces.front(), 5000)};
+    request.configs = paperGrid(256, 2);
+    ThreadPool pool(4);
+    request.pool = &pool;
+    const auto routes = manifestRoutes(runSweep(request));
+
+    std::size_t fused = 0;
+    for (std::size_t c = 0; c < request.configs.size(); ++c) {
+        const CacheConfig &config = request.configs[c];
+        if (config.subBlockSize != config.blockSize)
+            continue;
+        const char *want =
+            config.blockSize > config.wordSize ? "fused" : "batch";
+        EXPECT_EQ(routes[c], want) << config.shortName();
+        fused += routes[c] == "fused";
+    }
+    EXPECT_EQ(fused, 4u);  // blocks 4, 8, 16, 32
+}
+
+TEST(SweepApi, AutoProbeReadsTheCacheOfASubBlockEqualsBlockConfig)
+{
+    // Probe runners keep a backing Cache for every unified config
+    // under Auto too, sub == block LRU points included.
+    const Fixture fx;
+    std::size_t index = fx.configs.size();
+    for (std::size_t c = 0; c < fx.configs.size(); ++c) {
+        const CacheConfig &config = fx.configs[c];
+        if (config.subBlockSize == config.blockSize &&
+            config.blockSize == 16 &&
+            config.replacement == ReplacementPolicy::LRU)
+            index = c;
+    }
+    ASSERT_LT(index, fx.configs.size());
+
+    SweepRequest request;
+    request.traces = fx.traces;
+    request.configs = fx.configs;
+    std::vector<SweepResult> probed;
+    request.probe = [&](std::size_t,
+                        const ParallelSweepRunner &runner) {
+        EXPECT_EQ(runner.cache(index).config(), fx.configs[index]);
+        probed.push_back(summarizeCache(runner.cache(index)));
+    };
+    const SweepReport report = runSweep(request);
+
+    ASSERT_EQ(probed.size(), fx.traces.size());
+    for (std::size_t t = 0; t < probed.size(); ++t)
+        expectIdentical(probed[t], report.perTrace[t][index]);
 }
 
 TEST(SweepApi, EngineNamesAreStable)
