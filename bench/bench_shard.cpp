@@ -4,25 +4,25 @@
  * workload the shard engine exists for: ONE long trace on ONE config,
  * where every other engine is strictly serial. The batched engine
  * replays the packed trace through the single cache on one thread;
- * the shard engine partitions the same records by set index and
- * replays the shards concurrently on an 8-worker pool, then merges
- * the per-shard counters.
+ * the shard engine runs one task per shard on an 8-worker pool, each
+ * streaming the packed trace and replaying only its own sets' records
+ * (no partitioned copy is built), then merges the per-shard counters.
  *
  * The bit-identity check is unconditional: the merged sharded
  * summary must equal the batched summary exactly (doubles compared
  * bitwise), and the process exits non-zero on any divergence — the
  * CI smoke run doubles as a determinism gate at reduced length.
  *
- * The >= 3x wall-clock gate is only meaningful with real cores to
- * shard across and a trace long enough that partitioning does not
- * dominate, so it is enforced when the machine can actually deliver
- * >= 8 hardware threads to this process (effectiveHardwareThreads():
- * the affinity mask, not the host's nominal core count — a container
- * pinned to one core must not be gated on an 8-way speedup) AND the
- * trace is >= 1M references; otherwise the run prints an explicit
- * "gate skipped" notice, the JSON records gate_enforced=false (e.g.
- * CI smoke at 20k refs, or core-starved containers) and only
- * determinism is gated.
+ * The >= 3x wall-clock gate is only meaningful with real cores to shard
+ * across and a trace long enough that the per-shard filter scans and
+ * the merge do not dominate, so it is enforced when the machine can
+ * actually deliver >= 8 hardware threads to this process
+ * (effectiveHardwareThreads(): the affinity mask, not the host's
+ * nominal core count — a container pinned to one core must not be gated
+ * on an 8-way speedup) AND the trace is >= 1M references; otherwise the
+ * run prints an explicit "gate skipped" notice, the JSON records
+ * gate_enforced=false (e.g. CI smoke at 20k refs, or core-starved
+ * containers) and only determinism is gated.
  *
  * Prints a human-readable summary plus one machine-readable
  * "BENCH_JSON " line persisted to BENCH_shard.json.
@@ -73,8 +73,8 @@ main()
                 pool.size());
 
     // Trace construction and packing are untimed (shared by both
-    // engines); the set-index partition is timed as part of the
-    // sharded run since the unsharded baseline never needs it.
+    // engines); each shard task's filter scan of the whole trace is
+    // timed as part of the sharded run.
     const auto trace = buildTraceShared(suite.traces[0], refs);
     const auto packed = packedTraceShared(trace);
 
@@ -85,13 +85,11 @@ main()
     const SweepResult batch_result = batch.results()[0];
     const double batch_ms = millisSince(batch_start);
 
-    // Sharded: partition + concurrent shard replay + merge.
+    // Sharded: concurrent filtered shard replay + merge.
     const auto shard_start = std::chrono::steady_clock::now();
     ShardReplay engine(config, shards);
-    const auto strace = shardedTraceShared(
-        packed, engine.blockBits(), engine.shardBits(), 0);
     pool.parallelFor(shards, [&](std::size_t s) {
-        engine.runShard(s, *strace);
+        engine.runShard(s, packed->data(), packed->size());
     });
     const SweepResult shard_result = engine.result();
     const double shard_ms = millisSince(shard_start);

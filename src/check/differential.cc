@@ -167,9 +167,9 @@ runDifferentialCase(const CacheConfig &config,
     }
 
     // Engine 5: the set-sharded replay engine, when eligible — the
-    // per-shard sub-traces must merge bit-identically to the direct
-    // run at awkward shard counts (the smallest, the largest legal
-    // one, and a mid-size split when the geometry allows it).
+    // per-shard filtered sub-traces must merge bit-identically to the
+    // direct run at awkward shard counts (the smallest, the largest
+    // legal one, and a mid-size split when the geometry allows it).
     if (shardEligible(config)) {
         const CacheGeometry geom(config);
         const std::uint32_t max_shards =
@@ -183,11 +183,8 @@ runDifferentialCase(const CacheConfig &config,
             const PackedTrace packed(*trace);
             for (const std::uint32_t num_shards : counts) {
                 ShardReplay engine(config, num_shards);
-                const ShardedPackedTrace strace(
-                    packed, engine.blockBits(), engine.shardBits(),
-                    0);
                 for (std::uint32_t s = 0; s < num_shards; ++s)
-                    engine.runShard(s, strace);
+                    engine.runShard(s, packed.data(), packed.size());
                 diffSweepResult(
                     "shard" + std::to_string(num_shards),
                     engine.result(), direct_summary, report.diffs);
@@ -262,10 +259,8 @@ runDifferentialCase(const CacheConfig &config,
                 counts.push_back(max_shards);
             for (const std::uint32_t num_shards : counts) {
                 FusedReplay fused(group, num_shards);
-                const ShardedPackedTrace strace(
-                    packed, fused.blockBits(), fused.shardBits(), 0);
                 for (std::uint32_t s = 0; s < num_shards; ++s)
-                    fused.runShard(s, strace);
+                    fused.runShard(s, packed.data(), packed.size());
                 for (std::size_t m = 0; m < group.size(); ++m) {
                     diffSweepResult(
                         "fused-shard" + std::to_string(num_shards) +

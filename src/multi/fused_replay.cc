@@ -771,22 +771,22 @@ FusedReplay::run(const PackedRecord *refs, std::size_t n)
 }
 
 void
-FusedReplay::runShard(std::size_t shard,
-                      const ShardedPackedTrace &trace)
+FusedReplay::runShard(std::size_t shard, const PackedRecord *refs,
+                      std::size_t n)
 {
-    occsim_assert(trace.blockBits() == blockBits_ &&
-                      trace.shardBits() == shardBits_,
-                  "sharded trace (blockBits %u, shardBits %u) does "
-                  "not match fused engine (blockBits %u, shardBits "
-                  "%u)",
-                  trace.blockBits(), trace.shardBits(), blockBits_,
-                  shardBits_);
+    occsim_assert(shard < passes_.size(), "shard %zu of %zu", shard,
+                  passes_.size());
     OCCSIM_TELEM_STAGE("engine.fused");
-    const std::size_t n = trace.shardSize(shard);
-    passes_[shard]->replay(trace.shardData(shard), n);
-    passes_[shard]->finalize();
-    refs_[shard] += n;
-    OCCSIM_TELEM_COUNT("engine.fused.refs", n * configs_.size());
+    Pass &pass = *passes_[shard];
+    const std::uint64_t kept = forEachShardChunk(
+        refs, n, blockBits_, shardBits_,
+        static_cast<std::uint32_t>(shard),
+        [&](const PackedRecord *records, std::size_t count) {
+            pass.replay(records, count);
+        });
+    pass.finalize();
+    refs_[shard] += kept;
+    OCCSIM_TELEM_COUNT("engine.fused.refs", kept * configs_.size());
     OCCSIM_TELEM_COUNT("engine.fused.bytes", n * sizeof(PackedRecord));
 }
 

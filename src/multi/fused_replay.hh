@@ -48,7 +48,7 @@
  * group with a single load.
  *
  * Composes with set-sharding exactly like ShardReplay: construct with
- * num_shards > 1 and drive runShard(s, trace) per shard — every
+ * num_shards > 1 and drive runShard(s, refs, n) per shard — every
  * config of the group is set-local, so per-shard group passes merge
  * exactly (CacheStats::mergeFrom is an exact integer merge).
  */
@@ -138,18 +138,17 @@ class FusedReplay
         return configs_[c];
     }
     std::uint32_t numShards() const { return numShards_; }
-    std::uint32_t shardBits() const { return shardBits_; }
-    std::uint32_t blockBits() const { return blockBits_; }
 
     /** Unsharded drive (numShards() == 1): price @p n records for
      *  every member config in one pass and finalize residencies,
      *  exactly like one Cache::run pass per config. */
     void run(const PackedRecord *refs, std::size_t n);
 
-    /** Replay shard @p shard of @p trace (which must have been built
-     *  with this engine's blockBits/shardBits) through the group
-     *  pass and finalize its residencies. */
-    void runShard(std::size_t shard, const ShardedPackedTrace &trace);
+    /** Replay the records of shard @p shard among the first @p n of
+     *  @p refs (forEachShardChunk) through the group pass and
+     *  finalize its residencies. */
+    void runShard(std::size_t shard, const PackedRecord *refs,
+                  std::size_t n);
 
     /** References replayed by @p shard so far (imbalance telemetry). */
     std::uint64_t shardRefs(std::size_t shard) const

@@ -96,22 +96,22 @@ ShardReplay::ShardReplay(const CacheConfig &config,
 }
 
 void
-ShardReplay::runShard(std::size_t shard,
-                      const ShardedPackedTrace &trace)
+ShardReplay::runShard(std::size_t shard, const PackedRecord *refs,
+                      std::size_t n)
 {
-    occsim_assert(trace.blockBits() == blockBits_ &&
-                      trace.shardBits() == shardBits_,
-                  "sharded trace (blockBits %u, shardBits %u) does "
-                  "not match engine (blockBits %u, shardBits %u)",
-                  trace.blockBits(), trace.shardBits(), blockBits_,
-                  shardBits_);
+    occsim_assert(shard < caches_.size(), "shard %zu of %zu", shard,
+                  caches_.size());
     OCCSIM_TELEM_STAGE("engine.shard");
-    const std::size_t n = trace.shardSize(shard);
     Cache &cache = *caches_[shard];
-    cache.replayPacked(trace.shardData(shard), n);
+    const std::uint64_t kept = forEachShardChunk(
+        refs, n, blockBits_, shardBits_,
+        static_cast<std::uint32_t>(shard),
+        [&](const PackedRecord *records, std::size_t count) {
+            cache.replayPacked(records, count);
+        });
     cache.finalizeResidencies();
-    refs_[shard] += n;
-    OCCSIM_TELEM_COUNT("engine.shard.refs", n);
+    refs_[shard] += kept;
+    OCCSIM_TELEM_COUNT("engine.shard.refs", kept);
     OCCSIM_TELEM_COUNT("engine.shard.bytes", n * sizeof(PackedRecord));
 }
 

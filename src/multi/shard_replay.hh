@@ -5,8 +5,8 @@
  * All other engines parallelize ACROSS (trace, config) tasks; one
  * huge trace on one config is strictly serial for them. This engine
  * splits that single run: under any set-local policy combination the
- * cache sets never interact, so the trace can be partitioned by the
- * low bits of the block address (ShardedPackedTrace) and each shard
+ * cache sets never interact, so the trace can be split by the low
+ * bits of the block address (forEachShardChunk) and each shard
  * replayed on its own private Cache by a different worker. Every
  * CacheStats field is an integer sum over the references that
  * produced it, so summing the per-shard stats and feeding the totals
@@ -62,7 +62,8 @@ ShardMode shardModeFromEnv();
 inline constexpr std::uint32_t kMaxShards = 64;
 
 /** Sharding only pays once each worker gets a meaty sub-trace; below
- *  this many references the partition + merge overhead dominates. */
+ *  this many references the per-task filter scan, the per-shard
+ *  Cache setup and the merge dominate. */
 inline constexpr std::uint64_t kShardMinRefs = 1u << 18;
 
 /**
@@ -88,10 +89,10 @@ bool shouldShard(ShardMode mode, const CacheConfig &config,
 
 /**
  * One sharded (trace, config) run: numShards private Caches, each
- * replaying one shard of a ShardedPackedTrace. runShard(s, ...) only
- * touches shard s's cache and counter, so distinct shards are safe
- * to run concurrently with no synchronization; merging happens
- * single-threaded afterwards.
+ * replaying one set shard of the packed trace. runShard(s, ...) only
+ * touches shard s's cache and counter (its filter buffer is local to
+ * the call), so distinct shards are safe to run concurrently with no
+ * synchronization; merging happens single-threaded afterwards.
  */
 class ShardReplay
 {
@@ -105,13 +106,12 @@ class ShardReplay
     {
         return static_cast<std::uint32_t>(caches_.size());
     }
-    std::uint32_t shardBits() const { return shardBits_; }
-    std::uint32_t blockBits() const { return blockBits_; }
 
-    /** Replay shard @p shard of @p trace (which must have been built
-     *  with this engine's blockBits/shardBits) and finalize its
-     *  residencies, exactly like one Cache::run pass. */
-    void runShard(std::size_t shard, const ShardedPackedTrace &trace);
+    /** Replay the records of shard @p shard among the first @p n of
+     *  @p refs (forEachShardChunk) and finalize its residencies,
+     *  exactly like one Cache::run pass over that sub-trace. */
+    void runShard(std::size_t shard, const PackedRecord *refs,
+                  std::size_t n);
 
     /** References replayed by @p shard so far (imbalance telemetry). */
     std::uint64_t shardRefs(std::size_t shard) const

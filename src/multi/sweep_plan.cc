@@ -38,10 +38,6 @@ struct TraceInput
     std::shared_ptr<const PackedTrace> packed;
     std::uint64_t limit = 0;
     std::size_t recordBytes = 0;
-    /** Set-partitioned copies per fused slot (null when unsharded)
-     *  and per shard slot. */
-    std::vector<std::shared_ptr<const ShardedPackedTrace>> fusedParts;
-    std::vector<std::shared_ptr<const ShardedPackedTrace>> shardParts;
 };
 
 /** Drive a Cache or SplitCache over @p in's first limit records. */
@@ -143,7 +139,8 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     // The unsharded task inventory of the whole sweep: batch tiles and
     // fused passes over every trace. When that alone saturates the
     // pool, task parallelism wins and sharding only adds merge
-    // overhead (see shouldShard).
+    // overhead (see shouldShard). Tiles count at the default width
+    // here, so the pool-sized tiles below never change a route.
     const std::size_t competing =
         plan.traces.size() *
         ((candidates.size() + BatchReplay::kDefaultTileConfigs - 1) /
@@ -178,10 +175,6 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
             tp.shards.push_back(
                 std::make_unique<ShardReplay>(configs[c], shards));
         }
-        if (!tp.batchIndex.empty()) {
-            tp.batch = std::make_unique<BatchReplay>(
-                selectConfigs(configs, tp.batchIndex));
-        }
         for (const std::size_t c : plan.directIndex)
             tp.direct.push_back(std::make_unique<Cache>(configs[c]));
         for (const std::size_t c : plan.splitIndex) {
@@ -190,6 +183,26 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
         }
         for (const std::size_t c : plan.shadowIndex)
             tp.shadows.push_back(std::make_unique<Cache>(configs[c]));
+    }
+
+    // Batch tiles sized to the pool: narrow enough that the plan's
+    // batch runs spread over every worker, never wider than the
+    // L2-friendly default. One long trace's few unshardable configs
+    // then run one per worker instead of serially in one tile.
+    std::size_t batch_runs = 0;
+    for (const TracePlan &tp : plan.traces)
+        batch_runs += tp.batchIndex.size();
+    const std::size_t workers = std::max(threads, 1u);
+    const std::size_t tile_configs = std::clamp<std::size_t>(
+        (batch_runs + workers - 1) / workers, 1,
+        BatchReplay::kDefaultTileConfigs);
+
+    for (std::size_t t = 0; t < plan.traces.size(); ++t) {
+        TracePlan &tp = plan.traces[t];
+        if (!tp.batchIndex.empty()) {
+            tp.batch = std::make_unique<BatchReplay>(
+                selectConfigs(configs, tp.batchIndex), tile_configs);
+        }
 
         // The one task order.
         const auto add = [&](PlanTask::Kind kind, std::size_t engines,
@@ -232,9 +245,9 @@ runSweepPlan(SweepPlan &plan,
                       plan.traces.size(),
                   "plan covers %zu traces", plan.traces.size());
 
-    // Decode each trace once for the replay engines and partition it
-    // for every sharded run (both memoized across engines and sweeps
-    // sharing the trace).
+    // Decode each trace once for the replay engines (memoized across
+    // engines and sweeps sharing the trace). Sharded tasks filter
+    // their own set shard from it as they run.
     std::vector<TraceInput> inputs(plan.traces.size());
     std::uint64_t refs = 0;
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
@@ -253,18 +266,6 @@ runSweepPlan(SweepPlan &plan,
             in.recordBytes = sizeof(PackedRecord);
         }
         refs += in.limit;
-        for (const auto &eng : tp.fused) {
-            in.fusedParts.push_back(
-                eng->numShards() == 1
-                    ? nullptr
-                    : shardedTraceShared(in.packed, eng->blockBits(),
-                                         eng->shardBits(), in.limit));
-        }
-        for (const auto &eng : tp.shards) {
-            in.shardParts.push_back(shardedTraceShared(
-                in.packed, eng->blockBits(), eng->shardBits(),
-                in.limit));
-        }
     }
 
     pool.parallelFor(plan.tasks.size(), [&](std::size_t i) {
@@ -280,12 +281,12 @@ runSweepPlan(SweepPlan &plan,
             if (eng.numShards() == 1)
                 eng.run(in.packed->data(), in.limit);
             else
-                eng.runShard(task.part, *in.fusedParts[task.engine]);
+                eng.runShard(task.part, in.packed->data(), in.limit);
             break;
         }
         case PlanTask::Kind::Shard:
             tp.shards[task.engine]->runShard(
-                task.part, *in.shardParts[task.engine]);
+                task.part, in.packed->data(), in.limit);
             break;
         case PlanTask::Kind::Direct:
         case PlanTask::Kind::Split: {

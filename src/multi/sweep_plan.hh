@@ -28,6 +28,12 @@
  * (Auto or CrossCheck) runs it. A fused group shards as a unit and
  * keeps the route "fused".
  *
+ * Every trace's BatchReplay tiles clamp(ceil(R / threads), 1,
+ * kDefaultTileConfigs) configs, R being the plan's batch-routed
+ * (trace, config) runs: a grid wide enough to fill the pool keeps
+ * the L2-friendly default, and a few batch configs on one long trace
+ * get a tile (a pool task) each instead of one serial tile.
+ *
  * runSweepPlan() executes a plan over the traces it was planned for,
  * given either as MemRef traces or as packed records (the plan is the
  * same for both); every task touches only its own engine, cache, tile

@@ -1,6 +1,5 @@
 #include "trace/packed_trace.hh"
 
-#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 
@@ -77,121 +76,6 @@ packedTraceShared(const std::shared_ptr<const VectorTrace> &trace)
     packed_cache[trace.get()] = PackedEntry{trace, packed};
     OCCSIM_TELEM_COUNT("trace.pack.refs", packed->size());
     return packed;
-}
-
-ShardedPackedTrace::ShardedPackedTrace(const PackedTrace &trace,
-                                       std::uint32_t block_bits,
-                                       std::uint32_t shard_bits,
-                                       std::uint64_t limit)
-    : blockBits_(block_bits), shardBits_(shard_bits)
-{
-    occsim_assert(shard_bits < 32, "bad shard count 2^%u", shard_bits);
-    const std::uint32_t shards = 1u << shard_bits;
-    const std::uint32_t mask = shards - 1;
-    const std::size_t n =
-        limit == 0 ? trace.size()
-                   : static_cast<std::size_t>(std::min<std::uint64_t>(
-                         limit, trace.size()));
-    const PackedRecord *refs = trace.data();
-
-    // Counting sort on the shard index: one pass to size the spans,
-    // one to place the records; order within a shard is trace order.
-    std::vector<std::size_t> counts(shards, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        ++counts[(refs[i].addr() >> block_bits) & mask];
-
-    offsets_.resize(shards + 1);
-    offsets_[0] = 0;
-    for (std::uint32_t s = 0; s < shards; ++s)
-        offsets_[s + 1] = offsets_[s] + counts[s];
-
-    records_.resize(n);
-    std::vector<std::size_t> fill(offsets_.begin(),
-                                  offsets_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t s = (refs[i].addr() >> block_bits) & mask;
-        records_[fill[s]++] = refs[i];
-    }
-}
-
-namespace {
-
-/** Memo key for one sharding of one packed trace. */
-struct ShardKey
-{
-    const PackedTrace *trace;
-    std::uint32_t blockBits;
-    std::uint32_t shardBits;
-    std::uint64_t limit;
-
-    bool operator==(const ShardKey &o) const
-    {
-        return trace == o.trace && blockBits == o.blockBits &&
-               shardBits == o.shardBits && limit == o.limit;
-    }
-};
-
-struct ShardKeyHash
-{
-    std::size_t operator()(const ShardKey &k) const
-    {
-        std::size_t h = std::hash<const void *>()(k.trace);
-        h ^= std::hash<std::uint64_t>()(
-                 (static_cast<std::uint64_t>(k.blockBits) << 40) ^
-                 (static_cast<std::uint64_t>(k.shardBits) << 32) ^
-                 k.limit) +
-             0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        return h;
-    }
-};
-
-struct ShardEntry
-{
-    std::weak_ptr<const PackedTrace> source;
-    std::weak_ptr<const ShardedPackedTrace> sharded;
-};
-
-std::mutex shard_mutex;
-std::unordered_map<ShardKey, ShardEntry, ShardKeyHash> shard_cache;
-
-} // namespace
-
-std::shared_ptr<const ShardedPackedTrace>
-shardedTraceShared(const std::shared_ptr<const PackedTrace> &trace,
-                   std::uint32_t block_bits, std::uint32_t shard_bits,
-                   std::uint64_t limit)
-{
-    occsim_assert(trace != nullptr, "null trace");
-    // Normalize the limit so "everything" has one canonical key.
-    if (limit >= trace->size())
-        limit = 0;
-    const ShardKey key{trace.get(), block_bits, shard_bits, limit};
-    std::lock_guard<std::mutex> lock(shard_mutex);
-
-    const auto it = shard_cache.find(key);
-    if (it != shard_cache.end() &&
-        it->second.source.lock() == trace) {
-        if (auto sharded = it->second.sharded.lock())
-            return sharded;
-    }
-
-    // Keep the map from accumulating tombstones across many
-    // short-lived traces.
-    if (shard_cache.size() >= 64) {
-        for (auto e = shard_cache.begin(); e != shard_cache.end();) {
-            if (e->second.sharded.expired())
-                e = shard_cache.erase(e);
-            else
-                ++e;
-        }
-    }
-
-    OCCSIM_TELEM_STAGE("trace.shard");
-    auto sharded = std::make_shared<const ShardedPackedTrace>(
-        *trace, block_bits, shard_bits, limit);
-    shard_cache[key] = ShardEntry{trace, sharded};
-    OCCSIM_TELEM_COUNT("trace.shard.refs", sharded->totalRecords());
-    return sharded;
 }
 
 } // namespace occsim

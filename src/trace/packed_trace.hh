@@ -22,6 +22,7 @@
 #ifndef OCCSIM_TRACE_PACKED_TRACE_HH
 #define OCCSIM_TRACE_PACKED_TRACE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -127,62 +128,55 @@ class PackedTrace
 std::shared_ptr<const PackedTrace>
 packedTraceShared(const std::shared_ptr<const VectorTrace> &trace);
 
+/** Records a shard filter compacts per chunk: 16384 x 8 B = 128 KB
+ *  of trace read and at most as much written, both L2-resident. */
+inline constexpr std::size_t kShardChunkRecords = 16384;
+
 /**
- * A packed trace partitioned into 2^shardBits sub-traces by the low
- * bits of the block address: record r lands in shard
+ * Stream set shard @p shard of the first @p n records of @p refs into
+ * @p sink: record r belongs to shard
  * (r.addr() >> blockBits) & (2^shardBits - 1).
  *
  * For any set-associative geometry with the same block size and
  * numSets >= 2^shardBits, the set index is (addr >> blockBits) mod
  * numSets, so every record of one shard maps to a set congruent to
  * that shard's index — sets are partitioned across shards and one
- * partition serves every such config. Within a shard, records keep
- * their trace order, which is all a set-local engine observes.
+ * filter serves every such config.
  *
- * Records are stored grouped in one flat array (shard s is the
- * half-open span [offsets_[s], offsets_[s+1])), so a whole shard is
- * one contiguous walk just like the unsharded trace.
+ * The records are scanned @p chunk_records at a time; a branchless
+ * compaction copies each chunk's shard records into a buffer private
+ * to this call, and every non-empty buffer goes to
+ * sink(const PackedRecord *, std::size_t). The sink sees the shard's
+ * records in trace order, which is all a set-local engine observes.
+ * No copy of the trace is made: each call reads all @p n records.
+ * @return records passed to @p sink.
  */
-class ShardedPackedTrace
+template <class Sink>
+std::uint64_t
+forEachShardChunk(const PackedRecord *refs, std::size_t n,
+                  std::uint32_t block_bits, std::uint32_t shard_bits,
+                  std::uint32_t shard, Sink &&sink,
+                  std::size_t chunk_records = kShardChunkRecords)
 {
-  public:
-    /** Partition the first @p limit records of @p trace
-     *  (0 = all records). */
-    ShardedPackedTrace(const PackedTrace &trace,
-                       std::uint32_t block_bits,
-                       std::uint32_t shard_bits, std::uint64_t limit);
-
-    std::uint32_t blockBits() const { return blockBits_; }
-    std::uint32_t shardBits() const { return shardBits_; }
-    std::uint32_t numShards() const { return 1u << shardBits_; }
-    /** Number of records partitioned (min(limit, trace size)). */
-    std::uint64_t totalRecords() const { return records_.size(); }
-
-    const PackedRecord *shardData(std::size_t shard) const
-    {
-        return records_.data() + offsets_[shard];
+    const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
+    std::vector<PackedRecord> buffer(std::min(chunk_records, n));
+    std::uint64_t kept = 0;
+    for (std::size_t pos = 0; pos < n; pos += chunk_records) {
+        const std::size_t len = std::min(chunk_records, n - pos);
+        // Every record is written; only a shard record advances the
+        // cursor, which never passes the read index.
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            const PackedRecord rec = refs[pos + i];
+            buffer[out] = rec;
+            out += ((rec.addr() >> block_bits) & mask) == shard;
+        }
+        if (out > 0)
+            sink(buffer.data(), out);
+        kept += out;
     }
-    std::size_t shardSize(std::size_t shard) const
-    {
-        return offsets_[shard + 1] - offsets_[shard];
-    }
-
-  private:
-    std::uint32_t blockBits_;
-    std::uint32_t shardBits_;
-    std::vector<PackedRecord> records_;
-    std::vector<std::size_t> offsets_;  ///< numShards + 1 entries
-};
-
-/**
- * Memoized sharding of a shared packed trace, mirroring
- * packedTraceShared: one partition per distinct (trace, blockBits,
- * shardBits, limit) while any handle is alive. Thread-safe.
- */
-std::shared_ptr<const ShardedPackedTrace>
-shardedTraceShared(const std::shared_ptr<const PackedTrace> &trace,
-                   std::uint32_t block_bits, std::uint32_t shard_bits,
-                   std::uint64_t limit);
+    return kept;
+}
 
 } // namespace occsim
 

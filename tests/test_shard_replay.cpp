@@ -2,8 +2,9 @@
 
 /**
  * @file
- * Determinism tests for the set-sharded replay engine: the partition
- * must preserve per-shard reference order, ShardReplay's merged
+ * Determinism tests for the set-sharded replay engine: the streaming
+ * shard filter must hand every record to exactly one shard, in trace
+ * order, ShardReplay's merged
  * statistics must be bit-identical to an unsharded run for every
  * eligible policy combination and shard count, and BOTH directions of
  * the routing predicate must hold — eligible configs merge exactly,
@@ -74,16 +75,14 @@ shardedResult(const CacheConfig &config, const PackedTrace &packed,
               std::uint32_t num_shards)
 {
     ShardReplay engine(config, num_shards);
-    const ShardedPackedTrace strace(packed, engine.blockBits(),
-                                    engine.shardBits(), 0);
     for (std::uint32_t s = 0; s < num_shards; ++s)
-        engine.runShard(s, strace);
+        engine.runShard(s, packed.data(), packed.size());
     return engine.result();
 }
 
 /**
  * Manual set-sharded run of ANY config (no eligibility assert):
- * partition by set-congruence, replay each shard on a private Cache,
+ * filter by set-congruence, replay each shard on a private Cache,
  * merge the raw statistics. For eligible configs this is exactly what
  * ShardReplay computes; for ineligible ones it exhibits why sharding
  * is wrong.
@@ -94,14 +93,16 @@ forcedShardMerge(const CacheConfig &config, const PackedTrace &packed,
 {
     const CacheGeometry geom(config);
     const std::uint32_t shard_bits = floorLog2(num_shards);
-    const ShardedPackedTrace strace(packed, geom.blockBits(),
-                                    shard_bits, 0);
     CacheStats merged(geom.subBlocksPerBlock(),
                       geom.subBlocksPerBlock() *
                           geom.wordsPerSubBlock());
     for (std::uint32_t s = 0; s < num_shards; ++s) {
         Cache cache(config);
-        cache.replayPacked(strace.shardData(s), strace.shardSize(s));
+        forEachShardChunk(
+            packed.data(), packed.size(), geom.blockBits(), shard_bits,
+            s, [&](const PackedRecord *records, std::size_t count) {
+                cache.replayPacked(records, count);
+            });
         cache.finalizeResidencies();
         merged.mergeFrom(cache.stats());
     }
@@ -110,59 +111,97 @@ forcedShardMerge(const CacheConfig &config, const PackedTrace &packed,
 
 } // namespace
 
-TEST(ShardedPackedTrace, PartitionPreservesPerShardOrder)
+TEST(ShardFilter, ShardsSplitThePrefixExactlyOnceInTraceOrder)
 {
     const Suite suite = pdp11Suite();
-    const auto trace = buildTraceShared(suite.traces.front(), 5000);
+    const auto trace = buildTraceShared(suite.traces.front(), 20000);
     const PackedTrace packed(*trace);
 
-    const std::uint32_t block_bits = 4;  // 16-byte blocks
-    for (const std::uint32_t shard_bits : {1u, 2u, 4u}) {
-        const ShardedPackedTrace strace(packed, block_bits, shard_bits,
-                                        0);
-        const std::uint32_t shards = strace.numShards();
-        EXPECT_EQ(shards, 1u << shard_bits);
-        EXPECT_EQ(strace.totalRecords(), packed.size());
+    struct Split
+    {
+        std::uint32_t blockBits;
+        std::uint32_t shardBits;
+    };
+    for (const Split split : {Split{2, 1}, Split{4, 2}, Split{5, 3},
+                              Split{4, 6}}) {
+        // 12345 is a multiple of none of the chunk lengths.
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{7}, std::size_t{4096},
+              kShardChunkRecords}) {
+            for (const std::size_t n : {std::size_t{12345},
+                                        packed.size()}) {
+                SCOPED_TRACE(testing::Message()
+                             << "blockBits " << split.blockBits
+                             << " shardBits " << split.shardBits
+                             << " chunk " << chunk << " n " << n);
+                const std::uint32_t shards = 1u << split.shardBits;
+                std::vector<std::vector<PackedRecord>> out(shards);
+                for (std::uint32_t s = 0; s < shards; ++s) {
+                    const std::uint64_t kept = forEachShardChunk(
+                        packed.data(), n, split.blockBits,
+                        split.shardBits, s,
+                        [&](const PackedRecord *records,
+                            std::size_t count) {
+                            EXPECT_GT(count, 0u);
+                            EXPECT_LE(count, chunk);
+                            out[s].insert(out[s].end(), records,
+                                          records + count);
+                        },
+                        chunk);
+                    EXPECT_EQ(kept, out[s].size());
+                }
 
-        // Every record is in the shard its set-congruence demands,
-        // and walking the shards in parallel with one cursor each
-        // reproduces the original stream order record by record.
-        std::vector<std::size_t> cursor(shards, 0);
-        for (std::size_t i = 0; i < packed.size(); ++i) {
-            const std::uint32_t s =
-                (packed[i].addr() >> block_bits) & (shards - 1);
-            ASSERT_LT(cursor[s], strace.shardSize(s));
-            EXPECT_EQ(strace.shardData(s)[cursor[s]].bits,
-                      packed[i].bits);
-            ++cursor[s];
+                // Walking the shards with one cursor each, in trace
+                // order, meets every one of the first n records in
+                // the shard its set-congruence demands — and nothing
+                // else is left over.
+                std::vector<std::size_t> cursor(shards, 0);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const std::uint32_t s =
+                        (packed[i].addr() >> split.blockBits) &
+                        (shards - 1);
+                    ASSERT_LT(cursor[s], out[s].size());
+                    ASSERT_EQ(out[s][cursor[s]].bits, packed[i].bits);
+                    ++cursor[s];
+                }
+                for (std::uint32_t s = 0; s < shards; ++s)
+                    EXPECT_EQ(cursor[s], out[s].size());
+            }
         }
-        std::size_t total = 0;
-        for (std::uint32_t s = 0; s < shards; ++s) {
-            EXPECT_EQ(cursor[s], strace.shardSize(s));
-            total += strace.shardSize(s);
-        }
-        EXPECT_EQ(total, packed.size());
     }
 }
 
-TEST(ShardedPackedTrace, RespectsLimitAndMemoizes)
+TEST(ShardFilter, EmptyShardsAndPrefixesNeverReachTheSink)
 {
-    const Suite suite = pdp11Suite();
-    const auto trace = buildTraceShared(suite.traces.front(), 5000);
-    const auto packed = packedTraceShared(trace);
+    // Every reference maps to set 0 mod 4: shards 1..3 are empty at
+    // every chunk length, and an empty prefix is empty for shard 0.
+    auto trace = std::make_shared<VectorTrace>("one-shard");
+    for (int i = 0; i < 1000; ++i)
+        trace->append(static_cast<Addr>(i % 16) * 64, RefKind::DataRead,
+                      2);
+    const PackedTrace packed(*trace);
 
-    const ShardedPackedTrace limited(*packed, 4, 2, 1000);
-    EXPECT_EQ(limited.totalRecords(), 1000u);
-
-    const auto first = shardedTraceShared(packed, 4, 2, 0);
-    const auto second = shardedTraceShared(packed, 4, 2, 0);
-    EXPECT_EQ(first.get(), second.get())
-        << "one partition per (trace, blockBits, shardBits) while a "
-           "handle is alive";
-    // A limit covering the whole trace is the same key as 0 = all.
-    const auto full = shardedTraceShared(packed, 4, 2, packed->size());
-    EXPECT_EQ(full.get(), first.get());
-    EXPECT_NE(shardedTraceShared(packed, 4, 3, 0).get(), first.get());
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    kShardChunkRecords}) {
+        std::size_t calls = 0;
+        const auto sink = [&](const PackedRecord *, std::size_t) {
+            ++calls;
+        };
+        EXPECT_EQ(forEachShardChunk(packed.data(), packed.size(), 4, 2,
+                                    0, sink, chunk),
+                  packed.size());
+        EXPECT_GT(calls, 0u);
+        calls = 0;
+        for (std::uint32_t s = 1; s < 4; ++s) {
+            EXPECT_EQ(forEachShardChunk(packed.data(), packed.size(), 4,
+                                        2, s, sink, chunk),
+                      0u);
+        }
+        EXPECT_EQ(forEachShardChunk(packed.data(), 0, 4, 2, 0, sink,
+                                    chunk),
+                  0u);
+        EXPECT_EQ(calls, 0u);
+    }
 }
 
 TEST(ShardReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)
@@ -236,10 +275,8 @@ TEST(ShardReplay, ZeroRefShardsMergeCleanly)
     const PackedTrace packed(*trace);
 
     ShardReplay engine(config, 4);
-    const ShardedPackedTrace strace(packed, engine.blockBits(),
-                                    engine.shardBits(), 0);
     for (std::uint32_t s = 0; s < 4; ++s)
-        engine.runShard(s, strace);
+        engine.runShard(s, packed.data(), packed.size());
 
     // All references land in shard 0 (set index multiples of 128 are
     // congruent to 0 mod 4).

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -336,6 +337,53 @@ TEST(SweepApi, CrossCheckRoutesExactlyLikeAuto)
     EXPECT_EQ(c.shardedRuns, a.shardedRuns);
     EXPECT_GT(c.crossCheckSamples, 0u);
     expectIdenticalGrid(checked.perTrace, automatic.perTrace);
+}
+
+TEST(SweepApi, BatchTilesFollowThePoolWidth)
+{
+    // One trace, four configs neither fused nor sharded routes can
+    // take (Random replacement, next-block prefetch). At four workers
+    // each config gets a tile of its own, so three workers do not
+    // idle behind one serial tile; at one worker they share one
+    // default-width tile. The width never changes a result.
+    const EnvGuard guard("OCCSIM_SHARD", nullptr);
+    const Suite suite = pdp11Suite();
+    const std::uint32_t word = suite.profile.wordSize;
+    std::vector<CacheConfig> configs;
+    for (const std::uint32_t size : {1024u, 4096u}) {
+        CacheConfig random = makeConfig(size, 16, 8, word);
+        random.replacement = ReplacementPolicy::Random;
+        configs.push_back(random);
+        CacheConfig prefetch = makeConfig(size, 16, 8, word);
+        prefetch.fetch = FetchPolicy::PrefetchNextOnMiss;
+        configs.push_back(prefetch);
+    }
+    const auto trace = buildTraceShared(suite.traces[0], kRefs);
+
+    for (const unsigned threads : {4u, 1u}) {
+        SCOPED_TRACE(threads);
+        const SweepPlan plan =
+            planSweep(configs, SweepEngine::Auto, {trace->size()},
+                      threads);
+        const auto tiles = std::count_if(
+            plan.tasks.begin(), plan.tasks.end(), [](const PlanTask &t) {
+                return t.kind == PlanTask::Kind::BatchTile;
+            });
+        EXPECT_EQ(tiles, threads == 4 ? 4 : 1);
+        EXPECT_EQ(plan.tasks.size(), static_cast<std::size_t>(tiles));
+        for (const SweepRoute route : plan.route)
+            EXPECT_EQ(route, SweepRoute::Batch);
+
+        ThreadPool pool(threads);
+        SweepRequest request;
+        request.traces = {trace};
+        request.configs = configs;
+        request.pool = &pool;
+        const SweepReport automatic = runSweep(request);
+        request.engine = SweepEngine::DirectOnly;
+        const SweepReport direct = runSweep(request);
+        expectIdenticalGrid(automatic.perTrace, direct.perTrace);
+    }
 }
 
 TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
