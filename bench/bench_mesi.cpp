@@ -9,8 +9,9 @@
  * a different machine — so the headline numbers are the coherency
  * counters themselves (invalidations, upgrades, cache-to-cache
  * words, snoop flushes) as the core count scales, plus wall-clock
- * throughput per scenario. Its gates are correctness, enforced at
- * every length:
+ * nanoseconds per reference per scenario (the 1-core scenario runs
+ * the single-cache engines; 2 and 4 cores the coherent kernel). Its
+ * gates are correctness, enforced at every length:
  *
  *   - the 1-core scenario must be bit-identical to the plain direct
  *     Cache over every trace (the anchor invariant of the scenario
@@ -55,6 +56,12 @@ struct ScenarioRow
     std::uint64_t refs = 0;
     double missSum = 0.0;
     CoherencySummary traffic;  ///< counters summed across traces
+
+    /** Wall-clock nanoseconds per simulated reference. */
+    double nsPerRef() const
+    {
+        return refs > 0 ? ms * 1e6 / static_cast<double>(refs) : 0.0;
+    }
 };
 
 } // namespace
@@ -182,14 +189,13 @@ main()
     }
 
     std::printf("%-8s %10s %10s %10s %10s %10s %12s %10s\n", "cores",
-                "ms", "refs/ms", "miss", "inval", "upgrades",
+                "ms", "ns/ref", "miss", "inval", "upgrades",
                 "c2c words", "flushes");
     for (std::size_t r = 0; r < rows.size(); ++r) {
         const ScenarioRow &row = rows[r];
-        std::printf("%-8u %10.1f %10.0f %10.4f %10llu %10llu %12llu "
+        std::printf("%-8u %10.1f %10.2f %10.4f %10llu %10llu %12llu "
                     "%10llu\n",
-                    core_counts[r], row.ms,
-                    row.ms > 0.0 ? row.refs / row.ms : 0.0,
+                    core_counts[r], row.ms, row.nsPerRef(),
                     row.missSum / traces.size(),
                     static_cast<unsigned long long>(
                         row.traffic.invalidations),
@@ -210,13 +216,16 @@ main()
         strfmt("{\"bench\":\"mesi\",\"traces\":%zu,\"refs\":%llu,"
                "\"ms_1core\":%.3f,\"ms_2core\":%.3f,"
                "\"ms_4core\":%.3f,"
+               "\"ns_per_ref_1core\":%.2f,\"ns_per_ref_2core\":%.2f,"
+               "\"ns_per_ref_4core\":%.2f,"
                "\"inval_2core\":%llu,\"inval_4core\":%llu,"
                "\"upgrades_4core\":%llu,\"c2c_words_4core\":%llu,"
                "\"snoop_wb_words_4core\":%llu,"
                "\"bit_identical\":%s}",
                traces.size(),
                static_cast<unsigned long long>(rows[0].refs),
-               rows[0].ms, rows[1].ms, rows[2].ms,
+               rows[0].ms, rows[1].ms, rows[2].ms, rows[0].nsPerRef(),
+               rows[1].nsPerRef(), rows[2].nsPerRef(),
                static_cast<unsigned long long>(
                    rows[1].traffic.invalidations),
                static_cast<unsigned long long>(

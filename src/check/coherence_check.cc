@@ -576,11 +576,18 @@ makeCoherenceFuzzCase(std::uint64_t case_seed,
 
     // One MESI-subset design point; block geometry is fixed per case
     // (the bus requires it), capacity/associativity/replacement vary.
+    // Associativity is 1, 2, 4, 8 or fully associative, clamped to
+    // the block count, so the draw reaches every coherent-kernel
+    // instantiation: the unrolled 1/2/4/8-way ones and the
+    // runtime-assoc one (16 and 32 ways).
     const auto drawCore = [&rng, word, sub, block]() {
-        CacheConfig config = makeConfig(
-            block << (2 + static_cast<std::uint32_t>(rng.below(4))),
-            block, sub, word);
-        config.assoc = 1u << static_cast<std::uint32_t>(rng.below(3));
+        const std::uint32_t blocks =
+            4u << static_cast<std::uint32_t>(rng.below(4));
+        CacheConfig config = makeConfig(blocks * block, block, sub, word);
+        const std::uint32_t assoc_pick =
+            static_cast<std::uint32_t>(rng.below(5));
+        config.assoc =
+            assoc_pick < 4 ? std::min(1u << assoc_pick, blocks) : blocks;
         config.write = WritePolicy::CopyBack;
         config.writeAllocate = true;
         config.fetch = FetchPolicy::Demand;

@@ -31,78 +31,6 @@ CoherentCache::CoherentCache(const CacheConfig &config)
                   config.fullName().c_str());
 }
 
-int
-CoherentCache::findWay(std::uint32_t set, Addr block_addr) const
-{
-    const Addr *tags =
-        tags_.data() + static_cast<std::size_t>(set) * assoc_;
-    for (std::uint32_t way = 0; way < assoc_; ++way) {
-        if (tags[way] == block_addr)
-            return static_cast<int>(way);
-    }
-    return -1;
-}
-
-std::uint32_t
-CoherentCache::claimVictim(std::uint32_t set)
-{
-    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    const Addr *tags = tags_.data() + base;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (tags[w] == kNoTag)
-            return w;
-    }
-    const std::uint32_t victim = repl_.victim(set);
-    FrameMeta &meta = meta_[base + victim];
-    stats_.recordResidency(
-        static_cast<std::uint32_t>(std::popcount(meta.touched)));
-    writebackDirty(base + victim);
-    return victim;
-}
-
-void
-CoherentCache::fillSub(std::size_t frame, std::uint64_t sub_bit,
-                       bool counted, bool cold)
-{
-    meta_[frame].valid |= sub_bit;
-    everFilled_[frame] |= sub_bit;
-    if (counted)
-        stats_.recordBurst(wordsPerSub_, cold, 0);
-    else
-        stats_.recordWriteBurst(wordsPerSub_);
-}
-
-std::uint32_t
-CoherentCache::writebackDirty(std::size_t frame)
-{
-    FrameMeta &meta = meta_[frame];
-    if (meta.dirty == 0)
-        return 0;
-    const std::uint32_t words =
-        static_cast<std::uint32_t>(std::popcount(meta.dirty)) *
-        wordsPerSub_;
-    stats_.recordWriteback(words);
-    meta.dirty = 0;
-    return words;
-}
-
-std::uint32_t
-CoherentCache::invalidateFrame(std::size_t frame)
-{
-    occsim_assert(framePresent(frame),
-                  "invalidating an empty frame %zu", frame);
-    FrameMeta &meta = meta_[frame];
-    if (meta.touched != 0) {
-        stats_.recordResidency(
-            static_cast<std::uint32_t>(std::popcount(meta.touched)));
-    }
-    const std::uint32_t words = writebackDirty(frame);
-    tags_[frame] = kNoTag;
-    meta = FrameMeta{};
-    mesi_[frame] = MesiState::Invalid;
-    return words;
-}
-
 MesiState
 CoherentCache::stateOf(Addr addr) const
 {

@@ -21,6 +21,7 @@
 #ifndef OCCSIM_COHERENCE_COHERENT_CACHE_HH
 #define OCCSIM_COHERENCE_COHERENT_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "cache/replacement.hh"
 #include "coherence/mesi.hh"
 #include "util/bitops.hh"
+#include "util/logging.hh"
 
 namespace occsim {
 
@@ -75,30 +77,133 @@ class CoherentCache
         return tags_[frame] != kNoTag;
     }
 
-    /** Way holding @p block_addr in @p set, or -1. */
-    int findWay(std::uint32_t set, Addr block_addr) const;
+    /** Way holding @p block_addr in @p set, or -1. @p A fixes the
+     *  associativity at compile time when nonzero (0 = runtime
+     *  value), unrolling the scan in the coherent kernel. */
+    template <std::uint32_t A = 0>
+    int findWay(std::uint32_t set, Addr block_addr) const
+    {
+        const std::uint32_t assoc = A != 0 ? A : assoc_;
+        const Addr *tags =
+            tags_.data() + static_cast<std::size_t>(set) * assoc;
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            if (tags[way] == block_addr)
+                return static_cast<int>(way);
+        }
+        return -1;
+    }
+
+    // ---- replacement updates of the coherent kernel ----
+    // @p R is the policy fixed at compile time, or kRuntimePolicy for
+    // a scenario whose cores differ in policy or associativity: that
+    // instantiation takes the runtime ReplacementState calls. @p A as
+    // in findWay.
+
+    /** The kernel's policy argument when the cores do not share one
+     *  (policy, associativity); never a configured policy. */
+    static constexpr ReplacementPolicy kRuntimePolicy =
+        static_cast<ReplacementPolicy>(0xff);
+
+    /** A resident way was referenced (hit or sub-block miss). */
+    template <ReplacementPolicy R, std::uint32_t A>
+    void touchWay(std::uint32_t set, std::uint32_t way)
+    {
+        if constexpr (R == kRuntimePolicy) {
+            repl_.onAccess(set, way);
+        } else if constexpr (R == ReplacementPolicy::LRU) {
+            // Re-referencing the most-protected way leaves the LRU
+            // order as it is: one compare instead of the
+            // scan-and-shift.
+            if (repl_.mostProtected<A>(set) != way)
+                repl_.onAccessSpec<R, A>(set, way);
+        } else {
+            repl_.onAccessSpec<R, A>(set, way);
+        }
+    }
+
+    /** A way was filled with a new block. */
+    template <ReplacementPolicy R, std::uint32_t A>
+    void fillWay(std::uint32_t set, std::uint32_t way)
+    {
+        if constexpr (R == kRuntimePolicy)
+            repl_.onFill(set, way);
+        else
+            repl_.onFillSpec<R, A>(set, way);
+    }
 
     /** Claim the way a new block fill will occupy — the first invalid
      *  way, else the replacement victim — retiring the previous
      *  residency (touched histogram + dirty write-back), exactly as
      *  Cache::claimVictimSpec. */
-    std::uint32_t claimVictim(std::uint32_t set);
+    template <ReplacementPolicy R, std::uint32_t A>
+    std::uint32_t claimVictim(std::uint32_t set)
+    {
+        const std::uint32_t assoc = A != 0 ? A : assoc_;
+        const std::size_t base = static_cast<std::size_t>(set) * assoc;
+        const Addr *tags = tags_.data() + base;
+        for (std::uint32_t w = 0; w < assoc; ++w) {
+            if (tags[w] == kNoTag)
+                return w;
+        }
+        std::uint32_t victim;
+        if constexpr (R == kRuntimePolicy)
+            victim = repl_.victim(set);
+        else
+            victim = repl_.victimSpec<R, A>(set);
+        stats_.recordResidency(static_cast<std::uint32_t>(
+            std::popcount(meta_[base + victim].touched)));
+        writebackDirty(base + victim);
+        return victim;
+    }
 
     /** Fill @p sub_bit of @p frame from the bus: valid + ever-filled
      *  bits plus one recorded burst (counted read traffic vs
      *  write-miss traffic), exactly as the demand fetchIntoSpec. */
     void fillSub(std::size_t frame, std::uint64_t sub_bit, bool counted,
-                 bool cold);
+                 bool cold)
+    {
+        meta_[frame].valid |= sub_bit;
+        everFilled_[frame] |= sub_bit;
+        if (counted)
+            stats_.recordBurst(wordsPerSub_, cold, 0);
+        else
+            stats_.recordWriteBurst(wordsPerSub_);
+    }
 
     /** Copy-back write-back of @p frame's dirty sub-blocks.
      *  @return words written back (0 when clean). */
-    std::uint32_t writebackDirty(std::size_t frame);
+    std::uint32_t writebackDirty(std::size_t frame)
+    {
+        FrameMeta &meta = meta_[frame];
+        if (meta.dirty == 0)
+            return 0;
+        const std::uint32_t words =
+            static_cast<std::uint32_t>(std::popcount(meta.dirty)) *
+            wordsPerSub_;
+        stats_.recordWriteback(words);
+        meta.dirty = 0;
+        return words;
+    }
 
     /** Snoop-forced invalidation: retire the residency, write back
      *  dirty data, drop the tag and state. everFilled_ survives (a
      *  re-fetch after an invalidation is coherency traffic, not a
      *  cold miss). @return words written back by the flush. */
-    std::uint32_t invalidateFrame(std::size_t frame);
+    std::uint32_t invalidateFrame(std::size_t frame)
+    {
+        occsim_assert(framePresent(frame),
+                      "invalidating an empty frame %zu", frame);
+        FrameMeta &meta = meta_[frame];
+        if (meta.touched != 0) {
+            stats_.recordResidency(
+                static_cast<std::uint32_t>(std::popcount(meta.touched)));
+        }
+        const std::uint32_t words = writebackDirty(frame);
+        tags_[frame] = kNoTag;
+        meta = FrameMeta{};
+        mesi_[frame] = MesiState::Invalid;
+        return words;
+    }
 
     CacheGeometry geom_;
     std::uint32_t assoc_;

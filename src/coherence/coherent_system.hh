@@ -33,11 +33,19 @@
  * paper's grid). A naive flat-snooping oracle
  * (check/coherence_check.hh) re-derives every counter above for the
  * multicore cases.
+ *
+ * Kernel. access(), replay() and replayPacked() all run one
+ * accessSpec<R, A> instantiation, picked at construction from the
+ * cores' shapes (DESIGN.md §16): a shared replacement policy and a
+ * shared 1/2/4/8-way associativity are fixed at compile time; any
+ * other shape takes the runtime-shape (A = 0) instantiation of the
+ * same body.
  */
 
 #ifndef OCCSIM_COHERENCE_COHERENT_SYSTEM_HH
 #define OCCSIM_COHERENCE_COHERENT_SYSTEM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -94,12 +102,21 @@ class CoherentSystem
     /** Simulate one reference on the core named by @p ref.core
      *  (reduced modulo the core count, so any trace is replayable on
      *  any scenario). */
-    void access(const MemRef &ref);
+    void access(const MemRef &ref) { replay(&ref, 1); }
+
+    /** Replay a MemRef span. Does NOT finalize; callers finalize
+     *  after the last span. */
+    void replay(const MemRef *refs, std::size_t n)
+    {
+        (this->*kernel_)(refs, n);
+    }
 
     /** Replay a packed span (same core routing via the packed core
-     *  bits). Does NOT finalize; callers finalize after the last
-     *  span. */
-    void replayPacked(const PackedRecord *refs, std::size_t n);
+     *  bits). Does NOT finalize. */
+    void replayPacked(const PackedRecord *refs, std::size_t n)
+    {
+        (this->*kernelPacked_)(refs, n);
+    }
 
     /** Drain @p source (up to @p max_refs, 0 = all) and finalize.
      *  @return references simulated. */
@@ -108,23 +125,55 @@ class CoherentSystem
     /** End-of-run residency accounting on every core. */
     void finalize();
 
+    /** Whether the kernel is the runtime-shape (A = 0) instantiation:
+     *  the cores differ in replacement policy or associativity, or
+     *  share an associativity other than 1, 2, 4 or 8. */
+    bool genericKernel() const { return generic_; }
+
   private:
-    void accessImpl(std::uint32_t core, Addr addr, bool is_write,
+    /**
+     * One reference on @p core: the engine's only access path. @p R
+     * is the cores' shared replacement policy, or
+     * CoherentCache::kRuntimePolicy when they differ; @p A their
+     * shared associativity when it is 1, 2, 4 or 8, else 0 (runtime
+     * value, per core).
+     */
+    template <ReplacementPolicy R, std::uint32_t A>
+    void accessSpec(std::uint32_t core, Addr addr, bool is_write,
                     bool is_ifetch);
 
     /** Snoop every peer of @p requester holding @p block_addr for a
      *  read fill. @return whether any peer held it (the shared
-     *  line). */
+     *  line). Touches no replacement state. */
+    template <std::uint32_t A>
     bool snoopRead(std::uint32_t requester, Addr block_addr);
 
     /** Snoop + invalidate every peer copy of @p block_addr
-     *  (@p upgrade selects the address-only upgrade event vs
-     *  BusRdX). */
-    void snoopInvalidate(std::uint32_t requester, Addr block_addr,
-                         bool upgrade);
+     *  (@p Upgrade selects the address-only upgrade event vs
+     *  BusRdX). Touches no replacement state. */
+    template <std::uint32_t A, bool Upgrade>
+    void snoopInvalidate(std::uint32_t requester, Addr block_addr);
+
+    /** Kernel: replay a MemRef or PackedRecord span through
+     *  accessSpec. */
+    template <ReplacementPolicy R, std::uint32_t A, class Rec>
+    void replayLoop(const Rec *refs, std::size_t n);
+
+    template <class Rec>
+    using ReplayKernel = void (CoherentSystem::*)(const Rec *,
+                                                  std::size_t);
+
+    /** The replayLoop instantiation for one (policy, associativity)
+     *  shape, chosen once, at construction. */
+    template <class Rec>
+    static ReplayKernel<Rec> selectKernel(ReplacementPolicy repl,
+                                          std::uint32_t assoc);
 
     std::vector<CoherentCache> caches_;
     CoherencyStats bus_;
+    bool generic_ = false;
+    ReplayKernel<MemRef> kernel_ = nullptr;
+    ReplayKernel<PackedRecord> kernelPacked_ = nullptr;
 };
 
 } // namespace occsim

@@ -26,6 +26,8 @@
 
 #include <cstdint>
 
+#include "util/logging.hh"
+
 namespace occsim {
 
 /** Per-core state of one cached block. */
@@ -56,9 +58,79 @@ const char *mesiEventName(MesiEvent event);
  * bus's shared signal, consulted only for Invalid + LocalRead (the
  * fill lands Shared when any peer holds the block, Exclusive when
  * none does). Panics on the illegal combinations described in the
- * file comment.
+ * file comment. Inline so the engine's kernel folds its constant
+ * events (the oracle drives the same definition).
  */
-MesiState mesiNext(MesiState state, MesiEvent event, bool shared_line);
+inline MesiState
+mesiNext(MesiState state, MesiEvent event, bool shared_line)
+{
+    switch (state) {
+      case MesiState::Invalid:
+        switch (event) {
+          case MesiEvent::LocalRead:
+            return shared_line ? MesiState::Shared
+                               : MesiState::Exclusive;
+          case MesiEvent::LocalWrite:
+            return MesiState::Modified;
+          case MesiEvent::SnoopRead:
+          case MesiEvent::SnoopReadX:
+          case MesiEvent::SnoopUpgrade:
+            // The bus snoops holders only; snooping an Invalid line
+            // means the holder bookkeeping is broken.
+            panic("MESI: %s snooped in state I",
+                  mesiEventName(event));
+        }
+        break;
+      case MesiState::Shared:
+        switch (event) {
+          case MesiEvent::LocalRead:
+            return MesiState::Shared;
+          case MesiEvent::LocalWrite:
+            // Address-only BusUpgr; peers leave via SnoopUpgrade.
+            return MesiState::Modified;
+          case MesiEvent::SnoopRead:
+            return MesiState::Shared;
+          case MesiEvent::SnoopReadX:
+          case MesiEvent::SnoopUpgrade:
+            return MesiState::Invalid;
+        }
+        break;
+      case MesiState::Exclusive:
+        switch (event) {
+          case MesiEvent::LocalRead:
+            return MesiState::Exclusive;
+          case MesiEvent::LocalWrite:
+            // The silent E->M upgrade: no bus transaction at all.
+            return MesiState::Modified;
+          case MesiEvent::SnoopRead:
+            return MesiState::Shared;
+          case MesiEvent::SnoopReadX:
+            return MesiState::Invalid;
+          case MesiEvent::SnoopUpgrade:
+            // An upgrade implies the peer held Shared while we held
+            // the only copy — mutually exclusive by construction.
+            panic("MESI: snoop-upgrade observed in state E");
+        }
+        break;
+      case MesiState::Modified:
+        switch (event) {
+          case MesiEvent::LocalRead:
+          case MesiEvent::LocalWrite:
+            return MesiState::Modified;
+          case MesiEvent::SnoopRead:
+            // Flush accounting happens at the bus; the state simply
+            // demotes to Shared.
+            return MesiState::Shared;
+          case MesiEvent::SnoopReadX:
+            return MesiState::Invalid;
+          case MesiEvent::SnoopUpgrade:
+            panic("MESI: snoop-upgrade observed in state M");
+        }
+        break;
+    }
+    panic("MESI: bad state %d / event %d", static_cast<int>(state),
+          static_cast<int>(event));
+}
 
 } // namespace occsim
 

@@ -51,14 +51,14 @@ runScenarioGrid(const SweepRequest &request, SweepReport &report)
                         request.packedTraces[t]->data(),
                         static_cast<std::size_t>(limit));
                 } else {
-                    const std::vector<MemRef> &trace_refs =
-                        request.traces[t]->refs();
-                    for (std::uint64_t r = 0; r < limit; ++r)
-                        system.access(trace_refs[r]);
+                    system.replay(request.traces[t]->refs().data(),
+                                  static_cast<std::size_t>(limit));
                 }
                 system.finalize();
                 out[t][c] = summarizeCoherent(configs[c], system);
                 OCCSIM_TELEM_COUNT("engine.coherent.refs", limit);
+                OCCSIM_TELEM_COUNT("engine.coherent.generic_refs",
+                                   system.genericKernel() ? limit : 0);
                 OCCSIM_TELEM_COUNT("engine.coherent.bytes",
                                    limit * (packed_path
                                                 ? sizeof(PackedRecord)

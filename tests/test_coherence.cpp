@@ -15,9 +15,17 @@
  *  - The serve-layer identity key and canonical scenario JSON never
  *    alias a multicore request to a single-cache one (or to a
  *    different scenario).
+ *  - Every coherent-kernel instantiation (LRU/FIFO/Random x
+ *    1/2/4/8-way and runtime-assoc, plus a mixed-shape scenario)
+ *    gives the same counters through access(), the MemRef span
+ *    replay and replayPacked; engine.coherent.generic_refs names the
+ *    runtime-shape kernel; and the fuzz_mesi draw reaches every
+ *    instantiation.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "cache/cache.hh"
 #include "check/coherence_check.hh"
@@ -25,8 +33,10 @@
 #include "coherence/coherent_system.hh"
 #include "harness/experiment.hh"
 #include "multi/sweep_api.hh"
+#include "obs/telemetry.hh"
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
+#include "trace/packed_trace.hh"
 #include "workload/parallel.hh"
 
 using namespace occsim;
@@ -311,4 +321,212 @@ TEST(Coherence, ScenarioIdentityNeverAliases)
               serve::canonicalScenarioJson(two));
     EXPECT_NE(serve::ResultCache::key("hash", 0, config, asymmetric),
               multicore);
+}
+
+namespace {
+
+/** Every counter of @p a and @p b — per-core CacheStats and bus
+ *  CoherencyStats — as one mismatch line per differing field. */
+std::vector<std::string>
+diffSystems(const std::string &label, const CoherentSystem &a,
+            const CoherentSystem &b)
+{
+    std::vector<std::string> diffs;
+    for (std::uint32_t c = 0; c < a.numCores(); ++c) {
+        for (std::string &line :
+             diffCacheStats(label + " core " + std::to_string(c),
+                            a.core(c).stats(), b.core(c).stats()))
+            diffs.push_back(std::move(line));
+    }
+    if (!(a.bus() == b.bus()))
+        diffs.push_back(label + ": bus CoherencyStats differ");
+    return diffs;
+}
+
+/** Sharing plus aliasing: the shared-queue workload (real
+ *  upgrades and cache-to-cache supply) followed by an adversarial
+ *  trace stamped with core ids 0..4, so a 3-core scenario also takes
+ *  the modulo reduction of out-of-range stamps. */
+VectorTrace
+kernelTrace()
+{
+    std::vector<MemRef> refs =
+        makeSharedQueueTrace(smallWorkload(3)).refs();
+    Rng stamps(kSeed);
+    TraceGen gen(kSeed + 7);
+    const auto adversarial = gen.make(6000, 2);
+    for (MemRef ref : adversarial->refs()) {
+        ref.core = static_cast<std::uint8_t>(stamps.below(5));
+        refs.push_back(ref);
+    }
+    return VectorTrace("kernel-equivalence", std::move(refs));
+}
+
+/** Replay @p trace on @p scenario through access(), the MemRef span
+ *  replay and replayPacked; all three must agree on every counter,
+ *  and with the flat-snooping oracle. @return the span system's
+ *  kernel shape (genericKernel()). */
+bool
+expectEntryPointsAgree(const ScenarioConfig &scenario,
+                       const CacheConfig &config,
+                       const VectorTrace &trace)
+{
+    const std::string label =
+        std::to_string(scenario.cores) + "x" + config.fullName();
+
+    CoherentSystem per_ref(scenario, config);
+    for (const MemRef &ref : trace.refs())
+        per_ref.access(ref);
+    per_ref.finalize();
+
+    CoherentSystem span(scenario, config);
+    span.replay(trace.refs().data(), trace.size());
+    span.finalize();
+
+    const PackedTrace packed(trace);
+    CoherentSystem packed_system(scenario, config);
+    packed_system.replayPacked(packed.data(), packed.size());
+    packed_system.finalize();
+
+    for (const std::string &line :
+         diffSystems(label + " access/replay", per_ref, span))
+        ADD_FAILURE() << line;
+    for (const std::string &line :
+         diffSystems(label + " access/replayPacked", per_ref,
+                     packed_system))
+        ADD_FAILURE() << line;
+    for (const std::string &line :
+         runCoherencyCase(scenario, config, trace.refs(), label).diffs)
+        ADD_FAILURE() << line;
+
+    EXPECT_GT(span.bus().invalidations, 0u) << label;
+    EXPECT_EQ(per_ref.genericKernel(), span.genericKernel());
+    return span.genericKernel();
+}
+
+/** Value of telemetry counter @p name (0 when never bumped). */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    for (const obs::CounterSnapshot &counter :
+         obs::telemetry().counters()) {
+        if (counter.name == name)
+            return counter.value;
+    }
+    return 0;
+}
+
+/** The asymmetric kernel scenario: LRU direct-mapped cores around a
+ *  Random 4-way one. */
+ScenarioConfig
+mixedShapeScenario(const CacheConfig &base)
+{
+    CacheConfig direct = base;
+    direct.assoc = 1;
+    direct.replacement = ReplacementPolicy::LRU;
+    CacheConfig random4 = base;
+    random4.assoc = 4;
+    random4.replacement = ReplacementPolicy::Random;
+    ScenarioConfig scenario;
+    scenario.cores = 3;
+    scenario.coreConfigs = {direct, random4, direct};
+    return scenario;
+}
+
+} // namespace
+
+TEST(Coherence, EveryKernelAgreesAcrossEntryPoints)
+{
+    // 512 B of 16-byte blocks: 32 frames, so "fully associative" is
+    // the 32-way runtime-assoc kernel while 1/2/4/8 ways are the
+    // unrolled ones.
+    const CacheConfig base = mesiSubset(makeConfig(512, 16, 8, 2));
+    const VectorTrace trace = kernelTrace();
+    ScenarioConfig scenario;
+    scenario.cores = 3;
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+          ReplacementPolicy::Random}) {
+        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u, 32u}) {
+            CacheConfig config = base;
+            config.replacement = policy;
+            config.assoc = assoc;
+            EXPECT_EQ(expectEntryPointsAgree(scenario, config, trace),
+                      assoc == 32)
+                << config.fullName();
+        }
+    }
+
+    const ScenarioConfig mixed = mixedShapeScenario(base);
+    ASSERT_EQ(validateScenario(mixed, {mixed.coreConfigs.front()}), "");
+    EXPECT_TRUE(expectEntryPointsAgree(
+        mixed, mixed.coreConfigs.front(), trace));
+}
+
+TEST(Coherence, GenericRefsCounterNamesTheRuntimeShapeKernel)
+{
+    // engine.coherent.generic_refs counts the references the
+    // runtime-shape kernel replayed: none for a grid of 1/2/4/8-way
+    // shapes (mesi_4core's), all of them for a fully associative or
+    // mixed-shape scenario.
+    const bool was_enabled = obs::telemetryEnabled();
+    obs::setTelemetryEnabled(true);
+    const CacheConfig base = mesiSubset(makeConfig(512, 16, 8, 2));
+    SweepRequest request;
+    request.traces.push_back(
+        std::make_shared<const VectorTrace>(kernelTrace()));
+    const std::uint64_t refs = request.traces[0]->size();
+
+    CacheConfig four_way = base;
+    four_way.assoc = 4;
+    CacheConfig full = base;
+    full.assoc = 32;
+    const ScenarioConfig mixed = mixedShapeScenario(base);
+
+    const auto sweep = [&](const std::vector<CacheConfig> &configs,
+                           const ScenarioConfig &scenario) {
+        obs::telemetry().reset();
+        request.configs = configs;
+        request.scenario = scenario;
+        runSweep(request);
+        EXPECT_EQ(counterValue("engine.coherent.refs"),
+                  refs * configs.size());
+        return counterValue("engine.coherent.generic_refs");
+    };
+    ScenarioConfig four_cores;
+    four_cores.cores = 4;
+    EXPECT_EQ(sweep({base, four_way}, four_cores), 0u);
+    EXPECT_EQ(sweep({four_way, full}, four_cores), refs);
+    EXPECT_EQ(sweep({mixed.coreConfigs.front()}, mixed), refs);
+
+    obs::telemetry().reset();
+    obs::setTelemetryEnabled(was_enabled);
+}
+
+TEST(Coherence, FuzzDrawReachesEveryKernel)
+{
+    // The fuzz_mesi case stream (default master seed, its 150 cases)
+    // must exercise every coherent-kernel instantiation against the
+    // oracle: the unrolled 1/2/4/8-way ones and the runtime-shape one
+    // for both symmetric and asymmetric scenarios.
+    const CoherenceFuzzOptions options;
+    Rng master(options.seed);
+    std::set<std::uint32_t> unrolled;
+    bool generic_symmetric = false;
+    bool generic_asymmetric = false;
+    for (int i = 0; i < 150; ++i) {
+        const CoherenceFuzzCase fuzz_case =
+            makeCoherenceFuzzCase(master.next(), 64);
+        const CoherentSystem system(fuzz_case.scenario,
+                                    fuzz_case.config);
+        if (!system.genericKernel())
+            unrolled.insert(system.core(0).config().assoc);
+        else if (fuzz_case.scenario.coreConfigs.empty())
+            generic_symmetric = true;
+        else
+            generic_asymmetric = true;
+    }
+    EXPECT_EQ(unrolled, (std::set<std::uint32_t>{1, 2, 4, 8}));
+    EXPECT_TRUE(generic_symmetric);
+    EXPECT_TRUE(generic_asymmetric);
 }
