@@ -24,7 +24,7 @@
 
 #include "bench_reporter.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "util/str.hh"
 #include "workload/suites.hh"
 

@@ -19,7 +19,7 @@
 
 #include "bench_reporter.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "util/str.hh"
 #include "workload/suites.hh"
 
@@ -68,9 +68,9 @@ main()
 
     // CrossCheck aborts the process on any divergence; surviving the
     // call is already a pass. Shadow count is reported per trace.
-    ParallelSweepRunner probe(configs, nullptr,
-                              SweepEngine::CrossCheck);
-    const std::size_t shadows = probe.crossCheckCount();
+    const std::size_t shadows =
+        planSweep(configs, SweepEngine::CrossCheck, {}, threads)
+            .shadowIndex.size();
 
     const auto checked_start = std::chrono::steady_clock::now();
     const auto checked_results = bench::sweepGrid(

@@ -34,7 +34,7 @@
 #include "harness/experiment.hh"
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"
@@ -147,14 +147,12 @@ main()
 
     std::size_t mismatches = 0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (!bench::identicalResults(direct_results[0][c],
-                                     fused_results[c])) {
+        if (!sameSweepResult(direct_results[0][c], fused_results[c])) {
             ++mismatches;
             std::printf("MISMATCH fused config %s\n",
                         configs[c].fullName().c_str());
         }
-        if (!bench::identicalResults(direct_results[0][c],
-                                     batch_results[c])) {
+        if (!sameSweepResult(direct_results[0][c], batch_results[c])) {
             ++mismatches;
             std::printf("MISMATCH batch config %s\n",
                         configs[c].fullName().c_str());

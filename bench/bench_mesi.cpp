@@ -126,8 +126,7 @@ main()
             row.missSum += result.missRatio;
             if (cores == 1) {
                 // The 1-core scenario IS the single-cache model.
-                if (!bench::identicalResults(result,
-                                             direct_results[t])) {
+                if (!sameSweepResult(result, direct_results[t])) {
                     std::printf("MISMATCH: 1-core scenario vs direct "
                                 "cache on %s\n",
                                 traces[t]->name().c_str());

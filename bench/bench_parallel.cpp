@@ -8,7 +8,7 @@
  * check between the two result sets.
  *
  * The suite sweep is short enough that per-run setup (trace reset,
- * runner construction) is a visible fraction of the sequential time,
+ * engine construction) is a visible fraction of the sequential time,
  * which understates thread scaling; a second LARGE-TRACE variant —
  * the same grid over one trace four times the configured length —
  * therefore measures steady-state replay, and both variants report
@@ -29,7 +29,7 @@
 
 #include "bench_reporter.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "util/str.hh"
 #include "workload/suites.hh"
 

@@ -1,16 +1,10 @@
 /**
  * @file
  * Shared plumbing of the timing benchmarks: wall-clock measurement,
- * the eight-field bitwise SweepResult comparison every bench gates
- * on, the nested result-set diff (with per-mismatch MISMATCH lines),
- * and the finishing move — emit the BENCH_JSON line (bench_json.hh)
- * and turn the gate verdict into the process exit status.
- *
- * Before this header each bench carried its own copy of millisSince
- * and the identical() comparison; six copies of a correctness
- * predicate is how one bench silently drifts when SweepResult grows
- * a field. The comparison lives here once, next to a static reminder
- * to extend it alongside the struct.
+ * the nested result-set diff every bench gates on (sameSweepResult
+ * per cell, with per-mismatch MISMATCH lines), and the finishing move
+ * — emit the BENCH_JSON line (bench_json.hh) and turn the gate
+ * verdict into the process exit status.
  */
 
 #ifndef OCCSIM_BENCH_BENCH_REPORTER_HH
@@ -57,26 +51,6 @@ sweepGrid(const std::vector<std::shared_ptr<const VectorTrace>> &traces,
 }
 
 /**
- * Bitwise equality of the exact-engine result fields (doubles
- * compared with ==, deliberately: the engines promise bit-identical
- * arithmetic, so any difference however small is a routing or kernel
- * bug). Sampling estimates are intentionally NOT compared — sampled
- * results are statistical and are gated on error bounds, not
- * identity.
- */
-inline bool
-identicalResults(const SweepResult &a, const SweepResult &b)
-{
-    return a.config == b.config && a.grossBytes == b.grossBytes &&
-           a.missRatio == b.missRatio &&
-           a.warmMissRatio == b.warmMissRatio &&
-           a.trafficRatio == b.trafficRatio &&
-           a.warmTrafficRatio == b.warmTrafficRatio &&
-           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
-           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio;
-}
-
-/**
  * Diff two per-trace result sets, printing one MISMATCH line per
  * divergent (trace, config) cell. A shape difference (trace or
  * config count) is itself one mismatch.
@@ -100,7 +74,7 @@ diffResultSets(const std::vector<std::vector<SweepResult>> &want,
             continue;
         }
         for (std::size_t c = 0; c < want[t].size(); ++c) {
-            if (!identicalResults(want[t][c], got[t][c])) {
+            if (!sameSweepResult(want[t][c], got[t][c])) {
                 ++mismatches;
                 std::printf("MISMATCH trace %zu config %s\n", t,
                             want[t][c].config.fullName().c_str());

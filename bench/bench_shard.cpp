@@ -95,7 +95,7 @@ main()
     const double shard_ms = millisSince(shard_start);
 
     const bool bit_identical =
-        bench::identicalResults(batch_result, shard_result);
+        sameSweepResult(batch_result, shard_result);
     const double speedup =
         shard_ms > 0.0 ? batch_ms / shard_ms : 0.0;
 

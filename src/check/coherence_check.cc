@@ -487,6 +487,12 @@ diffRoutedResult(std::vector<std::string> &out,
     diffResultDouble(out, "warmNibbleTrafficRatio",
                      direct.warmNibbleTrafficRatio,
                      routed.warmNibbleTrafficRatio);
+    diffResultDouble(out, "meanSubBlocksTouched",
+                     direct.meanSubBlocksTouched,
+                     routed.meanSubBlocksTouched);
+    diffResultDouble(out, "neverReferencedFraction",
+                     direct.neverReferencedFraction,
+                     routed.neverReferencedFraction);
     if (!multicore)
         return;
     const CoherencySummary &a = direct.coherency;

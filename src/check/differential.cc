@@ -11,8 +11,8 @@
 #include "cache/split_cache.hh"
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/shard_replay.hh"
+#include "multi/sweep_plan.hh"
 #include "multi/sweep_runner.hh"
 #include "trace/packed_trace.hh"
 
@@ -44,6 +44,25 @@ diffSweepResult(const std::string &label, const SweepResult &got,
           want.nibbleTrafficRatio);
     field("warmNibbleTrafficRatio", got.warmNibbleTrafficRatio,
           want.warmNibbleTrafficRatio);
+    field("meanSubBlocksTouched", got.meanSubBlocksTouched,
+          want.meanSubBlocksTouched);
+    field("neverReferencedFraction", got.neverReferencedFraction,
+          want.neverReferencedFraction);
+}
+
+/** One-trace sweep of @p config under @p engine through the planner
+ *  and executor behind runSweep (whichever route the planner picks;
+ *  no manifest record per case). */
+SweepResult
+sweepOne(const CacheConfig &config,
+         const std::shared_ptr<const VectorTrace> &trace,
+         SweepEngine engine)
+{
+    ThreadPool &pool = globalThreadPool();
+    SweepPlan plan = planSweep({config}, engine, {trace->size()},
+                               static_cast<unsigned>(pool.size()));
+    runSweepPlan(plan, {trace}, {}, 0, pool);
+    return planResults(plan, 0)[0];
 }
 
 /** Copy a raw reference vector into a shareable VectorTrace. */
@@ -100,19 +119,11 @@ runDifferentialCase(const CacheConfig &config,
         const SweepResult direct_summary =
             summarizeSplit(config, split);
         const auto trace = packTrace(refs);
-        const std::vector<CacheConfig> configs{config};
-
-        ParallelSweepRunner direct_only(configs, nullptr,
-                                        SweepEngine::DirectOnly);
-        direct_only.run(trace);
         diffSweepResult("split-sweep-direct",
-                        direct_only.results()[0], direct_summary,
-                        report.diffs);
-
-        ParallelSweepRunner routed(configs, nullptr,
-                                   SweepEngine::Auto);
-        routed.run(trace);
-        diffSweepResult("split-sweep-auto", routed.results()[0],
+                        sweepOne(config, trace, SweepEngine::DirectOnly),
+                        direct_summary, report.diffs);
+        diffSweepResult("split-sweep-auto",
+                        sweepOne(config, trace, SweepEngine::Auto),
                         direct_summary, report.diffs);
         return report;
     }
@@ -133,24 +144,26 @@ runDifferentialCase(const CacheConfig &config,
     for (const std::string &line : diffStats(want, direct.stats()))
         report.diffs.push_back("direct." + line);
 
+    // The summary's residency pair must be the oracle's too: every
+    // engine below is diffed against this summary.
     const SweepResult direct_summary = summarizeCache(direct);
+    SweepResult oracle_summary = direct_summary;
+    oracle_summary.meanSubBlocksTouched = want.meanSubBlocksTouched();
+    oracle_summary.neverReferencedFraction = want.neverReferencedFraction(
+        CacheGeometry(config).subBlocksPerBlock());
+    diffSweepResult("direct.summary", direct_summary, oracle_summary,
+                    report.diffs);
 
-    // Engines 2 and 3: the parallel routing layer under DirectOnly and
-    // Auto. Both must reproduce the direct engine's summary bit for
-    // bit.
+    // Engines 2 and 3: a one-trace sweep under DirectOnly and Auto.
+    // Both must reproduce the direct engine's summary bit for bit.
     const auto trace = packTrace(refs);
     const std::vector<CacheConfig> configs{config};
-
-    ParallelSweepRunner direct_only(configs, nullptr,
-                                    SweepEngine::DirectOnly);
-    direct_only.run(trace);
-    diffSweepResult("sweep-direct", direct_only.results()[0],
+    diffSweepResult("sweep-direct",
+                    sweepOne(config, trace, SweepEngine::DirectOnly),
                     direct_summary, report.diffs);
-
-    ParallelSweepRunner routed(configs, nullptr, SweepEngine::Auto);
-    routed.run(trace);
-    diffSweepResult("sweep-auto", routed.results()[0], direct_summary,
-                    report.diffs);
+    diffSweepResult("sweep-auto",
+                    sweepOne(config, trace, SweepEngine::Auto),
+                    direct_summary, report.diffs);
 
     // Engine 4: the batched replay kernels standalone, driven with a
     // deliberately awkward tiling (tile of 1 config, 7-record chunks)

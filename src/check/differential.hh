@@ -6,12 +6,14 @@
  * Engines compared per case:
  *
  *  1. ReferenceCache (the naive oracle) vs the direct Cache engine:
- *     every counter, histogram bucket, and derived metric.
- *  2. ParallelSweepRunner with SweepEngine::DirectOnly vs the direct
- *     Cache's SweepResult (the routing layer must be a no-op).
- *  3. ParallelSweepRunner with SweepEngine::Auto vs the same (this
- *     exercises the batched replay engine, or the set-sharded one
- *     when the shard heuristic picks it).
+ *     every counter, histogram bucket, and derived metric, plus the
+ *     summarized SweepResult's residency pair.
+ *  2. A one-trace sweep (planSweep + runSweepPlan, the pair behind
+ *     runSweep) with SweepEngine::DirectOnly vs the direct Cache's
+ *     SweepResult (the routing layer must be a no-op).
+ *  3. The same with SweepEngine::Auto (this exercises the batched
+ *     replay engine, or the set-sharded one when the shard heuristic
+ *     picks it).
  *  4. A standalone BatchReplay run with a deliberately awkward
  *     tiling (1-config tiles, 7-record chunks): full statistics vs
  *     the oracle and the summarized SweepResult vs the direct

@@ -5,7 +5,7 @@
  *
  * occsim has several independent ways to price one cache
  * configuration — the direct Cache/SectorCache engines, the
- * ParallelSweepRunner routing layer, and the batched, set-sharded and
+ * runSweep routing layer, and the batched, set-sharded and
  * fused replay kernels — all promising bit-identical results. This
  * file supplies the trusted leg of the comparison: every structure is
  * a plain std::vector<bool> or an explicit list, every policy is

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cache/cache_config.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "multi/sweep_runner.hh"
 #include "workload/suites.hh"
 

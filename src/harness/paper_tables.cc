@@ -28,24 +28,10 @@ runTable6(std::ostream &os)
         configs.push_back(config);
     }
 
-    // A probe forces runner-per-trace execution so the 360/85's
-    // residency distribution can be read off its finished Cache
-    // (config 0 is sector-organized, hence batched — it keeps one);
-    // each per-trace sweep still runs its configs in parallel over
-    // the shared trace.
-    double never_ref_sum = 0.0;
-    double mean_touched_sum = 0.0;
     SweepRequest request;
     request.traces = buildSuiteTraces(suite);
     request.configs = configs;
     request.label = "table6";
-    request.probe = [&](std::size_t,
-                        const ParallelSweepRunner &runner) {
-        never_ref_sum +=
-            runner.cache(0).stats().neverReferencedFraction();
-        mean_touched_sum +=
-            runner.cache(0).stats().meanSubBlocksTouched();
-    };
     const auto averaged = runSweep(request).average;
     const double base_miss = averaged[0].missRatio;
 
@@ -59,11 +45,11 @@ runTable6(std::ostream &os)
     }
     table.print(os);
 
-    const double n = static_cast<double>(suite.traces.size());
     os << strfmt("\n360/85 sub-blocks referenced per 1024-byte block "
                  "residency: %.2f of 16 (%.1f%% never referenced; "
                  "paper: 11.52 of 16 never referenced = 72%%)\n\n",
-                 mean_touched_sum / n, 100.0 * never_ref_sum / n);
+                 averaged[0].meanSubBlocksTouched,
+                 100.0 * averaged[0].neverReferencedFraction);
 }
 
 namespace {

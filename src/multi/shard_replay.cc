@@ -148,17 +148,4 @@ ShardTelemetry::accumulate(const ShardReplay &engine)
     ++shardedRuns;
 }
 
-void
-ShardTelemetry::accumulate(const ShardTelemetry &other)
-{
-    if (other.shardedRuns == 0)
-        return;
-    maxShardRefs = std::max(maxShardRefs, other.maxShardRefs);
-    minShardRefs = shardedRuns == 0
-                       ? other.minShardRefs
-                       : std::min(minShardRefs, other.minShardRefs);
-    maxShards = std::max(maxShards, other.maxShards);
-    shardedRuns += other.shardedRuns;
-}
-
 } // namespace occsim

@@ -155,8 +155,6 @@ struct ShardTelemetry
      *  sharded run however many configs it priced). Defined in
      *  multi/fused_replay.cc. */
     void accumulate(const class FusedReplay &engine);
-    /** Fold another summary into this one. */
-    void accumulate(const ShardTelemetry &other);
 };
 
 } // namespace occsim

@@ -186,9 +186,6 @@ runSweep(const SweepRequest &request)
                       "multicore scenarios route every config to the "
                       "coherent engine; the %s policy does not apply",
                       sweepEngineName(request.engine));
-        occsim_assert(!request.probe,
-                      "probe is incompatible with multicore scenarios "
-                      "(no per-config Cache is retained)");
     }
     if (request.engine == SweepEngine::Sampled) {
         for (const CacheConfig &config : request.configs) {
@@ -205,9 +202,6 @@ runSweep(const SweepRequest &request)
                       "packedTraces requires SweepEngine::Auto (the "
                       "%s policy needs a MemRef stream)",
                       sweepEngineName(request.engine));
-        occsim_assert(!request.probe,
-                      "probe is incompatible with packedTraces (no "
-                      "per-config Cache is retained)");
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -222,39 +216,11 @@ runSweep(const SweepRequest &request)
     // single-cache paths, the one engine of the others.
     std::vector<const char *> engines(
         request.configs.size(), multicore ? "coherent" : "sample");
-    const auto record_plan = [&](const SweepPlan &plan) {
-        const std::size_t runs = plan.traces.size();
-        record.crossCheckSamples += runs * plan.shadowIndex.size();
-        record.fusedRuns += runs * plan.fusedGroups.size();
-        record.fusedConfigs = static_cast<std::size_t>(
-            std::count(plan.route.begin(), plan.route.end(),
-                       SweepRoute::Fused));
-        shard_telem.accumulate(planShardTelemetry(plan));
-        for (std::size_t c = 0; c < engines.size(); ++c)
-            engines[c] = routeName(plan.route[c]);
-    };
     std::uint64_t refs = 0;
     if (multicore) {
         refs = runScenarioGrid(request, report);
     } else if (request.engine == SweepEngine::Sampled) {
-        // A probe needs a finished full-trace Cache to inspect; the
-        // sampling engine never has one.
-        occsim_assert(!request.probe,
-                      "probe is incompatible with SweepEngine::"
-                      "Sampled (no full-trace Cache exists)");
         refs = runSampledGrid(request, report, sample_info);
-    } else if (request.probe) {
-        // One runner per trace, pinned off the fused and set-sharded
-        // engines, so the probe can read each trace's finished Caches.
-        for (std::size_t t = 0; t < request.traces.size(); ++t) {
-            ParallelSweepRunner runner(request.configs, &pool,
-                                       request.engine,
-                                       /*allow_sharding=*/false);
-            refs += runner.run(request.traces[t], request.maxRefs);
-            request.probe(t, runner);
-            report.perTrace.push_back(runner.results());
-            record_plan(runner.plan());
-        }
     } else {
         std::vector<std::uint64_t> limits;
         for (const auto &trace : request.traces)
@@ -268,7 +234,15 @@ runSweep(const SweepRequest &request)
                             request.maxRefs, pool);
         for (std::size_t t = 0; t < plan.traces.size(); ++t)
             report.perTrace.push_back(planResults(plan, t));
-        record_plan(plan);
+        const std::size_t runs = plan.traces.size();
+        record.crossCheckSamples = runs * plan.shadowIndex.size();
+        record.fusedRuns = runs * plan.fusedGroups.size();
+        record.fusedConfigs = static_cast<std::size_t>(
+            std::count(plan.route.begin(), plan.route.end(),
+                       SweepRoute::Fused));
+        shard_telem = planShardTelemetry(plan);
+        for (std::size_t c = 0; c < engines.size(); ++c)
+            engines[c] = routeName(plan.route[c]);
     }
     report.refs = refs;
 

@@ -10,9 +10,9 @@
  *   // report.perTrace, report.average, report.manifest
  *
  * Everything else is a field of the request: engine policy, explicit
- * pool, reference cap, a telemetry sink, and an optional per-trace
- * probe for callers that need to inspect a finished Cache (Table 6's
- * residency statistics). Exact single-cache sweeps are routed by the
+ * pool, reference cap and a telemetry sink. Every result carries its
+ * config's miss and traffic ratios and its residency pair (Table 6's
+ * sector statistics). Exact single-cache sweeps are routed by the
  * sweep planner (multi/sweep_plan.hh), and the manifest records the
  * routes it chose. tests/test_sweep_api.cpp holds the cross-engine
  * exact-equality proof.
@@ -28,13 +28,12 @@
 #ifndef OCCSIM_MULTI_SWEEP_API_HH
 #define OCCSIM_MULTI_SWEEP_API_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "coherence/scenario.hh"
-#include "multi/parallel_sweep.hh"
+#include "multi/sweep_plan.hh"
 #include "obs/manifest.hh"
 #include "trace/packed_trace.hh"
 
@@ -62,8 +61,7 @@ struct SweepRequest
      * copy. Packed records carry no MemRef stream, so this path is
      * served entirely by the packed replay engines — fused, batch,
      * set-sharded and split pairs (whose results are bit-identical to
-     * every other engine); it requires SweepEngine::Auto and is
-     * incompatible with probe.
+     * every other engine); it requires SweepEngine::Auto.
      */
     std::vector<std::shared_ptr<const PackedTrace>> packedTraces;
 
@@ -76,9 +74,9 @@ struct SweepRequest
      * exactly as before the scenario redesign, served by the same
      * engines with bit-identical results. A multicore scenario
      * (cores >= 2) routes every (trace, config) pair to the coherent
-     * MESI engine; it requires SweepEngine::Auto, no probe, and
-     * configs inside the MESI subset (copy-back + write-allocate +
-     * demand + unified — see validateScenario).
+     * MESI engine; it requires SweepEngine::Auto and configs inside
+     * the MESI subset (copy-back + write-allocate + demand + unified
+     * — see validateScenario).
      */
     ScenarioConfig scenario;
 
@@ -109,18 +107,6 @@ struct SweepRequest
      * Engine-internal stage spans always go to the global registry.
      */
     obs::Telemetry *telemetry = nullptr;
-
-    /**
-     * Optional per-trace probe, called as probe(trace_index, runner)
-     * after that trace's sweep finishes, before results are
-     * collected. Setting a probe forces runner-per-trace execution
-     * (each trace gets its own ParallelSweepRunner; results stay
-     * bit-identical) and pins those runners off the fused and
-     * set-sharded engines, so probes can read runner.cache(i) of
-     * every non-split config for statistics SweepResult does not
-     * carry.
-     */
-    std::function<void(std::size_t, const ParallelSweepRunner &)> probe;
 };
 
 /** What one sweep produced. */

@@ -18,19 +18,6 @@ selectConfigs(const std::vector<CacheConfig> &configs,
     return out;
 }
 
-/** Bitwise SweepResult equality (the optimized engines' contract). */
-bool
-sameSweepResult(const SweepResult &a, const SweepResult &b)
-{
-    return a.grossBytes == b.grossBytes &&
-           a.missRatio == b.missRatio &&
-           a.warmMissRatio == b.warmMissRatio &&
-           a.trafficRatio == b.trafficRatio &&
-           a.warmTrafficRatio == b.warmTrafficRatio &&
-           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
-           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio;
-}
-
 /** One trace's inputs for one execution of a plan. */
 struct TraceInput
 {
@@ -88,8 +75,7 @@ fusableGroups(const std::vector<CacheConfig> &configs,
 
 SweepPlan
 planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
-          const std::vector<std::uint64_t> &trace_limits, unsigned threads,
-          bool allow_sharding)
+          const std::vector<std::uint64_t> &trace_limits, unsigned threads)
 {
     occsim_assert(!configs.empty(), "sweep needs at least one config");
     SweepPlan plan;
@@ -112,8 +98,7 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
             candidates.push_back(c);
         }
     }
-    if (allow_sharding)
-        plan.fusedGroups = fusableGroups(configs, candidates);
+    plan.fusedGroups = fusableGroups(configs, candidates);
     for (const auto &group : plan.fusedGroups) {
         for (const std::size_t c : group)
             plan.route[c] = SweepRoute::Fused;
@@ -150,9 +135,8 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
         const auto shard_count = [&](const CacheConfig &config) {
-            return allow_sharding &&
-                           shouldShard(mode, config, threads,
-                                       trace_limits[t], competing)
+            return shouldShard(mode, config, threads, trace_limits[t],
+                               competing)
                        ? planShardCount(config, threads)
                        : 1u;
         };

@@ -5,11 +5,10 @@
  * the decision.
  *
  * planSweep() is pure in its inputs — configs, engine policy, per-trace
- * reference limits, pool width, whether fused/sharded routes are
- * allowed (plus the OCCSIM_SHARD override it reads) — and returns a
- * SweepPlan: every config's route, the engine instances for each
- * trace, and one flat task list in one fixed order. Routing, in
- * priority order:
+ * reference limits and pool width (plus the OCCSIM_SHARD override it
+ * reads) — and returns a SweepPlan: every config's route, the engine
+ * instances for each trace, and one flat task list in one fixed
+ * order. Routing, in priority order:
  *
  *  - split        CachePartition::SplitID — a dedicated SplitCache
  *                 pair under every policy (no batched kernel routes by
@@ -83,8 +82,7 @@ enum class SweepEngine : std::uint8_t {
      * and 95% CIs on SweepResult::sampled. NEVER auto-routed — the
      * exact engines stay the default; opting in is the caller
      * declaring that estimates (10-100x cheaper on long traces) are
-     * acceptable. Knobs in SweepRequest::sample; incompatible with
-     * SweepRequest::probe (no full-trace Cache exists to inspect).
+     * acceptable. Knobs in SweepRequest::sample.
      */
     Sampled = 3,
 };
@@ -178,14 +176,12 @@ struct SweepPlan
  * Plan a sweep of @p configs over one trace per entry of
  * @p trace_limits (references each will replay; an empty list plans
  * the routes alone — nothing shards — with no engines) on @p threads
- * workers. @p allow_sharding false also disables fused routing: every
- * config but a split pair then keeps a single backing Cache (probe
- * callers read them).
+ * workers.
  */
 SweepPlan planSweep(const std::vector<CacheConfig> &configs,
                     SweepEngine engine,
                     const std::vector<std::uint64_t> &trace_limits,
-                    unsigned threads, bool allow_sharding = true);
+                    unsigned threads);
 
 /**
  * Run every task of @p plan on @p pool over @p traces (MemRef input)

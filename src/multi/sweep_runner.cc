@@ -131,7 +131,23 @@ summarizeStats(const CacheConfig &config, std::uint64_t gross_bytes,
     result.nibbleTrafficRatio = stats.scaledTrafficRatio(kNibbleBus);
     result.warmNibbleTrafficRatio =
         stats.warmScaledTrafficRatio(kNibbleBus);
+    result.meanSubBlocksTouched = stats.meanSubBlocksTouched();
+    result.neverReferencedFraction = stats.neverReferencedFraction();
     return result;
+}
+
+bool
+sameSweepResult(const SweepResult &a, const SweepResult &b)
+{
+    return a.config == b.config && a.grossBytes == b.grossBytes &&
+           a.missRatio == b.missRatio &&
+           a.warmMissRatio == b.warmMissRatio &&
+           a.trafficRatio == b.trafficRatio &&
+           a.warmTrafficRatio == b.warmTrafficRatio &&
+           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
+           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio &&
+           a.meanSubBlocksTouched == b.meanSubBlocksTouched &&
+           a.neverReferencedFraction == b.neverReferencedFraction;
 }
 
 SweepResult
@@ -226,6 +242,8 @@ averageResults(const std::vector<std::vector<SweepResult>> &runs)
         out.warmTrafficRatio = 0.0;
         out.nibbleTrafficRatio = 0.0;
         out.warmNibbleTrafficRatio = 0.0;
+        out.meanSubBlocksTouched = 0.0;
+        out.neverReferencedFraction = 0.0;
         bool all_sampled = true;
         bool all_coherent = true;
         for (const auto &run : runs) {
@@ -237,6 +255,8 @@ averageResults(const std::vector<std::vector<SweepResult>> &runs)
             out.warmTrafficRatio += run[c].warmTrafficRatio;
             out.nibbleTrafficRatio += run[c].nibbleTrafficRatio;
             out.warmNibbleTrafficRatio += run[c].warmNibbleTrafficRatio;
+            out.meanSubBlocksTouched += run[c].meanSubBlocksTouched;
+            out.neverReferencedFraction += run[c].neverReferencedFraction;
             all_sampled = all_sampled && run[c].sampled.active;
             all_coherent = all_coherent && run[c].coherency.active;
         }
@@ -246,6 +266,8 @@ averageResults(const std::vector<std::vector<SweepResult>> &runs)
         out.warmTrafficRatio /= n;
         out.nibbleTrafficRatio /= n;
         out.warmNibbleTrafficRatio /= n;
+        out.meanSubBlocksTouched /= n;
+        out.neverReferencedFraction /= n;
         out.sampled = all_sampled ? averageEstimates(runs, c)
                                   : SampleEstimates{};
         out.coherency = all_coherent ? averageCoherency(runs, c)

@@ -70,6 +70,12 @@ struct SweepResult
     double warmTrafficRatio = 0.0;
     double nibbleTrafficRatio = 0.0;
     double warmNibbleTrafficRatio = 0.0;
+    /** Mean sub-blocks referenced per block residency, and the
+     *  fraction of sub-block frames a residency never referenced
+     *  (Table 6's sector-cache claim). Exact engines only; zero under
+     *  SweepEngine::Sampled. */
+    double meanSubBlocksTouched = 0.0;
+    double neverReferencedFraction = 0.0;
     /** Sampling-engine estimates (stderr/CI per metric); inactive
      *  and all-zero for exact-engine results. */
     SampleEstimates sampled;
@@ -77,6 +83,14 @@ struct SweepResult
      *  results. */
     CoherencySummary coherency;
 };
+
+/**
+ * Bitwise equality of the exact-engine result fields: config, gross
+ * size, the six ratios and the residency pair (doubles compared with
+ * ==, deliberately: the engines promise bit-identical arithmetic).
+ * Sampling estimates and coherency summaries are not compared.
+ */
+bool sameSweepResult(const SweepResult &a, const SweepResult &b);
 
 /** Summarize a finished cache into a SweepResult (nibble-mode
  *  pricing at ratio 3). */

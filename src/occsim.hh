@@ -44,8 +44,8 @@
 // Sweeps: the unified request/report API — the one supported entry
 // point; scenario routing included (multi/sweep_api.hh pulls in
 // coherence/scenario.hh).
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
+#include "multi/sweep_plan.hh"
 #include "multi/sweep_runner.hh"
 
 // Analysis helpers.

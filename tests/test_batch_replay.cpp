@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/experiment.hh"
 #include "multi/batch_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
+
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
@@ -39,20 +42,6 @@ sweepGrid(const std::vector<std::shared_ptr<const occsim::VectorTrace>>
 }
 
 constexpr std::uint64_t kRefs = 30000;
-
-/** Bit-identical comparison of two SweepResults (exact doubles). */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
-{
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.grossBytes, b.grossBytes);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-    EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-    EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-    EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-    EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
-}
 
 /** The paper's sector/load-forward style grid: no two configs here
  *  share a fused group key, so Auto routes all of them to the batched
@@ -295,23 +284,19 @@ TEST(BatchReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
         paperGrid(1024, word), sizeAssocGrid(word), fifoLruGrid(word)};
 
     for (const auto &configs : grids) {
-        for (const std::size_t threads : {1u, 2u, 7u}) {
-            ThreadPool pool(threads);
-            ParallelSweepRunner reference(configs, &pool,
-                                          SweepEngine::DirectOnly);
-            reference.run(trace);
-            const auto expected = reference.results();
-
-            ParallelSweepRunner routed(configs, &pool,
-                                       SweepEngine::Auto);
-            EXPECT_GT(routed.batchedCount(), 0u)
+        for (const unsigned threads : {1u, 2u, 7u}) {
+            const SweepPlan plan =
+                planSweep(configs, SweepEngine::Auto, {}, threads);
+            EXPECT_GT(std::count(plan.route.begin(), plan.route.end(),
+                                 SweepRoute::Batch),
+                      0)
                 << "every grid has configs outside any fused group";
-            routed.run(trace);
-            const auto actual = routed.results();
 
-            ASSERT_EQ(actual.size(), expected.size());
-            for (std::size_t i = 0; i < expected.size(); ++i)
-                expectIdentical(actual[i], expected[i]);
+            ThreadPool pool(threads);
+            expectIdenticalGrid(
+                sweepGrid({trace}, configs, &pool, SweepEngine::Auto),
+                sweepGrid({trace}, configs, &pool,
+                          SweepEngine::DirectOnly));
         }
     }
 }
@@ -330,10 +315,5 @@ TEST(BatchReplay, RunSweepAutoMatchesDirectOnlyAcrossTraces)
     const auto actual =
         sweepGrid(traces, configs, &pool, SweepEngine::Auto);
 
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t t = 0; t < expected.size(); ++t) {
-        ASSERT_EQ(actual[t].size(), expected[t].size());
-        for (std::size_t c = 0; c < expected[t].size(); ++c)
-            expectIdentical(actual[t][c], expected[t][c]);
-    }
+    expectIdenticalGrid(actual, expected);
 }

@@ -11,14 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "check/fuzz.hh"
 #include "check/generators.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sample_replay.hh"
 #include "multi/sweep_api.hh"
+
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
@@ -217,29 +219,24 @@ TEST(CrossCheck, ShadowVerifiesTheOptimizedEngines)
     const std::shared_ptr<const VectorTrace> trace =
         gen.make(20000, 2);
 
-    ParallelSweepRunner checked(configs, nullptr,
-                                SweepEngine::CrossCheck);
-    EXPECT_GE(checked.crossCheckCount(), 1u);
-    EXPECT_LE(checked.crossCheckCount(), checked.size());
-    EXPECT_EQ(checked.batchedCount() + checked.fusedCount(),
-              checked.size())
+    const SweepPlan plan = planSweep(configs, SweepEngine::CrossCheck, {},
+                                     globalThreadPool().size());
+    EXPECT_GE(plan.shadowIndex.size(), 1u);
+    EXPECT_LE(plan.shadowIndex.size(), configs.size());
+    const auto fused = std::count(plan.route.begin(), plan.route.end(),
+                                  SweepRoute::Fused);
+    EXPECT_EQ(std::count(plan.route.begin(), plan.route.end(),
+                         SweepRoute::Batch) +
+                  fused,
+              static_cast<std::ptrdiff_t>(configs.size()))
         << "under CrossCheck every config is on an optimized engine";
-    EXPECT_GE(checked.fusedCount(), 2u)
-        << "the paper grid's sector configs should fuse";
-    checked.run(trace);  // fatal on any divergence
+    EXPECT_GE(fused, 2) << "the paper grid's sector configs should fuse";
 
-    // CrossCheck is Auto plus verification: identical results.
-    ParallelSweepRunner plain(configs, nullptr, SweepEngine::Auto);
-    plain.run(trace);
-    const auto want = plain.results();
-    const auto got = checked.results();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].missRatio, want[i].missRatio);
-        EXPECT_EQ(got[i].trafficRatio, want[i].trafficRatio);
-        EXPECT_EQ(got[i].warmNibbleTrafficRatio,
-                  want[i].warmNibbleTrafficRatio);
-    }
+    // CrossCheck is Auto plus verification (fatal on any divergence):
+    // identical results.
+    expectIdenticalGrid(
+        sweepGrid({trace}, configs, nullptr, SweepEngine::CrossCheck),
+        sweepGrid({trace}, configs, nullptr));
 }
 
 TEST(CrossCheck, RunSweepDelegatesPerTrace)
@@ -254,12 +251,5 @@ TEST(CrossCheck, RunSweepDelegatesPerTrace)
     const auto checked =
         sweepGrid(traces, configs, nullptr, SweepEngine::CrossCheck);
     const auto plain = sweepGrid(traces, configs, nullptr);
-    ASSERT_EQ(checked.size(), plain.size());
-    for (std::size_t t = 0; t < checked.size(); ++t) {
-        for (std::size_t c = 0; c < checked[t].size(); ++c) {
-            EXPECT_EQ(checked[t][c].missRatio, plain[t][c].missRatio);
-            EXPECT_EQ(checked[t][c].nibbleTrafficRatio,
-                      plain[t][c].nibbleTrafficRatio);
-        }
-    }
+    expectIdenticalGrid(checked, plain);
 }

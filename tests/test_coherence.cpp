@@ -39,6 +39,8 @@
 #include "trace/packed_trace.hh"
 #include "workload/parallel.hh"
 
+#include "sweep_expect.hh"
+
 using namespace occsim;
 
 namespace {
@@ -140,11 +142,7 @@ TEST(Coherence, OneCoreScenarioRoutesIdenticallyThroughRunSweep)
     for (std::size_t c = 0; c < a.perTrace[0].size(); ++c) {
         const SweepResult &ra = a.perTrace[0][c];
         const SweepResult &rb = b.perTrace[0][c];
-        EXPECT_EQ(ra.grossBytes, rb.grossBytes);
-        EXPECT_EQ(ra.missRatio, rb.missRatio);
-        EXPECT_EQ(ra.warmMissRatio, rb.warmMissRatio);
-        EXPECT_EQ(ra.trafficRatio, rb.trafficRatio);
-        EXPECT_EQ(ra.warmTrafficRatio, rb.warmTrafficRatio);
+        expectIdentical(ra, rb);
         EXPECT_FALSE(ra.coherency.active);
         EXPECT_FALSE(rb.coherency.active);
     }

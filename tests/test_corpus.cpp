@@ -25,6 +25,8 @@
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
+#include "sweep_expect.hh"
+
 using namespace occsim;
 
 namespace {
@@ -259,23 +261,7 @@ TEST_F(CorpusTest, PackedSweepPathIsBitIdenticalToVectorPath)
     packed.maxRefs = kRefs / 2;
     const SweepReport actual = runSweep(packed);
 
-    ASSERT_EQ(actual.perTrace.size(), expected.perTrace.size());
-    for (std::size_t t = 0; t < expected.perTrace.size(); ++t) {
-        ASSERT_EQ(actual.perTrace[t].size(),
-                  expected.perTrace[t].size());
-        for (std::size_t c = 0; c < expected.perTrace[t].size(); ++c) {
-            const SweepResult &a = actual.perTrace[t][c];
-            const SweepResult &b = expected.perTrace[t][c];
-            EXPECT_EQ(a.grossBytes, b.grossBytes);
-            EXPECT_EQ(a.missRatio, b.missRatio);
-            EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-            EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-            EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-            EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-            EXPECT_EQ(a.warmNibbleTrafficRatio,
-                      b.warmNibbleTrafficRatio);
-        }
-    }
+    expectIdenticalGrid(actual.perTrace, expected.perTrace);
 }
 
 TEST_F(CorpusTest, WriteFailureReportsAndLeavesNoPartialFile)

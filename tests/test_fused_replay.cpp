@@ -1,5 +1,3 @@
-// This TU intentionally exercises the legacy sweep entry points.
-
 /**
  * @file
  * Determinism tests for the fused sector-grid replay engine: every
@@ -10,11 +8,12 @@
  * span == 64 shift guard), and load-forward misses on a block's LAST
  * sub-block (the fetch stops at the block boundary; it never wraps
  * into the next block) — plus the grouping/routing layer: oversized
- * key populations split at kMaxGroupConfigs, the runner routes
+ * key populations split at kMaxGroupConfigs, the planner routes
  * sibling groups through the fused engine, and set-sharded fused
  * passes merge exactly.
  */
 
+#include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -23,29 +22,17 @@
 #include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
 #include "multi/fused_replay.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
+
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
 namespace {
 
 constexpr std::uint64_t kRefs = 30000;
-
-/** Bit-identical comparison of two SweepResults (exact doubles). */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
-{
-    EXPECT_EQ(a.grossBytes, b.grossBytes);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-    EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-    EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-    EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-    EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
-}
 
 /** Direct Cache::access simulation of @p config over @p trace. */
 SweepResult
@@ -103,8 +90,11 @@ TEST(FusedReplay, SubEqualsBlockDegenerateCollapsesToDemand)
                     directResult(configs[0], *trace));
     expectIdentical(engine.result(1),
                     directResult(configs[1], *trace));
-    // The degenerate collapse itself: one-sub load-forward IS demand.
-    expectIdentical(engine.result(0), engine.result(1));
+    // The degenerate collapse itself: one-sub load-forward IS demand
+    // (every field but the config).
+    SweepResult forward = engine.result(1);
+    forward.config = configs[0];
+    expectIdentical(engine.result(0), forward);
 }
 
 TEST(FusedReplay, FullWidth64SubBlockMasks)
@@ -238,7 +228,7 @@ TEST(FusedReplay, ShardedFusedPassesMergeExactly)
     }
 }
 
-TEST(FusedReplay, RunnerRoutesSiblingGroupsFused)
+TEST(FusedReplay, PlannerRoutesSiblingGroupsFused)
 {
     // Auto routing: a sector sibling group rides the fused engine
     // (group size >= 2), a lone sector config stays batched, a
@@ -262,22 +252,24 @@ TEST(FusedReplay, RunnerRoutesSiblingGroupsFused)
         configs.push_back(c);
     }
 
+    const SweepPlan plan = planSweep(configs, SweepEngine::Auto, {}, 2);
+    EXPECT_EQ(plan.route[0], SweepRoute::Fused);
+    EXPECT_EQ(plan.route[1], SweepRoute::Fused);
+    EXPECT_NE(plan.route[2], SweepRoute::Fused)
+        << "singletons stay batched";
+    EXPECT_NE(plan.route[3], SweepRoute::Fused)
+        << "Random is fused-ineligible";
+    EXPECT_EQ(std::count(plan.route.begin(), plan.route.end(),
+                         SweepRoute::Fused),
+              2);
+
     ThreadPool pool(2);
-    ParallelSweepRunner reference(configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(trace);
-
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    EXPECT_TRUE(routed.fused(0));
-    EXPECT_TRUE(routed.fused(1));
-    EXPECT_FALSE(routed.fused(2)) << "singletons stay batched";
-    EXPECT_FALSE(routed.fused(3)) << "Random is fused-ineligible";
-    EXPECT_EQ(routed.fusedCount(), 2u);
-    routed.run(trace);
-
-    const auto expected = reference.results();
-    const auto actual = routed.results();
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expectIdentical(actual[i], expected[i]);
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.pool = &pool;
+    const SweepReport routed = runSweep(request);
+    request.engine = SweepEngine::DirectOnly;
+    const SweepReport reference = runSweep(request);
+    expectIdenticalGrid(routed.perTrace, reference.perTrace);
 }

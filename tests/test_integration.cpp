@@ -14,8 +14,11 @@
 #include "cache/sector_cache.hh"
 #include "harness/experiment.hh"
 #include "mem/bus_model.hh"
+#include "multi/sweep_api.hh"
 #include "trace/trace_file.hh"
 #include "workload/suites.hh"
+
+#include "env_guard.hh"
 
 using namespace occsim;
 
@@ -168,6 +171,42 @@ TEST(Integration, SectorCacheThreeTimesWorse)
         assoc_sum += modern.stats().missRatio();
     }
     EXPECT_GT(sector_sum, 1.5 * assoc_sum);
+}
+
+TEST(Integration, MostSectorSubBlocksAreNeverReferenced)
+{
+    // Table 6's second claim: most sub-blocks of a resident 360/85
+    // sector are never referenced (paper: 11.52 of 16, 72%). The
+    // residency pair rides on SweepResult, so the batched, direct and
+    // (OCCSIM_SHARD=1) sharded routes must all read the same value.
+    const Suite suite = s360Model85Suite();
+    SweepRequest request;
+    request.traces = buildSuiteTraces(suite, kRefs);
+    request.configs = {make360Model85Config(suite.profile.wordSize)};
+    for (const CacheConfig &config :
+         table6Comparators(suite.profile.wordSize))
+        request.configs.push_back(config);
+
+    std::vector<double> never;
+    for (const std::string mode : {"auto", "direct", "shard"}) {
+        const EnvGuard guard("OCCSIM_SHARD",
+                             mode == "shard" ? "1" : nullptr);
+        request.engine = mode == "direct" ? SweepEngine::DirectOnly
+                                          : SweepEngine::Auto;
+        never.push_back(
+            runSweep(request).average.front().neverReferencedFraction);
+    }
+    EXPECT_EQ(never[1], never[0]);
+    EXPECT_EQ(never[2], never[0]);
+
+    // The shape: most sub-blocks never referenced. The band is +-2
+    // points around the value measured at this trace length (57.3%;
+    // the 20000-reference golden reads 51.7%): narrower than the 6.25
+    // points one sub-block more or less per residency would move it.
+    // The substitute workloads sit below the paper's 72% because
+    // their sequential jobs use sectors more fully.
+    EXPECT_GT(never[0], 0.5);
+    EXPECT_NEAR(never[0], 0.573, 0.02);
 }
 
 TEST(Integration, TraceFileRoundTripPreservesMetrics)

@@ -10,9 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/sweep_api.hh"
 #include "workload/suites.hh"
+
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
@@ -20,18 +21,19 @@ namespace {
 
 constexpr std::uint64_t kRefs = 30000;
 
-/** Bit-identical comparison of two SweepResults (exact doubles). */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
+/** One-trace runSweep of @p configs on a pool of @p threads. */
+SweepReport
+sweepOne(const std::vector<CacheConfig> &configs,
+         const std::shared_ptr<const VectorTrace> &trace, unsigned threads,
+         std::uint64_t max_refs = 0)
 {
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.grossBytes, b.grossBytes);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-    EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-    EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-    EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-    EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
+    ThreadPool pool(threads);
+    SweepRequest request;
+    request.traces = {trace};
+    request.configs = configs;
+    request.pool = &pool;
+    request.maxRefs = max_refs;
+    return runSweep(request);
 }
 
 /** Reference engine: one direct runSingle per config, sequentially. */
@@ -59,14 +61,9 @@ TEST(ParallelSweep, BitIdenticalToSequentialOverPaperGrid)
 
     const auto expected = sequentialSweep(configs, *trace);
 
-    ThreadPool pool(4);
-    ParallelSweepRunner parallel(configs, &pool);
-    EXPECT_EQ(parallel.run(trace), trace->size());
-    const auto actual = parallel.results();
-
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expectIdentical(actual[i], expected[i]);
+    const SweepReport report = sweepOne(configs, trace, 4);
+    EXPECT_EQ(report.refs, trace->size());
+    expectIdenticalGrid(report.perTrace, {expected});
 }
 
 TEST(ParallelSweep, RunSweepMatchesSequentialSuitePass)
@@ -89,14 +86,7 @@ TEST(ParallelSweep, RunSweepMatchesSequentialSuitePass)
     request.configs = configs;
     request.pool = &pool;
     const SweepReport report = runSweep(request);
-    const auto &actual = report.perTrace;
-
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t t = 0; t < expected.size(); ++t) {
-        ASSERT_EQ(actual[t].size(), expected[t].size());
-        for (std::size_t c = 0; c < expected[t].size(); ++c)
-            expectIdentical(actual[t][c], expected[t][c]);
-    }
+    expectIdenticalGrid(report.perTrace, expected);
 
     // And the paper's unweighted averages are bit-identical too.
     const auto expected_avg = averageResults(expected);
@@ -111,14 +101,10 @@ TEST(ParallelSweep, RespectsMaxRefs)
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
     const auto configs = paperGrid(64, suite.profile.wordSize);
 
-    ThreadPool pool(2);
-    ParallelSweepRunner parallel(configs, &pool);
-    EXPECT_EQ(parallel.run(trace, 500), 500u);
-
-    const auto expected = sequentialSweep(configs, *trace, 500);
-    const auto actual = parallel.results();
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expectIdentical(actual[i], expected[i]);
+    const SweepReport report = sweepOne(configs, trace, 2, 500);
+    EXPECT_EQ(report.refs, 500u);
+    expectIdenticalGrid(report.perTrace,
+                        {sequentialSweep(configs, *trace, 500)});
 }
 
 TEST(ParallelSweep, SharedTraceIsReusedNotRebuilt)

@@ -1,5 +1,3 @@
-// This TU intentionally exercises the legacy sweep entry points.
-
 /**
  * @file
  * Determinism tests for the set-sharded replay engine: the streaming
@@ -12,6 +10,7 @@
  * next-block prefetch) demonstrably diverges from the full run.
  */
 
+#include <algorithm>
 #include <cstdlib>
 
 #include <gtest/gtest.h>
@@ -19,13 +18,13 @@
 #include "cache/cache.hh"
 #include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
-#include "multi/parallel_sweep.hh"
 #include "multi/shard_replay.hh"
 #include "multi/sweep_api.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
 #include "env_guard.hh"
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
@@ -33,29 +32,26 @@ namespace {
 
 constexpr std::uint64_t kRefs = 30000;
 
-/** Bit-identical comparison of two SweepResults (exact doubles). */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
+/** Plan one trace's sweep of @p configs for @p pool's width and run
+ *  it there (the plan keeps its engines for route and telemetry
+ *  reads). */
+SweepPlan
+runPlanned(const std::vector<CacheConfig> &configs, SweepEngine engine,
+           const std::shared_ptr<const VectorTrace> &trace,
+           ThreadPool &pool)
 {
-    EXPECT_EQ(a.grossBytes, b.grossBytes);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-    EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-    EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-    EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-    EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
+    SweepPlan plan = planSweep(configs, engine, {trace->size()},
+                               static_cast<unsigned>(pool.size()));
+    runSweepPlan(plan, {trace}, {}, 0, pool);
+    return plan;
 }
 
-bool
-sameResult(const SweepResult &a, const SweepResult &b)
+/** Number of configs @p plan routes to the set-sharded engine. */
+std::size_t
+shardedCount(const SweepPlan &plan)
 {
-    return a.grossBytes == b.grossBytes &&
-           a.missRatio == b.missRatio &&
-           a.warmMissRatio == b.warmMissRatio &&
-           a.trafficRatio == b.trafficRatio &&
-           a.warmTrafficRatio == b.warmTrafficRatio &&
-           a.nibbleTrafficRatio == b.nibbleTrafficRatio &&
-           a.warmNibbleTrafficRatio == b.warmNibbleTrafficRatio;
+    return static_cast<std::size_t>(std::count(
+        plan.route.begin(), plan.route.end(), SweepRoute::Shard));
 }
 
 /** Direct Cache::access simulation of @p config over @p trace. */
@@ -357,7 +353,7 @@ TEST(ShardReplay, RoutingPredicateIsNecessaryForRandomReplacement)
 
     const SweepResult full = directResult(config, *trace);
     const SweepResult merged = forcedShardMerge(config, packed, 4);
-    EXPECT_FALSE(sameResult(merged, full))
+    EXPECT_FALSE(sameSweepResult(merged, full))
         << "sharding a Random-replacement run should diverge; if it "
            "ever merges exactly, the predicate proof needs revisiting";
 }
@@ -384,7 +380,7 @@ TEST(ShardReplay, RoutingPredicateIsNecessaryForNextBlockPrefetch)
 
     const SweepResult full = directResult(config, *trace);
     const SweepResult merged = forcedShardMerge(config, packed, 4);
-    EXPECT_FALSE(sameResult(merged, full))
+    EXPECT_FALSE(sameSweepResult(merged, full))
         << "sharding a next-block-prefetch run should diverge";
 }
 
@@ -414,14 +410,14 @@ TEST(ShardReplay, SingleThreadDegenerationNeverShards)
         makeConfig(4096, 32, 8, suite.profile.wordSize)};
 
     ThreadPool pool(1);
-    ParallelSweepRunner runner(configs, &pool, SweepEngine::Auto);
-    runner.run(trace);
-    EXPECT_EQ(runner.shardedCount(), 0u);
-    expectIdentical(runner.results()[0], directResult(configs[0],
-                                                      *trace));
+    const SweepPlan plan =
+        runPlanned(configs, SweepEngine::Auto, trace, pool);
+    EXPECT_EQ(shardedCount(plan), 0u);
+    expectIdentical(planResults(plan, 0)[0],
+                    directResult(configs[0], *trace));
 }
 
-TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
+TEST(ShardReplay, ForcedShardingThroughThePlanIsBitIdentical)
 {
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();
@@ -438,25 +434,19 @@ TEST(ShardReplay, ForcedShardingThroughTheRunnerIsBitIdentical)
     }
 
     ThreadPool pool(4);
-    ParallelSweepRunner reference(configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(trace);
-    const auto expected = reference.results();
-
-    ParallelSweepRunner routed(configs, &pool, SweepEngine::Auto);
-    routed.run(trace);
-    EXPECT_EQ(routed.shardedCount(), 2u)
+    const SweepPlan reference =
+        runPlanned(configs, SweepEngine::DirectOnly, trace, pool);
+    const SweepPlan routed =
+        runPlanned(configs, SweepEngine::Auto, trace, pool);
+    EXPECT_EQ(shardedCount(routed), 2u)
         << "the sub==block and sector configs shard, Random is ineligible";
-    EXPECT_TRUE(routed.sharded(1));
-    EXPECT_TRUE(routed.sharded(0));
-    EXPECT_FALSE(routed.sharded(2));
+    EXPECT_EQ(routed.route[0], SweepRoute::Shard);
+    EXPECT_EQ(routed.route[1], SweepRoute::Shard);
+    EXPECT_NE(routed.route[2], SweepRoute::Shard);
+    expectIdenticalGrid({planResults(routed, 0)},
+                        {planResults(reference, 0)});
 
-    const auto actual = routed.results();
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expectIdentical(actual[i], expected[i]);
-
-    const ShardTelemetry telem = routed.shardTelemetry();
+    const ShardTelemetry telem = planShardTelemetry(routed);
     EXPECT_EQ(telem.shardedRuns, 2u);
     EXPECT_GE(telem.maxShards, 2u);
 }
@@ -473,10 +463,10 @@ TEST(ShardReplay, ForcedShardingUnderCrossCheckIsClean)
         makeConfig(4096, 16, 4, suite.profile.wordSize)};
 
     ThreadPool pool(4);
-    ParallelSweepRunner runner(configs, &pool, SweepEngine::CrossCheck);
-    runner.run(trace);
-    EXPECT_GT(runner.crossCheckCount(), 0u);
-    EXPECT_GT(runner.shardedCount(), 0u);
+    const SweepPlan plan =
+        runPlanned(configs, SweepEngine::CrossCheck, trace, pool);
+    EXPECT_GT(plan.shadowIndex.size(), 0u);
+    EXPECT_GT(shardedCount(plan), 0u);
 }
 
 TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
@@ -506,8 +496,6 @@ TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
     EXPECT_EQ(ours->routes[0].engine, "shard");
 
     // And the numbers are the unsharded ones.
-    ParallelSweepRunner reference(request.configs, &pool,
-                                  SweepEngine::DirectOnly);
-    reference.run(request.traces[0]);
-    expectIdentical(report.perTrace[0][0], reference.results()[0]);
+    request.engine = SweepEngine::DirectOnly;
+    expectIdenticalGrid(report.perTrace, runSweep(request).perTrace);
 }

@@ -2,21 +2,23 @@
  * @file
  * The unified sweep API contract (multi/sweep_api.hh): runSweep must
  * be bit-identical to the raw engine entry points it wraps — direct
- * per-config Cache simulation and ParallelSweepRunner::run — for
- * every engine policy and thread count; the request knobs (maxRefs,
- * wantAverage, probe, explicit telemetry sink) must each do what they
- * say; the attached manifest must serialize to valid
- * occsim.run_manifest/1 JSON; and the planner's routes must not depend
- * on the policy that runs them, with every route's manifest name
- * matching the engine that actually ran it.
+ * per-config Cache simulation and one-trace planSweep + runSweepPlan —
+ * for every engine policy and thread count, residency pair included;
+ * the request knobs (maxRefs, wantAverage, explicit telemetry sink)
+ * must each do what they say; the attached manifest must serialize to
+ * valid occsim.run_manifest/1 JSON; and the planner's routes must not
+ * depend on the policy that runs them, with every route's manifest
+ * name matching the engine that actually ran it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 
+#include "cache/sector_cache.hh"
 #include "harness/experiment.hh"
 #include "multi/sweep_api.hh"
 #include "multi/sweep_runner.hh"
@@ -24,38 +26,13 @@
 #include "workload/suites.hh"
 
 #include "env_guard.hh"
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
 namespace {
 
 constexpr std::uint64_t kRefs = 30000;
-
-/** Bit-identical comparison of two SweepResults (exact doubles). */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
-{
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.grossBytes, b.grossBytes);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.warmMissRatio, b.warmMissRatio);
-    EXPECT_EQ(a.trafficRatio, b.trafficRatio);
-    EXPECT_EQ(a.warmTrafficRatio, b.warmTrafficRatio);
-    EXPECT_EQ(a.nibbleTrafficRatio, b.nibbleTrafficRatio);
-    EXPECT_EQ(a.warmNibbleTrafficRatio, b.warmNibbleTrafficRatio);
-}
-
-void
-expectIdenticalGrid(const std::vector<std::vector<SweepResult>> &a,
-                    const std::vector<std::vector<SweepResult>> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t t = 0; t < a.size(); ++t) {
-        ASSERT_EQ(a[t].size(), b[t].size());
-        for (std::size_t c = 0; c < a[t].size(); ++c)
-            expectIdentical(a[t][c], b[t][c]);
-    }
-}
 
 /** Reference engine: one direct runSingle per config, sequentially. */
 std::vector<SweepResult>
@@ -113,13 +90,14 @@ TEST(SweepApi, BitIdenticalToRawEngineAllEnginesAndThreads)
          {SweepEngine::Auto, SweepEngine::DirectOnly,
           SweepEngine::CrossCheck}) {
         for (const unsigned threads : {1u, 4u}) {
-            // Reference: the raw engine layer, one runner per trace.
+            // Reference: the raw engine layer, one plan per trace.
             ThreadPool pool(threads);
-            std::vector<std::vector<SweepResult>> legacy;
+            std::vector<std::vector<SweepResult>> per_trace;
             for (const auto &trace : fx.traces) {
-                ParallelSweepRunner runner(fx.configs, &pool, engine);
-                runner.run(trace);
-                legacy.push_back(runner.results());
+                SweepPlan plan = planSweep(fx.configs, engine,
+                                           {trace->size()}, threads);
+                runSweepPlan(plan, {trace}, {}, 0, pool);
+                per_trace.push_back(planResults(plan, 0));
             }
 
             ThreadPool pool2(threads);
@@ -131,9 +109,9 @@ TEST(SweepApi, BitIdenticalToRawEngineAllEnginesAndThreads)
             request.label = "test";
             const SweepReport report = runSweep(request);
 
-            expectIdenticalGrid(report.perTrace, legacy);
+            expectIdenticalGrid(report.perTrace, per_trace);
             ASSERT_EQ(report.average.size(), fx.configs.size());
-            const auto averaged = averageResults(legacy);
+            const auto averaged = averageResults(per_trace);
             for (std::size_t c = 0; c < averaged.size(); ++c)
                 expectIdentical(report.average[c], averaged[c]);
         }
@@ -183,36 +161,111 @@ TEST(SweepApi, MaxRefsCapsEveryEngineIdentically)
     expectIdenticalGrid(checked_report.perTrace, report.perTrace);
 }
 
-TEST(SweepApi, ProbeForcesPerTraceRunnersWithoutChangingResults)
+TEST(SweepApi, ResidencyIsIdenticalOnEveryRoute)
 {
+    // Every route carries the residency pair bit-identically to the
+    // CacheStats of a direct Cache (a merged SplitCache pair for the
+    // split config). The grid reaches split, fused, batch and (under
+    // OCCSIM_SHARD=1 on 4 workers) shard; DirectOnly and CrossCheck
+    // add direct and shadows; packed input runs the packed engines.
     const Fixture fx;
-    SweepRequest plain;
-    plain.traces = fx.traces;
-    plain.configs = fx.configs;
-    plain.engine = SweepEngine::DirectOnly;
-    const SweepReport expected = runSweep(plain);
+    const std::uint32_t word = pdp11Suite().profile.wordSize;
+    CacheConfig split = makeConfig(1024, 16, 8, word);
+    split.partition = CachePartition::SplitID;
+    CacheConfig forward = makeConfig(1024, 32, 8, word);
+    forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig random = makeConfig(1024, 16, 4, word);
+    random.replacement = ReplacementPolicy::Random;
+    // 1024/32/8, its load-forward twin and its sub == block sibling
+    // share one fused group (asserted from the manifest below).
+    const std::vector<CacheConfig> configs{
+        split, makeConfig(1024, 32, 8, word), forward,
+        makeConfig(1024, 32, 32, word), makeConfig(2048, 64, 8, word),
+        random, make360Model85Config(word)};
 
-    std::vector<std::size_t> probed;
-    std::vector<double> never_ref;
-    SweepRequest request = plain;
-    request.probe = [&](std::size_t t,
-                        const ParallelSweepRunner &runner) {
-        probed.push_back(t);
-        // DirectOnly keeps a Cache for every config, so probes can
-        // read residency statistics SweepResult does not carry.
-        never_ref.push_back(
-            runner.cache(0).stats().neverReferencedFraction());
+    // Want: the residency pair straight off each finished simulator.
+    using Residency = std::pair<double, double>;
+    const auto residency = [](const CacheStats &stats) {
+        return Residency{stats.meanSubBlocksTouched(),
+                         stats.neverReferencedFraction()};
     };
-    const SweepReport report = runSweep(request);
-
-    expectIdenticalGrid(report.perTrace, expected.perTrace);
-    ASSERT_EQ(probed.size(), fx.traces.size());
-    for (std::size_t t = 0; t < probed.size(); ++t)
-        EXPECT_EQ(probed[t], t);
-    for (const double fraction : never_ref) {
-        EXPECT_GE(fraction, 0.0);
-        EXPECT_LE(fraction, 1.0);
+    std::vector<std::vector<Residency>> want;
+    for (const auto &trace : fx.traces) {
+        auto &row = want.emplace_back();
+        for (const CacheConfig &config : configs) {
+            if (config.partition == CachePartition::SplitID) {
+                SplitCache pair = makeEvenSplit(config);
+                for (const MemRef &ref : trace->refs())
+                    pair.access(ref);
+                pair.finalizeResidencies();
+                CacheStats merged = pair.icache().stats();
+                merged.mergeFrom(pair.dcache().stats());
+                row.push_back(residency(merged));
+            } else {
+                Cache cache(config);
+                for (const MemRef &ref : trace->refs())
+                    cache.access(ref);
+                cache.finalizeResidencies();
+                row.push_back(residency(cache.stats()));
+            }
+        }
     }
+
+    std::set<std::string> routes_seen;
+    for (const unsigned threads : {1u, 4u}) {
+        for (const char *mode :
+             {"auto", "direct", "cross", "shard", "packed"}) {
+            SCOPED_TRACE(std::string(mode) + " threads " +
+                         std::to_string(threads));
+            const std::string m = mode;
+            const EnvGuard guard("OCCSIM_SHARD",
+                                 m == "shard" ? "1" : nullptr);
+            ThreadPool pool(threads);
+            SweepRequest request;
+            request.configs = configs;
+            request.pool = &pool;
+            if (m == "packed") {
+                for (const auto &trace : fx.traces)
+                    request.packedTraces.push_back(
+                        packedTraceShared(trace));
+            } else {
+                request.traces = fx.traces;
+            }
+            request.engine = m == "direct" ? SweepEngine::DirectOnly
+                             : m == "cross" ? SweepEngine::CrossCheck
+                                            : SweepEngine::Auto;
+            const SweepReport report = runSweep(request);
+            const auto routes = manifestRoutes(report);
+            routes_seen.insert(routes.begin(), routes.end());
+            if (m == "auto") {
+                for (const std::size_t c : {1u, 2u, 3u})
+                    EXPECT_EQ(routes[c], "fused") << c;
+            }
+
+            const double n = static_cast<double>(fx.traces.size());
+            for (std::size_t c = 0; c < configs.size(); ++c) {
+                double mean_sum = 0.0;
+                double never_sum = 0.0;
+                for (std::size_t t = 0; t < fx.traces.size(); ++t) {
+                    const SweepResult &got = report.perTrace[t][c];
+                    EXPECT_EQ(got.meanSubBlocksTouched, want[t][c].first)
+                        << configs[c].fullName();
+                    EXPECT_EQ(got.neverReferencedFraction,
+                              want[t][c].second)
+                        << configs[c].fullName();
+                    mean_sum += want[t][c].first;
+                    never_sum += want[t][c].second;
+                }
+                EXPECT_EQ(report.average[c].meanSubBlocksTouched,
+                          mean_sum / n);
+                EXPECT_EQ(report.average[c].neverReferencedFraction,
+                          never_sum / n);
+            }
+        }
+    }
+    EXPECT_EQ(routes_seen, (std::set<std::string>{"split", "fused",
+                                                  "batch", "shard",
+                                                  "direct"}));
 }
 
 TEST(SweepApi, WantAverageFalseSkipsAveraging)
@@ -484,37 +537,6 @@ TEST(SweepApi, SubBlockEqualsBlockConfigsJoinTheirSectorSiblings)
         fused += routes[c] == "fused";
     }
     EXPECT_EQ(fused, 4u);  // blocks 4, 8, 16, 32
-}
-
-TEST(SweepApi, AutoProbeReadsTheCacheOfASubBlockEqualsBlockConfig)
-{
-    // Probe runners keep a backing Cache for every unified config
-    // under Auto too, sub == block LRU points included.
-    const Fixture fx;
-    std::size_t index = fx.configs.size();
-    for (std::size_t c = 0; c < fx.configs.size(); ++c) {
-        const CacheConfig &config = fx.configs[c];
-        if (config.subBlockSize == config.blockSize &&
-            config.blockSize == 16 &&
-            config.replacement == ReplacementPolicy::LRU)
-            index = c;
-    }
-    ASSERT_LT(index, fx.configs.size());
-
-    SweepRequest request;
-    request.traces = fx.traces;
-    request.configs = fx.configs;
-    std::vector<SweepResult> probed;
-    request.probe = [&](std::size_t,
-                        const ParallelSweepRunner &runner) {
-        EXPECT_EQ(runner.cache(index).config(), fx.configs[index]);
-        probed.push_back(summarizeCache(runner.cache(index)));
-    };
-    const SweepReport report = runSweep(request);
-
-    ASSERT_EQ(probed.size(), fx.traces.size());
-    for (std::size_t t = 0; t < probed.size(); ++t)
-        expectIdentical(probed[t], report.perTrace[t][index]);
 }
 
 TEST(SweepApi, EngineNamesAreStable)
