@@ -30,11 +30,6 @@ Cache::Cache(const CacheConfig &config)
       meta_(geom_.numBlocks()),
       everFilled_(geom_.numBlocks(), 0)
 {
-    // The empty-frame sentinel must be unreachable as a block address:
-    // with blockBits >= 1 the largest block address is 2^31 - 1.
-    if (geom_.blockBits() == 0)
-        fatal("block size 1 is unsupported (%s)",
-              config.fullName().c_str());
 }
 
 template <std::uint32_t A>

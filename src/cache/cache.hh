@@ -172,7 +172,7 @@ class Cache
 
     /** Tag value of an empty frame. Block addresses are 32-bit
      *  addresses shifted right by blockBits >= 1, so the all-ones
-     *  value can never name a real block (the constructor rejects
+     *  value can never name a real block (validateConfig rejects
      *  blockSize 1). */
     static constexpr Addr kNoTag = ~Addr(0);
 

@@ -15,21 +15,31 @@
 #define OCCSIM_CACHE_CACHE_GEOMETRY_HH
 
 #include <cstdint>
+#include <string>
 
 #include "cache/cache_config.hh"
 #include "util/bitops.hh"
 
 namespace occsim {
 
+/**
+ * The one copy of the cache-shape rules: every size a power of two,
+ * word <= sub-block <= block <= net, address bits in [1, 32] and
+ * wider than the block offset, at most 64 sub-blocks per block, block
+ * size at least 2, and a split I/D cache at least two blocks big.
+ * @return "" when @p config is valid, else the reason it is not.
+ * CacheGeometry dies on the same message; validateSweepRequest
+ * (multi/sweep_api.hh) returns it, so a server can refuse a request
+ * that a command-line tool may die on.
+ */
+std::string validateConfig(const CacheConfig &config);
+
 /** Validated, derived dimensions for one CacheConfig. */
 class CacheGeometry
 {
   public:
-    /**
-     * Validate @p config and derive all dimensions. Calls fatal() on
-     * invalid configurations (all sizes must be powers of two,
-     * subBlockSize <= blockSize <= netSize, wordSize <= subBlockSize).
-     */
+    /** Derive all dimensions of @p config. Calls fatal() with
+     *  validateConfig's message when the config is invalid. */
     explicit CacheGeometry(const CacheConfig &config);
 
     const CacheConfig &config() const { return config_; }

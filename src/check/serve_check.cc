@@ -35,7 +35,7 @@ enum class Scenario : std::uint8_t {
     WrongSchema,          ///< valid JSON with the wrong request shape
     UnknownOp,            ///< well-formed request, unrecognized op
     UnknownTrace,         ///< sweep naming a trace the corpus lacks
-    InvalidConfig,        ///< sweep with a config CacheGeometry rejects
+    InvalidConfig,        ///< sweep with a config validateConfig rejects
     InvalidScenario,      ///< multicore scenario the validator rejects
     ScenarioSweep,        ///< multicore + 1-core sweeps must not alias
     AbruptDisconnect,     ///< valid sweep, close after one response
@@ -385,7 +385,7 @@ runServeCheck(const ServeCheckOptions &options)
             case Scenario::InvalidConfig: {
                 WireRequest request = sweepRequest(trace_hash);
                 CacheConfig &config = request.configs[0];
-                switch (rng.below(4)) {
+                switch (rng.below(6)) {
                 case 0:
                     config.netSize = 1000;  // not a power of two
                     break;
@@ -394,6 +394,17 @@ runServeCheck(const ServeCheckOptions &options)
                     break;
                 case 2:
                     config.blockSize = 2 * config.netSize;
+                    break;
+                case 3:
+                    // Block size 1: passes every ordering rule.
+                    config.blockSize = 1;
+                    config.subBlockSize = 1;
+                    config.wordSize = 1;
+                    break;
+                case 4:
+                    // An even split of a one-block cache.
+                    config.netSize = config.blockSize;
+                    config.partition = CachePartition::SplitID;
                     break;
                 default:
                     config.addressBits = 40;
@@ -412,54 +423,47 @@ runServeCheck(const ServeCheckOptions &options)
             case Scenario::InvalidScenario: {
                 // Scenarios the parser or validator must reject: an
                 // out-of-range core count, an unsupported (non-MESI)
-                // config, mismatched per-core shapes, or per-core
-                // shapes alongside a multi-config grid.
-                switch (rng.below(5)) {
-                case 0: {
+                // config, mismatched per-core shapes, per-core shapes
+                // alongside a multi-config grid, or per-core shapes
+                // with an invalid geometry.
+                WireRequest request = scenarioSweepRequest(trace_hash);
+                CacheConfig core = request.configs.front();
+                std::string frame;
+                switch (rng.below(6)) {
+                case 0:
                     // Default makeConfig is write-through: outside
                     // the MESI subset.
-                    WireRequest request = sweepRequest(trace_hash);
+                    request = sweepRequest(trace_hash);
                     request.scenario.cores = 2;
-                    serve::writeFrame(
-                        conn.fd(), serve::wireRequestJson(request));
                     break;
-                }
                 case 1:
-                    serve::writeFrame(
-                        conn.fd(),
-                        "{\"op\":\"sweep\",\"scenario\":"
-                        "{\"cores\":0}}");
+                    frame = "{\"op\":\"sweep\",\"scenario\":"
+                            "{\"cores\":0}}";
                     break;
                 case 2:
-                    serve::writeFrame(
-                        conn.fd(),
-                        "{\"op\":\"sweep\",\"scenario\":"
-                        "{\"cores\":99}}");
+                    frame = "{\"op\":\"sweep\",\"scenario\":"
+                            "{\"cores\":99}}";
                     break;
-                case 3: {
+                case 3:
                     // Three per-core shapes for two cores.
-                    WireRequest request =
-                        scenarioSweepRequest(trace_hash);
-                    request.scenario.coreConfigs.assign(
-                        3, request.configs.front());
-                    serve::writeFrame(
-                        conn.fd(), serve::wireRequestJson(request));
+                    request.scenario.coreConfigs.assign(3, core);
                     break;
-                }
-                default: {
+                case 4:
                     // Per-core shapes must collapse the grid to one
                     // config; send two.
-                    WireRequest request =
-                        scenarioSweepRequest(trace_hash);
-                    request.scenario.coreConfigs.assign(
-                        2, request.configs.front());
-                    request.configs.push_back(
-                        request.configs.front());
-                    serve::writeFrame(
-                        conn.fd(), serve::wireRequestJson(request));
+                    request.scenario.coreConfigs.assign(2, core);
+                    request.configs.push_back(core);
+                    break;
+                default:
+                    // Per-core nets that are not powers of two.
+                    core.netSize = 1000;
+                    request.scenario.coreConfigs.assign(2, core);
                     break;
                 }
-                }
+                serve::writeFrame(conn.fd(),
+                                  frame.empty()
+                                      ? serve::wireRequestJson(request)
+                                      : frame);
                 const std::string last = drainResponses(conn.fd());
                 if (last != "error") {
                     fail(case_seed, "invalid-scenario",

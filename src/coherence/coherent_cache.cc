@@ -19,9 +19,6 @@ CoherentCache::CoherentCache(const CacheConfig &config)
       everFilled_(geom_.numBlocks(), 0),
       mesi_(geom_.numBlocks(), MesiState::Invalid)
 {
-    if (geom_.blockBits() == 0)
-        fatal("block size 1 is unsupported (%s)",
-              config.fullName().c_str());
     occsim_assert(config.write == WritePolicy::CopyBack &&
                       config.writeAllocate &&
                       config.fetch == FetchPolicy::Demand &&

@@ -1,5 +1,6 @@
 #include "coherence/scenario.hh"
 
+#include "cache/cache_geometry.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 
@@ -7,10 +8,14 @@ namespace occsim {
 
 namespace {
 
-/** The coherent engine's supported subset for one core's cache. */
+/** A valid shape inside the coherent engine's supported subset for
+ *  one core's cache. */
 std::string
 validateCoreConfig(const CacheConfig &config, std::uint32_t core)
 {
+    const std::string shape = validateConfig(config);
+    if (!shape.empty())
+        return strfmt("core %u: %s", core, shape.c_str());
     if (config.write != WritePolicy::CopyBack) {
         return strfmt("core %u: MESI is a write-back protocol; the "
                       "scenario requires copy-back caches",

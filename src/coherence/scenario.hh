@@ -14,10 +14,11 @@
  * Multicore scenarios (cores >= 2) route to the coherent MESI engine
  * (coherence/coherent_system.hh), which supports the protocol's
  * natural subset: copy-back, write-allocate, demand fetch, unified
- * caches. validateScenario() enforces that subset up front with a
- * human-readable error, shared by runSweep() and the sweep server so
- * the wire protocol can never smuggle an unsupported scenario past
- * the API.
+ * caches. validateScenario() enforces that subset, and every core's
+ * cache shape (validateConfig), up front with a human-readable error;
+ * validateSweepRequest() calls it for runSweep() and the sweep server
+ * alike, so the wire protocol can never smuggle an unsupported
+ * scenario past the API.
  */
 
 #ifndef OCCSIM_COHERENCE_SCENARIO_HH
@@ -54,7 +55,9 @@ struct ScenarioConfig
 
 /**
  * Validate @p scenario against the sweep grid @p configs.
- * @return "" when valid, else one human-readable reason. A 1-core
+ * @return "" when valid, else one human-readable reason. A multicore
+ * scenario checks every core's effective config, per-core shapes
+ * included, against validateConfig and the MESI subset. A 1-core
  * scenario with no per-core configs is always valid (it is the
  * pre-redesign request shape).
  */

@@ -732,10 +732,6 @@ FusedReplay::FusedReplay(const std::vector<CacheConfig> &configs,
                       config.fullName().c_str());
     }
     const CacheGeometry geom(configs_.front());
-    if (geom.blockBits() == 0) {
-        fatal("block size 1 is unsupported (%s)",
-              configs_.front().fullName().c_str());
-    }
     occsim_assert(num_shards >= 1 && isPowerOfTwo(num_shards) &&
                       num_shards <= geom.numSets() &&
                       num_shards <= kMaxShards,

@@ -4,9 +4,11 @@
 #include <chrono>
 #include <functional>
 
+#include "cache/cache_geometry.hh"
 #include "coherence/coherent_system.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
 
 namespace occsim {
 
@@ -161,48 +163,54 @@ sweepEngineName(SweepEngine engine)
     return "unknown";
 }
 
+std::string
+validateSweepRequest(const SweepRequest &request)
+{
+    if (request.traces.empty() == request.packedTraces.empty())
+        return "a sweep takes either traces or packedTraces, not both "
+               "or neither";
+    if (request.configs.empty())
+        return "sweep request names no configs";
+    if (std::count(request.traces.begin(), request.traces.end(),
+                   nullptr) +
+            std::count(request.packedTraces.begin(),
+                       request.packedTraces.end(), nullptr) >
+        0)
+        return "null trace in sweep request";
+    for (const CacheConfig &config : request.configs) {
+        std::string why = validateConfig(config);
+        if (why.empty() && request.engine == SweepEngine::Sampled &&
+            config.partition != CachePartition::Unified)
+            why = "the sampling engine runs unified caches only";
+        if (!why.empty()) {
+            return strfmt("invalid config %s: %s",
+                          config.shortName().c_str(), why.c_str());
+        }
+    }
+    const std::string why =
+        validateScenario(request.scenario, request.configs);
+    if (!why.empty())
+        return "invalid scenario: " + why;
+    // A multicore scenario runs on the coherent engine alone, and
+    // packed records carry no MemRef stream for the direct engine.
+    if ((request.scenario.multicore() || !request.packedTraces.empty()) &&
+        request.engine != SweepEngine::Auto) {
+        return strfmt("%s requires SweepEngine::Auto (got %s)",
+                      request.scenario.multicore()
+                          ? "a multicore scenario"
+                          : "packedTraces",
+                      sweepEngineName(request.engine));
+    }
+    return "";
+}
+
 SweepReport
 runSweep(const SweepRequest &request)
 {
-    const bool packed_path = !request.packedTraces.empty();
-    occsim_assert(packed_path || !request.traces.empty(),
-                  "no traces to sweep");
-    occsim_assert(!packed_path || request.traces.empty(),
-                  "traces and packedTraces are mutually exclusive");
-    occsim_assert(!request.configs.empty(),
-                  "sweep needs at least one config");
-    for (const auto &trace : request.traces)
-        occsim_assert(trace != nullptr, "null trace in sweep request");
-    for (const auto &trace : request.packedTraces)
-        occsim_assert(trace != nullptr,
-                      "null packed trace in sweep request");
-    const std::string scenario_error =
-        validateScenario(request.scenario, request.configs);
-    occsim_assert(scenario_error.empty(), "invalid scenario: %s",
-                  scenario_error.c_str());
+    const std::string invalid = validateSweepRequest(request);
+    occsim_assert(invalid.empty(), "invalid sweep request: %s",
+                  invalid.c_str());
     const bool multicore = request.scenario.multicore();
-    if (multicore) {
-        occsim_assert(request.engine == SweepEngine::Auto,
-                      "multicore scenarios route every config to the "
-                      "coherent engine; the %s policy does not apply",
-                      sweepEngineName(request.engine));
-    }
-    if (request.engine == SweepEngine::Sampled) {
-        for (const CacheConfig &config : request.configs) {
-            occsim_assert(config.partition == CachePartition::Unified,
-                          "split I/D configs are not supported by the "
-                          "sampling engine (%s)",
-                          config.shortName().c_str());
-        }
-    }
-    if (packed_path && !multicore) {
-        // Packed records carry no MemRef stream, so only the packed
-        // replay engines can serve this path.
-        occsim_assert(request.engine == SweepEngine::Auto,
-                      "packedTraces requires SweepEngine::Auto (the "
-                      "%s policy needs a MemRef stream)",
-                      sweepEngineName(request.engine));
-    }
 
     const auto start = std::chrono::steady_clock::now();
 
@@ -268,11 +276,17 @@ runSweep(const SweepRequest &request)
         obs::telemetry().counterAdd("sweep.refs", simulated);
     }
 
-    // Session manifest: trace identities, routing, and timing.
+    // Trace identities, routing and timing go to the session
+    // manifest and, for this sweep alone, to report.manifest.
+    report.manifest = obs::manifestHeader();
     for (const auto &trace : request.traces)
-        obs::recordTrace(trace->name(), trace->refs().size());
+        report.manifest.traces.push_back(
+            obs::TraceRecord{trace->name(), trace->refs().size()});
     for (const auto &trace : request.packedTraces)
-        obs::recordTrace(trace->name(), trace->size());
+        report.manifest.traces.push_back(
+            obs::TraceRecord{trace->name(), trace->size()});
+    for (const obs::TraceRecord &trace : report.manifest.traces)
+        obs::recordTrace(trace.name, trace.refs);
 
     record.label = request.label.empty() ? "sweep" : request.label;
     record.engineMode = sweepEngineName(request.engine);
@@ -350,8 +364,7 @@ runSweep(const SweepRequest &request)
         record.routes.push_back(route);
     }
     obs::recordSweep(record);
-
-    report.manifest = obs::currentManifest();
+    report.manifest.sweeps.push_back(std::move(record));
     return report;
 }
 

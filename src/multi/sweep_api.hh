@@ -7,7 +7,8 @@
  *   request.traces = buildSuiteTraces(suite);
  *   request.configs = paperGrid(1024, 2);
  *   SweepReport report = runSweep(request);
- *   // report.perTrace, report.average, report.manifest
+ *   // report.perTrace, report.average, and report.manifest: this
+ *   // sweep's own record (the session's is obs::currentManifest())
  *
  * Everything else is a field of the request: engine policy, explicit
  * pool, reference cap and a telemetry sink. Every result carries its
@@ -123,15 +124,28 @@ struct SweepReport
      *  trace size), summed over traces). */
     std::uint64_t refs = 0;
 
-    /** Manifest of the run so far, including this sweep: trace
-     *  identities, engine routing per config, stage wall times. */
+    /** Manifest of this sweep alone: the build header, this sweep's
+     *  trace identities and its one SweepRecord (engine routing per
+     *  config, wall time). The session's manifest, every sweep and
+     *  served request plus telemetry, is obs::currentManifest(). */
     obs::RunManifest manifest;
 };
 
 /**
+ * The one gate on a sweep's shape, shared by runSweep and the sweep
+ * server: traces (MemRef or packed, not both, no nulls), a non-empty
+ * grid whose every config passes validateConfig, a valid scenario
+ * (validateScenario), and an engine policy that fits the request.
+ * @return "" when @p request can run, else the reason it cannot.
+ */
+std::string validateSweepRequest(const SweepRequest &request);
+
+/**
  * Run @p request: every config over every trace, partitioned across
  * the pool, routed per SweepRequest::engine. The one supported sweep
- * entry point; bit-identical whichever engine serves a config.
+ * entry point; bit-identical whichever engine serves a config. A
+ * request validateSweepRequest rejects is a programmer error: it
+ * panics.
  */
 SweepReport runSweep(const SweepRequest &request);
 

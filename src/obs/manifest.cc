@@ -190,13 +190,23 @@ setManifestBinary(const std::string &name)
 }
 
 RunManifest
-currentManifest()
+manifestHeader()
 {
     RunManifest manifest;
     manifest.git = OCCSIM_GIT_DESCRIBE;
     manifest.buildType = OCCSIM_BUILD_TYPE;
     manifest.buildFlags = OCCSIM_BUILD_FLAGS;
     manifest.threads = configuredThreadCount();
+    Session &s = session();
+    std::lock_guard<std::mutex> lock(s.mutex);
+    manifest.binary = s.binary.empty() ? processName() : s.binary;
+    return manifest;
+}
+
+RunManifest
+currentManifest()
+{
+    RunManifest manifest = manifestHeader();
     manifest.stages = telemetry().stages();
     manifest.counters = telemetry().counters();
 
@@ -205,7 +215,6 @@ currentManifest()
     {
         Session &s = session();
         std::lock_guard<std::mutex> lock(s.mutex);
-        manifest.binary = s.binary.empty() ? processName() : s.binary;
         manifest.traces = s.traces;
         manifest.sweeps = s.sweeps;
         manifest.serves = s.serves;

@@ -17,8 +17,9 @@
  * names a path (or a CLI passes one to setManifestPath()), telemetry
  * is enabled and the process writes its manifest there at exit —
  * every bench and harness binary gets this for free through the
- * library hooks. SweepReport additionally carries a manifest built
- * at the end of each runSweep() call, regardless of the environment.
+ * library hooks. SweepReport additionally carries the manifest of its
+ * own sweep (header, traces, one sweep record), regardless of the
+ * environment.
  */
 
 #ifndef OCCSIM_OBS_MANIFEST_HH
@@ -205,6 +206,10 @@ std::string manifestPath();
 /** Override the binary name recorded in manifests (defaults to the
  *  process name). */
 void setManifestBinary(const std::string &name);
+
+/** A manifest holding only the identity header: binary, git, build
+ *  and configured threads. */
+RunManifest manifestHeader();
 
 /** Assemble the manifest of everything recorded so far: session
  *  traces and sweeps plus a snapshot of the global telemetry. */

@@ -8,8 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "cache/cache_geometry.hh"
 #include "multi/sweep_api.hh"
-#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -62,33 +62,9 @@ resultFrame(const std::string &trace_hash, std::size_t trace_index,
 } // namespace
 
 std::string
-validateServeConfig(const CacheConfig &c)
+validateServeConfig(const CacheConfig &config)
 {
-    // The same rules CacheGeometry enforces with fatal(): a daemon
-    // must refuse what a CLI may die on.
-    if (!isPowerOfTwo(c.netSize) || !isPowerOfTwo(c.blockSize) ||
-        !isPowerOfTwo(c.subBlockSize) || !isPowerOfTwo(c.assoc) ||
-        !isPowerOfTwo(c.wordSize))
-        return "cache dimensions must be non-zero powers of two";
-    if (c.subBlockSize > c.blockSize)
-        return strfmt("sub-block size %u exceeds block size %u",
-                      c.subBlockSize, c.blockSize);
-    if (c.blockSize > c.netSize)
-        return strfmt("block size %u exceeds net cache size %u",
-                      c.blockSize, c.netSize);
-    if (c.wordSize > c.subBlockSize)
-        return strfmt("word size %u exceeds sub-block size %u",
-                      c.wordSize, c.subBlockSize);
-    if (c.addressBits == 0 || c.addressBits > 32)
-        return strfmt("address bits must be in [1, 32] (got %u)",
-                      c.addressBits);
-    if (c.addressBits <= floorLog2(c.blockSize))
-        return "address space smaller than one block";
-    if (c.blockSize / c.subBlockSize > 64)
-        return strfmt("more than 64 sub-blocks per block (%u) is "
-                      "unsupported",
-                      c.blockSize / c.subBlockSize);
-    return "";
+    return validateConfig(config);
 }
 
 SweepServer::SweepServer(ServeOptions options)
@@ -240,10 +216,6 @@ SweepServer::executeSweep(
         return false;
     };
 
-    if (request.traces.empty())
-        return reject("sweep request names no traces");
-    if (request.configs.empty())
-        return reject("sweep request names no configs");
     const std::size_t nt = request.traces.size();
     const std::size_t nc = request.configs.size();
     if (nt * nc > kMaxRequestCells) {
@@ -251,36 +223,37 @@ SweepServer::executeSweep(
                              "%zu cell cap",
                              nt, nc, kMaxRequestCells));
     }
-    for (const CacheConfig &config : request.configs) {
-        const std::string why = validateServeConfig(config);
-        if (!why.empty()) {
-            return reject(strfmt("invalid config %s: %s",
-                                 config.shortName().c_str(),
-                                 why.c_str()));
-        }
-    }
-    {
-        // Same gate runSweep enforces with a fatal assert: the wire
-        // must never smuggle an unsupported scenario into the engine.
-        const std::string why =
-            validateScenario(request.scenario, request.configs);
-        if (!why.empty())
-            return reject(strfmt("invalid scenario: %s", why.c_str()));
-    }
 
     // Resolve every trace against the corpus up front; an unknown or
     // corrupt trace rejects the request before any work is queued.
     std::vector<std::string> hashes(nt);
-    std::vector<std::shared_ptr<const PackedTrace>> mapped(nt);
+    SweepRequest sweep;
+    sweep.packedTraces.resize(nt);
     for (std::size_t t = 0; t < nt; ++t) {
         std::string error;
         hashes[t] = corpus_.resolve(request.traces[t], &error);
         if (hashes[t].empty())
             return reject(error);
-        mapped[t] = corpus_.open(hashes[t], &error);
-        if (!mapped[t])
+        sweep.packedTraces[t] = corpus_.open(hashes[t], &error);
+        if (!sweep.packedTraces[t])
             return reject(error);
     }
+
+    // The whole wire request as one SweepRequest, checked by the same
+    // gate runSweep asserts on: the wire must never smuggle a shape
+    // the engines cannot run.
+    const std::string label =
+        request.label.empty() ? "serve" : request.label;
+    sweep.configs = request.configs;
+    sweep.scenario = request.scenario;
+    sweep.maxRefs = request.maxRefs;
+    sweep.pool = options_.pool;
+    sweep.wantAverage = false;
+    sweep.label = "serve:" + label;
+    sweep.telemetry = options_.telemetry;
+    const std::string invalid = validateSweepRequest(sweep);
+    if (!invalid.empty())
+        return reject(invalid);
 
     sweeps_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t cells = nt * nc;
@@ -339,10 +312,9 @@ SweepServer::executeSweep(
         missing = std::move(ordered);
     }
 
-    // Queue one job per (trace, config tile). Tiles are the fairness
+    // Queue one job per (trace, config tile): a copy of the request
+    // narrowed to that trace and those configs. Tiles are the fairness
     // and streaming granularity (see the file comment in server.hh).
-    const std::string label =
-        request.label.empty() ? "serve" : request.label;
     for (std::size_t t = 0; t < nt; ++t) {
         const auto &missing = miss_configs[t];
         for (std::size_t base = 0; base < missing.size();
@@ -351,26 +323,17 @@ SweepServer::executeSweep(
                 missing.size(), base + options_.streamTile);
             std::vector<std::size_t> tile(missing.begin() + base,
                                           missing.begin() + end);
+            SweepRequest narrowed = sweep;
+            narrowed.packedTraces = {sweep.packedTraces[t]};
+            narrowed.configs.clear();
+            for (const std::size_t c : tile)
+                narrowed.configs.push_back(sweep.configs[c]);
             Job job;
             job.priority = request.priority;
-            job.work = [this, state, trace = mapped[t], t, nc,
-                        tile = std::move(tile),
-                        configs = request.configs,
-                        scenario = request.scenario,
-                        max_refs = request.maxRefs, label] {
-                SweepRequest sweep;
-                sweep.packedTraces = {trace};
-                sweep.configs.reserve(tile.size());
-                for (const std::size_t c : tile)
-                    sweep.configs.push_back(configs[c]);
-                sweep.scenario = scenario;
-                sweep.maxRefs = max_refs;
-                sweep.pool = options_.pool;
-                sweep.wantAverage = false;
-                sweep.label = "serve:" + label;
-                sweep.telemetry = options_.telemetry;
+            job.work = [this, state, t, nc, tile = std::move(tile),
+                        narrowed = std::move(narrowed)] {
                 try {
-                    const SweepReport report = runSweep(sweep);
+                    const SweepReport report = runSweep(narrowed);
                     for (std::size_t k = 0; k < tile.size(); ++k) {
                         const std::size_t cell = t * nc + tile[k];
                         const SweepResult &result =

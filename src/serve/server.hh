@@ -34,10 +34,14 @@
  * the run manifest (auditable via occsim-report).
  *
  * Failure containment: a malformed frame or request is answered with
- * an error frame and never reaches an engine; configs are validated
- * with the same rules CacheGeometry enforces fatally; a client that
- * disconnects mid-stream stops its emission but queued tiles still
- * complete and populate the cache (the work is never wasted).
+ * an error frame and never reaches an engine. After its traces
+ * resolve, the whole request is checked by validateSweepRequest
+ * (multi/sweep_api.hh), the gate runSweep itself asserts on, so every
+ * shape rule (validateConfig, validateScenario, engine policy) has
+ * one home and a request the engines cannot run is an error frame,
+ * never an abort. A client that disconnects mid-stream stops its
+ * emission but queued tiles still complete and populate the cache
+ * (the work is never wasted).
  */
 
 #ifndef OCCSIM_SERVE_SERVER_HH
@@ -229,8 +233,8 @@ class SweepServer
     std::atomic<std::uint64_t> rejected_{0};
 };
 
-/** Non-fatal spelling of CacheGeometry's validation: @return "" when
- *  @p config is servable, else the reason a daemon must refuse it. */
+/** Forwards to validateConfig (cache/cache_geometry.hh), for clients
+ *  that filter configs before they build a wire request. */
 std::string validateServeConfig(const CacheConfig &config);
 
 } // namespace occsim::serve

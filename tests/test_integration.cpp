@@ -19,12 +19,44 @@
 #include "workload/suites.hh"
 
 #include "env_guard.hh"
+#include "sweep_expect.hh"
 
 using namespace occsim;
 
 namespace {
 
 constexpr std::uint64_t kRefs = 600000;
+
+/**
+ * Table 6's grid (the 360/85 sector cache, then its 4-, 8- and 16-way
+ * comparators) over the S/360 suite through runSweep under Auto,
+ * DirectOnly and OCCSIM_SHARD=1, in that order. Built once: both
+ * Table 6 claims read it.
+ */
+const std::vector<SweepReport> &
+table6Reports()
+{
+    static const std::vector<SweepReport> reports = [] {
+        const Suite suite = s360Model85Suite();
+        SweepRequest request;
+        request.traces = buildSuiteTraces(suite, kRefs);
+        request.configs = {make360Model85Config(suite.profile.wordSize)};
+        for (const CacheConfig &config :
+             table6Comparators(suite.profile.wordSize))
+            request.configs.push_back(config);
+
+        std::vector<SweepReport> out;
+        for (const std::string mode : {"auto", "direct", "shard"}) {
+            const EnvGuard guard("OCCSIM_SHARD",
+                                 mode == "shard" ? "1" : nullptr);
+            request.engine = mode == "direct" ? SweepEngine::DirectOnly
+                                              : SweepEngine::Auto;
+            out.push_back(runSweep(request));
+        }
+        return out;
+    }();
+    return reports;
+}
 
 } // namespace
 
@@ -149,28 +181,19 @@ TEST(Integration, LoadForwardTable8Shape)
 TEST(Integration, SectorCacheThreeTimesWorse)
 {
     // Table 6's headline: the 360/85 organisation misses roughly 3x
-    // more than 4-way set-associative at equal size. Allow a wide
-    // band (substitute workloads) but require a clear gap.
-    const Suite suite = s360Model85Suite();
-    double sector_sum = 0.0;
-    double assoc_sum = 0.0;
-    for (const WorkloadSpec &spec : suite.traces) {
-        VectorTrace trace = buildTrace(spec, kRefs);
-        SectorCache360Model85 sector(4);
-        sector.run(trace);
-        sector_sum += sector.stats().missRatio();
+    // more than 4-way set-associative at equal size (paper 2.9x).
+    // The batched, direct and sharded routes must agree bit for bit.
+    const std::vector<SweepReport> &reports = table6Reports();
+    expectIdenticalGrid(reports[1].perTrace, reports[0].perTrace);
+    expectIdenticalGrid(reports[2].perTrace, reports[0].perTrace);
 
-        trace.reset();
-        CacheConfig config;
-        config.netSize = 16 * 1024;
-        config.blockSize = 64;
-        config.subBlockSize = 64;
-        config.wordSize = 4;
-        Cache modern(config);
-        modern.run(trace);
-        assoc_sum += modern.stats().missRatio();
-    }
-    EXPECT_GT(sector_sum, 1.5 * assoc_sum);
+    // The shape: a clear gap, above the paper's own 2.9x. The band
+    // is +-0.1 around the ratio measured at this trace length (3.84;
+    // EXPERIMENTS.md's full-length run reads 3.4).
+    const std::vector<SweepResult> &average = reports[0].average;
+    const double ratio = average[0].missRatio / average[1].missRatio;
+    EXPECT_GT(ratio, 3.0);
+    EXPECT_NEAR(ratio, 3.84, 0.1);
 }
 
 TEST(Integration, MostSectorSubBlocksAreNeverReferenced)
@@ -179,23 +202,9 @@ TEST(Integration, MostSectorSubBlocksAreNeverReferenced)
     // sector are never referenced (paper: 11.52 of 16, 72%). The
     // residency pair rides on SweepResult, so the batched, direct and
     // (OCCSIM_SHARD=1) sharded routes must all read the same value.
-    const Suite suite = s360Model85Suite();
-    SweepRequest request;
-    request.traces = buildSuiteTraces(suite, kRefs);
-    request.configs = {make360Model85Config(suite.profile.wordSize)};
-    for (const CacheConfig &config :
-         table6Comparators(suite.profile.wordSize))
-        request.configs.push_back(config);
-
     std::vector<double> never;
-    for (const std::string mode : {"auto", "direct", "shard"}) {
-        const EnvGuard guard("OCCSIM_SHARD",
-                             mode == "shard" ? "1" : nullptr);
-        request.engine = mode == "direct" ? SweepEngine::DirectOnly
-                                          : SweepEngine::Auto;
-        never.push_back(
-            runSweep(request).average.front().neverReferencedFraction);
-    }
+    for (const SweepReport &report : table6Reports())
+        never.push_back(report.average.front().neverReferencedFraction);
     EXPECT_EQ(never[1], never[0]);
     EXPECT_EQ(never[2], never[0]);
 

@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
 #include "multi/sweep_api.hh"
 #include "obs/json.hh"
@@ -158,6 +160,26 @@ class ServeTest : public ::testing::Test
         request.maxRefs = kRefs / 2;
         request.label = "test_serve";
         return request;
+    }
+
+    /** Sweeps whose every config and scenario parse cleanly but that
+     *  no engine can run: block size 1, an even split of a one-block
+     *  cache, and a 2-core scenario with non-power-of-two per-core
+     *  nets. Each one used to abort the server inside runSweep. */
+    std::vector<WireRequest> unrunnableSweeps() const
+    {
+        std::vector<WireRequest> out(3, sweepRequest());
+        out[0].configs = {makeConfig(1024, 1, 1, 1)};
+        CacheConfig split = makeConfig(16, 16, 8, 2);
+        split.partition = CachePartition::SplitID;
+        out[1].configs = {split};
+        CacheConfig mesi = makeConfig(1024, 16, 8, 2);
+        mesi.write = WritePolicy::CopyBack;
+        out[2].configs = {mesi};
+        out[2].scenario.cores = 2;
+        mesi.netSize = 1000;
+        out[2].scenario.coreConfigs = {mesi, mesi};
+        return out;
     }
 
     std::string dir_;
@@ -338,7 +360,37 @@ TEST_F(ServeTest, InvalidRequestsAreRejectedWithErrorFrames)
     bad_geometry.configs[0].netSize = 1000;  // not a power of two
     reject(bad_geometry);
 
-    EXPECT_GE(server_->stats().rejected, 4u);
+    for (const WireRequest &unrunnable : unrunnableSweeps())
+        reject(unrunnable);
+
+    EXPECT_GE(server_->stats().rejected, 7u);
+}
+
+TEST_F(ServeTest, UnrunnableSweepsGetErrorFramesAndTheConnectionLives)
+{
+    const std::string socket_path = dir_ + "/serve.sock";
+    ASSERT_TRUE(server_->startUnix(socket_path));
+    const int fd = connectUnix(socket_path);
+    ASSERT_GE(fd, 0);
+
+    WireRequest ping;
+    ping.op = "ping";
+    for (const WireRequest &request : unrunnableSweeps()) {
+        ASSERT_TRUE(writeFrame(fd, wireRequestJson(request)));
+        std::string payload;
+        ASSERT_EQ(readFrame(fd, payload), FrameStatus::Ok);
+        EXPECT_NE(payload.find("\"type\":\"error\""),
+                  std::string::npos)
+            << payload;
+
+        // The same connection still answers.
+        ASSERT_TRUE(writeFrame(fd, wireRequestJson(ping)));
+        ASSERT_EQ(readFrame(fd, payload), FrameStatus::Ok);
+        EXPECT_NE(payload.find("pong"), std::string::npos) << payload;
+    }
+
+    ::close(fd);
+    server_->stop();
 }
 
 TEST_F(ServeTest, ConcurrentClientsEachSeeBitIdenticalStreams)
@@ -442,20 +494,85 @@ TEST_F(ServeTest, SocketRoundTripStreamsTheSameFrames)
     EXPECT_EQ(server_->activeConnections(), 0u);
 }
 
+namespace {
+
+/** @p text as a POSIX extended regex matching itself literally. */
+std::string
+literalRegex(const std::string &text)
+{
+    std::string out;
+    for (const char ch : text) {
+        if (std::string_view("\\^$.|?*+()[]{}").find(ch) !=
+            std::string_view::npos)
+            out += '\\';
+        out += ch;
+    }
+    return out;
+}
+
+} // namespace
+
 TEST(ServeConfigValidation, MirrorsGeometryRulesNonFatally)
 {
-    CacheConfig good = makeConfig(1024, 16, 8, 2);
+    // The forked children re-run this test alone: the suite's other
+    // tests leave pool threads behind that fork would not copy.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+
+    const CacheConfig good = makeConfig(1024, 16, 8, 2);
+    EXPECT_EQ(validateConfig(good), "");
     EXPECT_EQ(validateServeConfig(good), "");
 
-    CacheConfig bad = good;
-    bad.netSize = 1000;
-    EXPECT_NE(validateServeConfig(bad), "");
+    struct Case
+    {
+        const char *rule;
+        CacheConfig config;
+    };
+    std::vector<Case> cases(9, Case{"", good});
+    cases[0].rule = "powers of two";
+    cases[0].config.netSize = 1000;
+    cases[1].rule = "sub-block <= block";
+    cases[1].config.subBlockSize = 32;
+    cases[2].rule = "block <= net";
+    cases[2].config.blockSize = 2048;
+    cases[3].rule = "word <= sub-block";
+    cases[3].config.wordSize = 16;
+    cases[4].rule = "address bits in [1, 32]";
+    cases[4].config.addressBits = 40;
+    cases[5].rule = "address space holds a block";
+    cases[5].config.addressBits = 4;
+    cases[6].rule = "at most 64 sub-blocks";
+    cases[6].config = makeConfig(1024, 1024, 8, 2);
+    cases[7].rule = "block size >= 2";
+    cases[7].config = makeConfig(1024, 1, 1, 1);
+    cases[8].rule = "split net >= 2 blocks";
+    cases[8].config = makeConfig(16, 16, 8, 2);
+    cases[8].config.partition = CachePartition::SplitID;
 
-    bad = good;
-    bad.subBlockSize = 32;  // sub > block
-    EXPECT_NE(validateServeConfig(bad), "");
+    // A split cache two blocks big is fine.
+    CacheConfig split_ok = makeConfig(32, 16, 8, 2);
+    split_ok.partition = CachePartition::SplitID;
+    EXPECT_EQ(validateConfig(split_ok), "");
 
-    bad = good;
-    bad.addressBits = 40;
-    EXPECT_NE(validateServeConfig(bad), "");
+    for (const Case &c : cases) {
+        const std::string why = validateConfig(c.config);
+        ASSERT_NE(why, "") << c.rule;
+        EXPECT_EQ(validateServeConfig(c.config), why) << c.rule;
+        // CacheGeometry dies on exactly the message the validator
+        // returns, so the two cannot drift apart.
+        EXPECT_EXIT(CacheGeometry(c.config),
+                    ::testing::ExitedWithCode(1), literalRegex(why))
+            << c.rule;
+    }
+
+    // Per-core shapes go through the same rules.
+    CacheConfig mesi = good;
+    mesi.write = WritePolicy::CopyBack;
+    ScenarioConfig scenario;
+    scenario.cores = 2;
+    scenario.coreConfigs = {mesi, cases[0].config};
+    scenario.coreConfigs[1].write = WritePolicy::CopyBack;
+    const std::string core_why = validateScenario(scenario, {mesi});
+    EXPECT_NE(core_why.find(validateConfig(scenario.coreConfigs[1])),
+              std::string::npos)
+        << core_why;
 }

@@ -358,6 +358,79 @@ TEST(SweepApi, ReportManifestIsValidSchemaJson)
     EXPECT_GE(traces->items.size(), 2u);
 }
 
+TEST(SweepApi, ReportManifestCarriesOnlyItsOwnSweep)
+{
+    // The session keeps every sweep; each report carries its own.
+    const Fixture fx;
+    SweepRequest request;
+    request.traces = fx.traces;
+    request.configs = {fx.configs.front()};
+    for (int i = 0; i < 3; ++i) {
+        request.label = "own-sweep-" + std::to_string(i);
+        const SweepReport report = runSweep(request);
+        ASSERT_EQ(report.manifest.sweeps.size(), 1u);
+        EXPECT_EQ(report.manifest.sweeps[0].label, request.label);
+        ASSERT_EQ(report.manifest.traces.size(), fx.traces.size());
+        for (std::size_t t = 0; t < fx.traces.size(); ++t) {
+            EXPECT_EQ(report.manifest.traces[t].name,
+                      fx.traces[t]->name());
+            EXPECT_EQ(report.manifest.traces[t].refs,
+                      fx.traces[t]->refs().size());
+        }
+        EXPECT_EQ(report.manifest.schema, "occsim.run_manifest/1");
+        EXPECT_FALSE(report.manifest.binary.empty());
+    }
+    EXPECT_GE(obs::currentManifest().sweeps.size(), 3u);
+}
+
+TEST(SweepApi, ValidateSweepRequestNamesEachRejection)
+{
+    const Fixture fx;
+    SweepRequest good;
+    good.traces = fx.traces;
+    good.configs = fx.configs;
+    EXPECT_EQ(validateSweepRequest(good), "");
+
+    const auto packed = packedTraceShared(fx.traces.front());
+    CacheConfig mesi = fx.configs.front();
+    mesi.write = WritePolicy::CopyBack;
+    mesi.writeAllocate = true;
+    mesi.fetch = FetchPolicy::Demand;
+    CacheConfig split = fx.configs.front();
+    split.partition = CachePartition::SplitID;
+
+    std::vector<SweepRequest> bad(11, good);
+    bad[0].traces.clear();                       // no traces
+    bad[1].packedTraces = {packed};              // both trace kinds
+    bad[2].configs.clear();                      // no configs
+    bad[3].traces.push_back(nullptr);            // null trace
+    bad[4].traces.clear();                       // null packed trace
+    bad[4].packedTraces = {nullptr};
+    bad[5].configs[0].blockSize = 1;             // invalid config
+    bad[5].configs[0].subBlockSize = 1;
+    bad[5].configs[0].wordSize = 1;
+    bad[6].scenario.cores = 0;                   // invalid scenario
+    bad[7].configs = {mesi};                     // multicore, not Auto
+    bad[7].scenario.cores = 2;
+    bad[7].engine = SweepEngine::DirectOnly;
+    bad[8].configs = {split};                    // split under Sampled
+    bad[8].engine = SweepEngine::Sampled;
+    bad[9].traces.clear();                       // packed, not Auto
+    bad[9].packedTraces = {packed};
+    bad[9].engine = SweepEngine::DirectOnly;
+    bad[10].configs = {mesi};                    // bad per-core shape
+    bad[10].scenario.cores = 2;
+    bad[10].scenario.coreConfigs = {mesi, mesi};
+    bad[10].scenario.coreConfigs[1].netSize = 1000;
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        EXPECT_NE(validateSweepRequest(bad[i]), "") << "case " << i;
+
+    // runSweep asserts on the same gate.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(runSweep(bad[5]), "invalid sweep request: invalid "
+                                   "config");
+}
+
 TEST(SweepApi, CrossCheckRoutesExactlyLikeAuto)
 {
     // Six traces of one shard-eligible config: the six batch tiles
