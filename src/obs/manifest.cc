@@ -1,6 +1,7 @@
 #include "obs/manifest.hh"
 
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 
 #include "obs/json.hh"
@@ -32,8 +33,10 @@ struct Session
     std::string path;
     std::string binary;
     std::vector<TraceRecord> traces;
-    std::vector<SweepRecord> sweeps;
-    std::vector<ServeRecord> serves;
+    /** The newest kMaxRecordedSweeps of each; older ones are
+     *  dropped and counted. */
+    std::deque<SweepRecord> sweeps;
+    std::deque<ServeRecord> serves;
     std::uint64_t sweepsDropped = 0;
     std::uint64_t servesDropped = 0;
     bool atexitRegistered = false;
@@ -104,6 +107,20 @@ appendEngineUsage(std::vector<EngineUsage> &engines,
     engines.push_back(usage);
 }
 
+/** Append @p record to @p records, dropping (and counting) the
+ *  oldest once kMaxRecordedSweeps are held. */
+template <typename Record>
+void
+retainNewest(std::deque<Record> &records, std::uint64_t &dropped,
+             const Record &record)
+{
+    if (records.size() >= kMaxRecordedSweeps) {
+        records.pop_front();
+        ++dropped;
+    }
+    records.push_back(record);
+}
+
 } // namespace
 
 void
@@ -123,11 +140,7 @@ recordSweep(const SweepRecord &record)
 {
     Session &s = session();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.sweeps.size() >= kMaxRecordedSweeps) {
-        ++s.sweepsDropped;
-        return;
-    }
-    s.sweeps.push_back(record);
+    retainNewest(s.sweeps, s.sweepsDropped, record);
 }
 
 void
@@ -135,11 +148,7 @@ recordServe(const ServeRecord &record)
 {
     Session &s = session();
     std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.serves.size() >= kMaxRecordedSweeps) {
-        ++s.servesDropped;
-        return;
-    }
-    s.serves.push_back(record);
+    retainNewest(s.serves, s.servesDropped, record);
 }
 
 void
@@ -216,8 +225,8 @@ currentManifest()
         Session &s = session();
         std::lock_guard<std::mutex> lock(s.mutex);
         manifest.traces = s.traces;
-        manifest.sweeps = s.sweeps;
-        manifest.serves = s.serves;
+        manifest.sweeps.assign(s.sweeps.begin(), s.sweeps.end());
+        manifest.serves.assign(s.serves.begin(), s.serves.end());
         dropped = s.sweepsDropped;
         serves_dropped = s.servesDropped;
     }

@@ -133,7 +133,8 @@ struct ServeRecord
 };
 
 /** Record one served request into the process session (same
- *  retention cap as sweeps). */
+ *  newest-kept retention cap as sweeps, counted in
+ *  "serves_dropped"). */
 void recordServe(const ServeRecord &record);
 
 /** Derived per-engine totals (from the engine.* telemetry). */
@@ -177,13 +178,15 @@ struct RunManifest
  */
 void recordTrace(const std::string &name, std::uint64_t refs);
 
-/** Record one finished sweep into the process session. Recording is
+/** Record one finished sweep into the process session. Retention is
  *  capped (kMaxRecordedSweeps) so unbounded loops of tiny sweeps —
- *  e.g. the differential fuzzer — cannot grow memory without bound;
- *  a "sweeps_dropped" counter reports any overflow. */
+ *  e.g. the differential fuzzer — cannot grow memory without bound.
+ *  The newest records are kept: past the cap each new record drops
+ *  the oldest, and a "sweeps_dropped" counter reports how many. */
 void recordSweep(const SweepRecord &record);
 
-/** Sweep-record retention cap (overflow is counted, not silent). */
+/** Sweep- and serve-record retention cap (overflow drops the oldest
+ *  records and is counted, not silent). */
 constexpr std::size_t kMaxRecordedSweeps = 4096;
 
 /**

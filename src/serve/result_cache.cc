@@ -28,7 +28,7 @@ ResultCache::key(const std::string &trace_hash, std::uint64_t max_refs,
 }
 
 bool
-ResultCache::lookup(const std::string &key, CachedResult &out)
+ResultCache::lookup(const std::string &key, std::string &payload)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
@@ -38,21 +38,23 @@ ResultCache::lookup(const std::string &key, CachedResult &out)
     }
     order_.splice(order_.begin(), order_, it->second.recency);
     ++hits_;
-    out = it->second.value;
+    payload = it->second.payload;
     return true;
 }
 
 void
-ResultCache::insert(const std::string &key, CachedResult value)
+ResultCache::insert(const std::string &key, std::string payload)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) != entries_.end())
+    const auto [it, inserted] =
+        entries_.try_emplace(key, Entry{std::move(payload), {}});
+    if (!inserted)
         return;
-    order_.push_front(key);
-    entries_.emplace(key,
-                     Entry{std::move(value), order_.begin()});
+    // Map nodes never move, so the list can point at their keys.
+    order_.push_front(&it->first);
+    it->second.recency = order_.begin();
     while (entries_.size() > capacity_) {
-        entries_.erase(order_.back());
+        entries_.erase(*order_.back());
         order_.pop_back();
     }
 }

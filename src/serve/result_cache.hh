@@ -14,12 +14,13 @@
  * them; differ in any identity field (even randomSeed on an LRU
  * config) and the key differs, so the request misses.
  *
- * Values store both the SweepResult and its serialized response
- * payload: a hit replays the exact bytes the first computation sent,
- * so "served from cache" is byte-identical on the wire, not merely
- * value-equal after a re-serialization.
+ * Values are the serialized response payload: a hit replays the
+ * exact bytes the first computation sent, so "served from cache" is
+ * byte-identical on the wire, not merely value-equal after a
+ * re-serialization.
  *
- * Bounded LRU; thread-safe.
+ * Bounded LRU; thread-safe. Each key is stored once, in the map; the
+ * recency list points at the map's keys.
  */
 
 #ifndef OCCSIM_SERVE_RESULT_CACHE_HH
@@ -31,17 +32,10 @@
 #include <string>
 #include <unordered_map>
 
+#include "cache/cache_config.hh"
 #include "coherence/scenario.hh"
-#include "multi/sweep_runner.hh"
 
 namespace occsim::serve {
-
-/** One cached sweep cell. */
-struct CachedResult
-{
-    SweepResult result;
-    std::string payload;  ///< serialized response bytes (wire form)
-};
 
 class ResultCache
 {
@@ -58,29 +52,31 @@ class ResultCache
                            const CacheConfig &config,
                            const ScenarioConfig &scenario = {});
 
-    /** Look up @p key; fills @p out and refreshes recency on a hit. */
-    bool lookup(const std::string &key, CachedResult &out);
+    /** Look up @p key; fills @p payload with the cell's serialized
+     *  response bytes and refreshes recency on a hit. */
+    bool lookup(const std::string &key, std::string &payload);
 
-    /** Insert @p value under @p key (no-op if already present — the
+    /** Insert @p payload under @p key (no-op if already present — the
      *  first computation's bytes win, keeping hits byte-stable). */
-    void insert(const std::string &key, CachedResult value);
+    void insert(const std::string &key, std::string payload);
 
     std::uint64_t hits() const;
     std::uint64_t misses() const;
     std::size_t size() const;
 
   private:
-    using Order = std::list<std::string>;
+    /** Keys of entries_, most recent at front. */
+    using Order = std::list<const std::string *>;
 
     struct Entry
     {
-        CachedResult value;
+        std::string payload;  ///< serialized response bytes
         Order::iterator recency;
     };
 
     const std::size_t capacity_;
     mutable std::mutex mutex_;
-    Order order_;  ///< most recent at front
+    Order order_;
     std::unordered_map<std::string, Entry> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

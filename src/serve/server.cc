@@ -273,9 +273,8 @@ SweepServer::executeSweep(
             state->keys[cell] = ResultCache::key(
                 hashes[t], request.maxRefs, request.configs[c],
                 request.scenario);
-            CachedResult hit;
-            if (cache_.lookup(state->keys[cell], hit)) {
-                state->payloads[cell] = std::move(hit.payload);
+            if (cache_.lookup(state->keys[cell],
+                              state->payloads[cell])) {
                 state->ready[cell] = 1;
                 cached[cell] = 1;
                 ++hits;
@@ -344,8 +343,7 @@ SweepServer::executeSweep(
                         // so concurrent duplicate requests converge
                         // on one byte sequence (the engines make the
                         // values bit-identical either way).
-                        cache_.insert(state->keys[cell],
-                                      CachedResult{result, w.str()});
+                        cache_.insert(state->keys[cell], w.str());
                         {
                             std::lock_guard<std::mutex> lock(
                                 state->mutex);

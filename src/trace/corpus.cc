@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -134,6 +135,120 @@ bool writeAll(int fd, const void *data, std::size_t bytes)
     return true;
 }
 
+std::int64_t toNs(const struct timespec &ts)
+{
+    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 +
+           ts.tv_nsec;
+}
+
+/**
+ * The coarse wall clock, in ns. Never ahead of the clock the kernel
+ * stamps ctime from, so a file changed after this read carries a
+ * ctime no older than it.
+ */
+std::int64_t coarseNowNs()
+{
+    struct timespec ts;
+    ::clock_gettime(CLOCK_REALTIME_COARSE, &ts);
+    return toNs(ts);
+}
+
+/** One OCPC file, mapped read-only with its header checked. */
+struct MappedFile
+{
+    std::shared_ptr<Mapping> mapping;
+    FileHeader header{};
+    FileIdentity identity;  ///< from the fstat of the mapped fd
+
+    const PackedRecord *records() const
+    {
+        return reinterpret_cast<const PackedRecord *>(
+            static_cast<const char *>(mapping->base) +
+            header.dataOffset);
+    }
+};
+
+/**
+ * Open, fstat, map and header-check @p path into @p file. The
+ * identity comes from the same fd that is mapped, so it describes
+ * the bytes the mapping sees, not a file swapped in since.
+ * @return "" or a one-line reason naming the path.
+ */
+std::string mapFile(const std::string &path, MappedFile &file)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return strfmt("cannot open %s: %s", path.c_str(),
+                      std::strerror(errno));
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        const int err = errno;
+        ::close(fd);
+        return strfmt("fstat %s failed: %s", path.c_str(),
+                      std::strerror(err));
+    }
+    const std::uint64_t file_size =
+        static_cast<std::uint64_t>(st.st_size);
+    if (file_size < kHeaderBytes) {
+        ::close(fd);
+        return strfmt("%s: file too small for a header (%llu bytes)",
+                      path.c_str(),
+                      static_cast<unsigned long long>(file_size));
+    }
+    file.identity = FileIdentity{static_cast<std::uint64_t>(st.st_dev),
+                                 static_cast<std::uint64_t>(st.st_ino),
+                                 file_size, toNs(st.st_mtim),
+                                 toNs(st.st_ctim)};
+
+    file.mapping = std::make_shared<Mapping>();
+    file.mapping->bytes = static_cast<std::size_t>(file_size);
+    file.mapping->base = ::mmap(nullptr, file.mapping->bytes, PROT_READ,
+                                MAP_PRIVATE, fd, 0);
+    const int map_err = errno;
+    ::close(fd);  // the mapping keeps the file referenced
+    if (file.mapping->base == MAP_FAILED)
+        return strfmt("mmap %s failed: %s", path.c_str(),
+                      std::strerror(map_err));
+
+    std::memcpy(&file.header, file.mapping->base, sizeof(file.header));
+    const std::string reason = checkHeader(file.header, file_size);
+    return reason.empty() ? ""
+                          : strfmt("%s: %s", path.c_str(), reason.c_str());
+}
+
+/**
+ * Recompute the content hash over @p file's mapped records: flipped
+ * record bits are refused here, not discovered as a silently wrong
+ * miss ratio later. @return "" or a reason naming @p path.
+ */
+std::string checkContentHash(const std::string &path,
+                             const MappedFile &file)
+{
+    OCCSIM_TELEM_COUNT("corpus.verify.refs", file.header.recordCount);
+    const std::uint64_t hash = packedContentHash(
+        file.records(), static_cast<std::size_t>(file.header.recordCount));
+    if (hash == file.header.contentHash)
+        return "";
+    return strfmt("%s: content hash mismatch (stored %s, computed %s) "
+                  "— corrupted records",
+                  path.c_str(),
+                  contentHashHex(file.header.contentHash).c_str(),
+                  contentHashHex(hash).c_str());
+}
+
+/** Wrap @p file's records as a PackedTrace that owns the mapping. */
+std::shared_ptr<const PackedTrace> wrapMapped(MappedFile &file)
+{
+    std::string name(
+        static_cast<const char *>(file.mapping->base) + kHeaderBytes,
+        file.header.nameLen);
+    OCCSIM_TELEM_COUNT("corpus.map.refs", file.header.recordCount);
+    return std::make_shared<const PackedTrace>(
+        std::move(name), file.records(),
+        static_cast<std::size_t>(file.header.recordCount),
+        std::move(file.mapping));
+}
+
 } // namespace
 
 std::uint64_t
@@ -151,6 +266,13 @@ packedContentHash(const PackedRecord *records, std::size_t count)
         hash *= 1099511628211ull;
     }
     return hash;
+}
+
+bool
+identityStillVerified(const FileIdentity &verified,
+                      std::int64_t hash_start_ns, const FileIdentity &now)
+{
+    return now == verified && now.ctimeNs < hash_start_ns;
 }
 
 std::string contentHashHex(std::uint64_t hash)
@@ -222,74 +344,17 @@ std::shared_ptr<const PackedTrace>
 mapPackedTraceFile(const std::string &path, std::uint32_t *word_size,
                    std::string *error)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        setError(error, strfmt("cannot open %s: %s", path.c_str(),
-                               std::strerror(errno)));
+    MappedFile file;
+    std::string reason = mapFile(path, file);
+    if (reason.empty())
+        reason = checkContentHash(path, file);
+    if (!reason.empty()) {
+        setError(error, std::move(reason));
         return nullptr;
     }
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        setError(error, strfmt("fstat %s failed: %s", path.c_str(),
-                               std::strerror(errno)));
-        ::close(fd);
-        return nullptr;
-    }
-    const std::uint64_t file_size =
-        static_cast<std::uint64_t>(st.st_size);
-    if (file_size < kHeaderBytes) {
-        setError(error,
-                 strfmt("%s: file too small for a header (%llu bytes)",
-                        path.c_str(),
-                        static_cast<unsigned long long>(file_size)));
-        ::close(fd);
-        return nullptr;
-    }
-
-    auto mapping = std::make_shared<Mapping>();
-    mapping->bytes = static_cast<std::size_t>(file_size);
-    mapping->base = ::mmap(nullptr, mapping->bytes, PROT_READ,
-                           MAP_PRIVATE, fd, 0);
-    ::close(fd);  // the mapping keeps the file referenced
-    if (mapping->base == MAP_FAILED) {
-        setError(error, strfmt("mmap %s failed: %s", path.c_str(),
-                               std::strerror(errno)));
-        return nullptr;
-    }
-
-    FileHeader header;
-    std::memcpy(&header, mapping->base, sizeof(header));
-    std::string reason = checkHeader(header, file_size);
-    if (reason.empty()) {
-        const auto *records = reinterpret_cast<const PackedRecord *>(
-            static_cast<const char *>(mapping->base) +
-            header.dataOffset);
-        // Recompute the content hash over the mapped bytes: flipped
-        // record bits are refused here, not discovered as a silently
-        // wrong miss ratio later.
-        const std::uint64_t hash = packedContentHash(
-            records, static_cast<std::size_t>(header.recordCount));
-        if (hash != header.contentHash) {
-            reason = strfmt("content hash mismatch (stored %s, "
-                            "computed %s) — corrupted records",
-                            contentHashHex(header.contentHash).c_str(),
-                            contentHashHex(hash).c_str());
-        } else {
-            std::string name(
-                static_cast<const char *>(mapping->base) + kHeaderBytes,
-                header.nameLen);
-            if (word_size)
-                *word_size = header.wordSize;
-            OCCSIM_TELEM_COUNT("corpus.map.refs", header.recordCount);
-            return std::make_shared<const PackedTrace>(
-                std::move(name), records,
-                static_cast<std::size_t>(header.recordCount),
-                std::move(mapping));
-        }
-    }
-    setError(error,
-             strfmt("%s: %s", path.c_str(), reason.c_str()));
-    return nullptr;
+    if (word_size)
+        *word_size = file.header.wordSize;
+    return wrapMapped(file);
 }
 
 TraceCorpus::TraceCorpus(std::string dir) : dir_(std::move(dir))
@@ -358,12 +423,37 @@ TraceCorpus::open(const std::string &hash, std::string *error)
             return trace;
     }
 
-    std::uint32_t word_size = 0;
-    auto trace = mapPackedTraceFile(entryPath(hash), &word_size, error);
-    if (!trace)
+    const std::string path = entryPath(hash);
+    MappedFile file;
+    std::string reason = mapFile(path, file);
+    if (reason.empty() && contentHashHex(file.header.contentHash) != hash)
+        reason = strfmt("%s: header names content hash %s, not the "
+                        "requested %s",
+                        path.c_str(),
+                        contentHashHex(file.header.contentHash).c_str(),
+                        hash.c_str());
+    // Hash the records only when this file identity has not passed
+    // the check before, or passed it racily.
+    const auto known = verified_.find(hash);
+    const bool trusted =
+        known != verified_.end() &&
+        identityStillVerified(known->second.file,
+                              known->second.hashStartNs, file.identity);
+    if (reason.empty() && !trusted) {
+        const std::int64_t start = coarseNowNs();
+        reason = checkContentHash(path, file);
+        if (reason.empty())
+            verified_[hash] = Verified{file.identity, start};
+    }
+    if (!reason.empty()) {
+        verified_.erase(hash);
+        setError(error, std::move(reason));
         return nullptr;
+    }
+
+    auto trace = wrapMapped(file);
     mapped_[hash] = trace;
-    wordSize_[hash] = word_size;
+    wordSize_[hash] = file.header.wordSize;
 
     // Sweep dead mappings so a long-lived server's map stays bounded
     // by the live set, not by history.

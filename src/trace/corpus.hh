@@ -28,9 +28,12 @@
  * The stored record bytes are exactly the bytes packedTraceShared
  * produces in memory, so an ingest -> mmap -> replay round trip is
  * bit-identical to in-memory packing by construction; the content
- * hash doubles as the dedup key and as corruption detection
- * (validated on every open, alongside the size-vs-count truncation
- * check). Ingest writes through a temp file + rename, so a crashed
+ * hash doubles as the dedup key and as corruption detection. Every
+ * open checks the header (magic, version, size vs record count);
+ * TraceCorpus re-hashes the records once per file identity (device,
+ * inode, size, mtime, ctime), so a server that re-maps one trace per
+ * request pays the 8-byte-per-record hash pass only when the file
+ * changed. Ingest writes through a temp file + rename, so a crashed
  * ingest never leaves a half-written entry under its final name.
  */
 
@@ -68,8 +71,8 @@ bool writePackedTraceFile(const std::string &path,
 /**
  * Map an OCPC file read-only and wrap it as a PackedTrace view. The
  * header is validated (magic, version, size vs record count) and the
- * content hash is recomputed over the mapped records — a truncated or
- * corrupted file is refused, never replayed.
+ * content hash is recomputed over the mapped records on every call —
+ * a truncated or corrupted file is refused, never replayed.
  * @param word_size when non-null receives the stored word size.
  * @return the mapped trace, or nullptr with @p error set.
  */
@@ -88,10 +91,41 @@ struct CorpusEntry
 };
 
 /**
- * A directory of OCPC files addressed by content hash. Thread-safe;
+ * What fstat says of one corpus file. open() re-hashes a file's
+ * records only when this differs from the identity that last passed
+ * the hash check.
+ */
+struct FileIdentity
+{
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+    std::uint64_t size = 0;
+    std::int64_t mtimeNs = 0;
+    std::int64_t ctimeNs = 0;
+
+    bool operator==(const FileIdentity &) const = default;
+};
+
+/**
+ * Whether a file now at identity @p now may skip the hash check
+ * because identity @p verified hashed clean in a pass that started at
+ * @p hash_start_ns (coarse wall clock, ns). True only when the two
+ * identities are equal and the file's ctime is strictly older than
+ * the pass: a ctime in the same clock tick may hide a write that did
+ * not move it (git's racy-clean rule).
+ */
+bool identityStillVerified(const FileIdentity &verified,
+                           std::int64_t hash_start_ns,
+                           const FileIdentity &now);
+
+/**
+ * A directory of OCPC files addressed by content hash. Thread-safe.
  * open() memoizes mappings per hash, so however many concurrent
- * requests replay one trace, it is mapped (and hash-validated) once
- * per process while any handle is alive.
+ * requests replay one trace, it is mapped once while any handle is
+ * alive. Its content hash is checked once per file identity, not once
+ * per mapping: a file re-mapped after every handle dropped is only
+ * header-checked, unless it changed on disk since its records last
+ * hashed clean.
  */
 class TraceCorpus
 {
@@ -117,7 +151,12 @@ class TraceCorpus
 
     /**
      * Map the entry named by @p hash (canonical hex). Memoized while
-     * any returned handle is alive; validation runs once per mapping.
+     * any returned handle is alive. Each new mapping has its header
+     * checked, and its stored hash must equal @p hash. The records
+     * are hashed again unless this file identity already passed that
+     * check with a ctime strictly older than the coarse clock read
+     * just before the hash pass (so a write in the same clock tick
+     * is never trusted). A failed open forgets the file's identity.
      * @return the trace, or nullptr with @p error set.
      */
     std::shared_ptr<const PackedTrace>
@@ -152,6 +191,16 @@ class TraceCorpus
         mapped_;
     /** hash -> word size, filled by open()/entries(). */
     std::unordered_map<std::string, std::uint32_t> wordSize_;
+
+    /** A file identity whose records hashed clean. */
+    struct Verified
+    {
+        FileIdentity file;
+        /** Coarse wall clock (ns) read just before that hash pass. */
+        std::int64_t hashStartNs = 0;
+    };
+    /** hash -> the last identity that passed the hash check. */
+    std::unordered_map<std::string, Verified> verified_;
 };
 
 } // namespace occsim

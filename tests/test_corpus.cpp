@@ -5,8 +5,10 @@
  * (the OCPC bytes ARE packedTraceShared's bytes); duplicate content
  * must be stored once and addressed by one hash; a corrupted or
  * truncated file must be refused with a clear error, never replayed;
- * and runSweep's packedTraces path over mapped corpus entries must be
- * bit-identical to the ordinary VectorTrace path for the same grid.
+ * the records are hashed once per file identity, yet any change to the
+ * file after a verified open is caught; and runSweep's packedTraces
+ * path over mapped corpus entries must be bit-identical to the
+ * ordinary VectorTrace path for the same grid.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -25,6 +28,7 @@
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
+#include "corpus_clock.hh"
 #include "sweep_expect.hh"
 
 using namespace occsim;
@@ -32,6 +36,8 @@ using namespace occsim;
 namespace {
 
 constexpr std::uint64_t kRefs = 30000;
+/** A byte deep in the record region of a kRefs-record entry. */
+constexpr std::size_t kRecordByte = 64 + 1024 * sizeof(PackedRecord) + 3;
 
 /** A fresh corpus directory per test, removed on teardown. */
 class CorpusTest : public ::testing::Test
@@ -56,6 +62,26 @@ class CorpusTest : public ::testing::Test
     {
         TraceCorpus corpus(dir_);
         return corpus.entries().size();
+    }
+
+    std::string entryPath(const std::string &hash) const
+    {
+        return dir_ + "/" + hash + ".opc";
+    }
+
+    /**
+     * Open @p hash once with its records hashed and trusted from then
+     * on (its ctime is strictly older than the hash pass), then drop
+     * the handle so the next open maps the file again.
+     */
+    void verifiedOpen(TraceCorpus &corpus, const std::string &hash,
+                      std::uint64_t refs)
+    {
+        ASSERT_TRUE(waitPastCtime(entryPath(hash)));
+        const std::uint64_t before = globalCounter("corpus.verify.refs");
+        std::string error;
+        ASSERT_NE(corpus.open(hash, &error), nullptr) << error;
+        ASSERT_EQ(globalCounter("corpus.verify.refs") - before, refs);
     }
 
     std::string dir_;
@@ -150,7 +176,7 @@ TEST_F(CorpusTest, CorruptedRecordsAreRefused)
 
     // Flip a bit deep in the record region: the stored header hash no
     // longer matches the bytes, so open must refuse.
-    corruptFile(path, 64 + 1024 * sizeof(PackedRecord) + 3);
+    corruptFile(path, kRecordByte);
     std::string error;
     EXPECT_EQ(corpus.open(hash, &error), nullptr);
     EXPECT_NE(error.find("hash"), std::string::npos) << error;
@@ -175,6 +201,157 @@ TEST_F(CorpusTest, TruncatedFileIsRefused)
     error.clear();
     EXPECT_EQ(corpus.open(hash, &error), nullptr);
     EXPECT_FALSE(error.empty());
+}
+
+TEST_F(CorpusTest, EntryUnderAnotherHashNameIsRefused)
+{
+    TraceCorpus corpus(dir_);
+    const std::string hash0 = corpus.ingest(*suiteTrace(0));
+    const std::string hash1 = corpus.ingest(*suiteTrace(1));
+    ASSERT_FALSE(hash0.empty());
+    ASSERT_FALSE(hash1.empty());
+
+    // A valid entry renamed over another entry's name: its records
+    // hash clean against its own header, but it is not the trace the
+    // caller asked for, and its results would be cached under the
+    // wrong key.
+    ASSERT_EQ(::rename(entryPath(hash1).c_str(),
+                       entryPath(hash0).c_str()),
+              0);
+    std::string error;
+    EXPECT_EQ(corpus.open(hash0, &error), nullptr);
+    EXPECT_NE(error.find(hash0), std::string::npos) << error;
+    EXPECT_NE(error.find(hash1), std::string::npos) << error;
+}
+
+TEST_F(CorpusTest, UnchangedFileReopensWithoutHashing)
+{
+    GlobalTelemetryOn telemetry;
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ASSERT_NO_FATAL_FAILURE(verifiedOpen(corpus, hash, kRefs));
+
+    // A new mapping of the same file identity: header-checked and
+    // mapped again, but its records are not hashed again.
+    const std::uint64_t verified = globalCounter("corpus.verify.refs");
+    const std::uint64_t mapped = globalCounter("corpus.map.refs");
+    std::string error;
+    const auto again = corpus.open(hash, &error);
+    ASSERT_NE(again, nullptr) << error;
+    EXPECT_EQ(again->size(), kRefs);
+    EXPECT_EQ(globalCounter("corpus.verify.refs"), verified);
+    EXPECT_EQ(globalCounter("corpus.map.refs") - mapped, kRefs);
+}
+
+TEST_F(CorpusTest, InPlaceFlipAfterVerifiedOpenIsRefused)
+{
+    GlobalTelemetryOn telemetry;
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ASSERT_NO_FATAL_FAILURE(verifiedOpen(corpus, hash, kRefs));
+
+    // Same size, same inode: only the timestamps tell the change.
+    corruptFile(entryPath(hash), kRecordByte);
+    std::string error;
+    EXPECT_EQ(corpus.open(hash, &error), nullptr);
+    EXPECT_NE(error.find("hash"), std::string::npos) << error;
+}
+
+TEST_F(CorpusTest, TruncationAfterVerifiedOpenIsRefused)
+{
+    GlobalTelemetryOn telemetry;
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ASSERT_NO_FATAL_FAILURE(verifiedOpen(corpus, hash, kRefs));
+
+    ASSERT_EQ(::truncate(entryPath(hash).c_str(), 64 + 100), 0);
+    std::string error;
+    EXPECT_EQ(corpus.open(hash, &error), nullptr);
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+}
+
+TEST_F(CorpusTest, FixedFileIsCheckedAgainAfterFailedOpen)
+{
+    GlobalTelemetryOn telemetry;
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ASSERT_NO_FATAL_FAILURE(verifiedOpen(corpus, hash, kRefs));
+
+    corruptFile(entryPath(hash), kRecordByte);
+    std::string error;
+    ASSERT_EQ(corpus.open(hash, &error), nullptr);
+
+    // Flipping the bit back restores the content; the open that
+    // follows hashes the records again before it trusts them.
+    corruptFile(entryPath(hash), kRecordByte);
+    const std::uint64_t before = globalCounter("corpus.verify.refs");
+    error.clear();
+    EXPECT_NE(corpus.open(hash, &error), nullptr) << error;
+    EXPECT_EQ(globalCounter("corpus.verify.refs") - before, kRefs);
+}
+
+TEST_F(CorpusTest, ConcurrentOpensOfOneHashVerifyOnce)
+{
+    GlobalTelemetryOn telemetry;
+    TraceCorpus corpus(dir_);
+    const std::string hash = corpus.ingest(*suiteTrace(0));
+    ASSERT_FALSE(hash.empty());
+    ASSERT_NO_FATAL_FAILURE(verifiedOpen(corpus, hash, kRefs));
+    // Change the file so the next open must hash it again.
+    corruptFile(entryPath(hash), kRecordByte);
+    corruptFile(entryPath(hash), kRecordByte);
+
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::shared_ptr<const PackedTrace>> opened(kThreads);
+    const std::uint64_t before = globalCounter("corpus.verify.refs");
+    {
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < kThreads; ++i)
+            threads.emplace_back([&, i] { opened[i] = corpus.open(hash); });
+        for (std::thread &thread : threads)
+            thread.join();
+    }
+    EXPECT_EQ(globalCounter("corpus.verify.refs") - before, kRefs);
+    for (const auto &trace : opened) {
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace.get(), opened[0].get());
+    }
+}
+
+TEST(CorpusIdentity, OnlyAnUnchangedFileVerifiedBeforeItsCtimeIsTrusted)
+{
+    const FileIdentity verified{1, 2, 4096, 1'000'000'000,
+                                1'000'000'000};
+    const std::int64_t pass_start = 1'004'000'000;
+    EXPECT_TRUE(identityStillVerified(verified, pass_start, verified));
+
+    // Racily verified: the ctime is not strictly older than the pass,
+    // so a same-tick write may hide behind an unchanged identity.
+    EXPECT_FALSE(identityStillVerified(verified, verified.ctimeNs,
+                                       verified));
+    EXPECT_FALSE(identityStillVerified(verified, verified.ctimeNs - 1,
+                                       verified));
+
+    // Any field of the identity moving means a different file.
+    FileIdentity now = verified;
+    now.dev = 9;
+    EXPECT_FALSE(identityStillVerified(verified, pass_start, now));
+    now = verified;
+    now.ino = 9;
+    EXPECT_FALSE(identityStillVerified(verified, pass_start, now));
+    now = verified;
+    now.size = 8192;
+    EXPECT_FALSE(identityStillVerified(verified, pass_start, now));
+    now = verified;
+    now.mtimeNs += 1;
+    EXPECT_FALSE(identityStillVerified(verified, pass_start, now));
+    now = verified;
+    now.ctimeNs += 1;
+    EXPECT_FALSE(identityStillVerified(verified, pass_start, now));
 }
 
 TEST_F(CorpusTest, GarbageHeaderIsRefusedAndSkippedByListing)

@@ -4,12 +4,14 @@
  * registry (counters, stage spans, merge-across-threads, reset), the
  * StageTimer RAII span, the JSON writer/parser pair (round-trip,
  * escaping, malformed-input rejection), and RunManifest
- * serialization.
+ * serialization and record retention.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -277,4 +279,44 @@ TEST(Manifest, WriteManifestProducesReadableFile)
     std::string error;
     EXPECT_TRUE(parseJson(content, doc, &error)) << error;
     std::remove(path.c_str());
+}
+
+TEST(Manifest, RetentionKeepsTheNewestRecordsAndCountsTheDropped)
+{
+    const auto dropped = [](const obs::RunManifest &manifest,
+                            const std::string &name) {
+        for (const obs::CounterSnapshot &counter : manifest.counters) {
+            if (counter.name == name)
+                return counter.value;
+        }
+        return std::uint64_t{0};
+    };
+    const obs::RunManifest before = obs::currentManifest();
+
+    // Ten records past the cap: the first ten of ours, and everything
+    // recorded before them, make way for the newest.
+    const std::size_t total = obs::kMaxRecordedSweeps + 10;
+    for (std::size_t i = 0; i < total; ++i) {
+        obs::SweepRecord sweep;
+        sweep.label = "retain-" + std::to_string(i);
+        obs::recordSweep(sweep);
+        obs::ServeRecord serve;
+        serve.label = "retain-" + std::to_string(i);
+        obs::recordServe(serve);
+    }
+
+    const obs::RunManifest after = obs::currentManifest();
+    ASSERT_EQ(after.sweeps.size(), obs::kMaxRecordedSweeps);
+    ASSERT_EQ(after.serves.size(), obs::kMaxRecordedSweeps);
+    EXPECT_EQ(after.sweeps.front().label, "retain-10");
+    EXPECT_EQ(after.serves.front().label, "retain-10");
+    const std::string newest = "retain-" + std::to_string(total - 1);
+    EXPECT_EQ(after.sweeps.back().label, newest);
+    EXPECT_EQ(after.serves.back().label, newest);
+    EXPECT_EQ(dropped(after, "sweeps_dropped"),
+              dropped(before, "sweeps_dropped") + before.sweeps.size() +
+                  10);
+    EXPECT_EQ(dropped(after, "serves_dropped"),
+              dropped(before, "serves_dropped") + before.serves.size() +
+                  10);
 }

@@ -30,6 +30,8 @@
 #include "serve/server.hh"
 #include "workload/suites.hh"
 
+#include "corpus_clock.hh"
+
 using namespace occsim;
 using namespace occsim::serve;
 
@@ -240,6 +242,31 @@ TEST_F(ServeTest, RepeatedRequestIsByteIdenticalAndCacheHits)
     EXPECT_GE(seen, 2u);
     EXPECT_GE(hits, request.configs.size());
     EXPECT_GE(misses, request.configs.size());
+}
+
+TEST_F(ServeTest, RepeatedAllHitRequestHashesNoTraceRecords)
+{
+    GlobalTelemetryOn telemetry;
+    // Past the entry's ctime, the first request's hash pass leaves the
+    // file trusted.
+    ASSERT_TRUE(waitPastCtime(dir_ + "/" + hash0_ + ".opc"));
+    const WireRequest request = sweepRequest();
+    Responses warm;
+    ASSERT_TRUE(server_->execute(
+        request, [&](const std::string &p) { return warm.collect(p); }));
+
+    const std::uint64_t verified = globalCounter("corpus.verify.refs");
+    const std::uint64_t hits = server_->stats().cacheHits;
+    for (int i = 0; i < 3; ++i) {
+        Responses again;
+        ASSERT_TRUE(server_->execute(request, [&](const std::string &p) {
+            return again.collect(p);
+        }));
+    }
+    EXPECT_EQ(server_->stats().cacheHits - hits,
+              3 * request.configs.size());
+    // Each request maps the trace again, but no record is hashed.
+    EXPECT_EQ(globalCounter("corpus.verify.refs"), verified);
 }
 
 TEST_F(ServeTest, AnyIdentityFieldDifferenceMisses)
