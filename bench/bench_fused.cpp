@@ -34,7 +34,8 @@
 #include "harness/experiment.hh"
 #include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/sweep_plan.hh"
+#include "multi/sweep_api.hh"
+#include "multi/sweep_runner.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"
@@ -45,9 +46,9 @@ using bench::millisSince;
 
 namespace {
 
-/** The sector/load-forward design points behind Figures 4-9 (same
- *  grid as bench_batch): sub < block at net size 1024, demand and
- *  load-forward fetch. Four block sizes -> four fused groups. */
+/** The sector/load-forward design points behind Figures 4-9: sub <
+ *  block at net size 1024, demand and load-forward fetch. Four block
+ *  sizes -> four fused groups. */
 std::vector<CacheConfig>
 sectorLoadForwardGrid(std::uint32_t word_size)
 {
@@ -91,16 +92,21 @@ main()
     // by all three engines).
     const auto trace = buildTraceShared(suite.traces[0], refs);
     const auto packed = packedTraceShared(trace);
-    const std::vector traces{trace};
 
     // Reference: per-config direct Cache::access simulation — the
     // ground truth the unconditional identity gate compares against.
     // One repetition: direct_ms is reported but not gated, and this
     // is by far the slowest engine.
     ThreadPool pool(1);
+    SweepRequest direct;
+    direct.traces = {trace};
+    direct.configs = configs;
+    direct.pool = &pool;
+    direct.engine = SweepEngine::DirectOnly;
+    direct.wantAverage = false;
     const auto direct_start = std::chrono::steady_clock::now();
-    const auto direct_results = bench::sweepGrid(
-        traces, configs, &pool, SweepEngine::DirectOnly);
+    const std::vector<SweepResult> direct_results =
+        runSweep(direct).perTrace[0];
     const double direct_ms = millisSince(direct_start);
 
     // The two gated timings run best-of-kReps: both engines are
@@ -147,12 +153,12 @@ main()
 
     std::size_t mismatches = 0;
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (!sameSweepResult(direct_results[0][c], fused_results[c])) {
+        if (!sameSweepResult(direct_results[c], fused_results[c])) {
             ++mismatches;
             std::printf("MISMATCH fused config %s\n",
                         configs[c].fullName().c_str());
         }
-        if (!sameSweepResult(direct_results[0][c], batch_results[c])) {
+        if (!sameSweepResult(direct_results[c], batch_results[c])) {
             ++mismatches;
             std::printf("MISMATCH batch config %s\n",
                         configs[c].fullName().c_str());

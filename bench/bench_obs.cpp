@@ -2,7 +2,8 @@
  * @file
  * Telemetry overhead benchmark: quantifies the cost of the obs layer
  * hooks (see src/obs/telemetry.hh and DESIGN.md §11) in its three
- * regimes on bench_batch's sector/load-forward grid:
+ * regimes on the sector/load-forward grid of Figures 4-9 (the grid
+ * bench_fused times):
  *
  *   plain     — the same simulation loop with no hooks at all. This
  *               is what an OCCSIM_NO_TELEMETRY build of the engines
@@ -65,7 +66,7 @@ millisSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double, std::milli>(elapsed).count();
 }
 
-/** bench_batch's grid: every sub < block sector point at net 1024,
+/** The Figures 4-9 grid: every sub < block sector point at net 1024,
  *  demand and load-forward — the direct-simulation workload. */
 std::vector<CacheConfig>
 sectorLoadForwardGrid(std::uint32_t word_size)

@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared plumbing of the timing benchmarks: wall-clock measurement,
- * the nested result-set diff every bench gates on (sameSweepResult
- * per cell, with per-mismatch MISMATCH lines), and the finishing move
- * — emit the BENCH_JSON line (bench_json.hh) and turn the gate
- * verdict into the process exit status.
+ * Shared plumbing of the timing benchmarks: wall-clock measurement
+ * and the finishing move — emit the BENCH_JSON line (bench_json.hh)
+ * and turn the gate verdict into the process exit status.
  */
 
 #ifndef OCCSIM_BENCH_BENCH_REPORTER_HH
@@ -12,13 +10,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_json.hh"
-#include "multi/sweep_api.hh"
-#include "multi/sweep_runner.hh"
 #include "util/thread_pool.hh"
 
 namespace occsim::bench {
@@ -29,59 +23,6 @@ millisSince(std::chrono::steady_clock::time_point start)
 {
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
-}
-
-/**
- * Suite sweep through the unified API; returns the per-trace result
- * grid (averaging skipped — benches diff and gate the raw grid).
- */
-inline std::vector<std::vector<SweepResult>>
-sweepGrid(const std::vector<std::shared_ptr<const VectorTrace>> &traces,
-          const std::vector<CacheConfig> &configs,
-          ThreadPool *pool = nullptr,
-          SweepEngine engine = SweepEngine::Auto)
-{
-    SweepRequest request;
-    request.traces = traces;
-    request.configs = configs;
-    request.pool = pool;
-    request.engine = engine;
-    request.wantAverage = false;
-    return runSweep(request).perTrace;
-}
-
-/**
- * Diff two per-trace result sets, printing one MISMATCH line per
- * divergent (trace, config) cell. A shape difference (trace or
- * config count) is itself one mismatch.
- * @return total mismatches (0 = bit-identical).
- */
-inline std::size_t
-diffResultSets(const std::vector<std::vector<SweepResult>> &want,
-               const std::vector<std::vector<SweepResult>> &got)
-{
-    if (want.size() != got.size()) {
-        std::printf("MISMATCH: %zu vs %zu traces\n", want.size(),
-                    got.size());
-        return 1;
-    }
-    std::size_t mismatches = 0;
-    for (std::size_t t = 0; t < want.size(); ++t) {
-        if (want[t].size() != got[t].size()) {
-            std::printf("MISMATCH trace %zu: %zu vs %zu configs\n", t,
-                        want[t].size(), got[t].size());
-            ++mismatches;
-            continue;
-        }
-        for (std::size_t c = 0; c < want[t].size(); ++c) {
-            if (!sameSweepResult(want[t][c], got[t][c])) {
-                ++mismatches;
-                std::printf("MISMATCH trace %zu config %s\n", t,
-                            want[t][c].config.fullName().c_str());
-            }
-        }
-    }
-    return mismatches;
 }
 
 /**

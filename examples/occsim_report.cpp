@@ -548,8 +548,8 @@ benchName(const std::string &path)
 
 /**
  * The BENCH_*.json trajectory as one table. The records are
- * heterogeneous — each bench names its own headline ratio (speedup
- * or overhead) and reference count, and the correctness/gate trailer
+ * heterogeneous — not every bench records a speedup, each names its
+ * own reference count, and the correctness/gate trailer
  * is only present where bench_reporter emitted it — so absent fields
  * print "-" rather than failing. With @p check, any record that
  * recorded bit_identical:false or gate_pass:false fails the run.
@@ -585,15 +585,10 @@ benchReport(const std::vector<std::string> &args, bool check)
             refs = numberAt(doc, "refs_per_trace");
         const double hw_threads = numberAt(doc, "hw_threads");
 
-        // The headline ratio: most benches record "speedup" (bigger
-        // is better); the cross-check bench records "overhead"
-        // (smaller is better), marked as such.
+        // The headline ratio, where the bench records one.
         std::string ratio = "-";
         if (doc.find("speedup") != nullptr)
             ratio = strfmt("%.2fx", numberAt(doc, "speedup"));
-        else if (doc.find("overhead") != nullptr)
-            ratio = strfmt("%.2fx overhead",
-                           numberAt(doc, "overhead"));
 
         const int identical = boolAt(doc, "bit_identical");
         const int enforced = boolAt(doc, "gate_enforced");

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "cache/sector_cache.hh"
+#include "cache/cache.hh"
 #include "multi/sweep_runner.hh"
 #include "workload/suites.hh"
 
@@ -28,7 +28,7 @@ main()
     VectorTrace trace = buildTrace(spec);
 
     // The historical machine.
-    SectorCache360Model85 sector(suite.profile.wordSize);
+    Cache sector(make360Model85Config(suite.profile.wordSize));
     // Run a copy of the trace through a 4-way set-associative cache
     // of the same size and transfer unit for comparison.
     CacheConfig modern;

@@ -7,8 +7,8 @@
  * The Model 85 organization: 16 KB of data in 16 fully-associative
  * 1024-byte blocks ("sectors"), transferred in 64-byte sub-blocks,
  * LRU replacement, demand fetch of the missing sub-block. In occsim
- * this is exactly a Cache with that geometry; this wrapper packages
- * the historical configuration and the comparison set.
+ * this is exactly a Cache built from make360Model85Config; this file
+ * adds Table 6's comparison set.
  */
 
 #ifndef OCCSIM_CACHE_SECTOR_CACHE_HH
@@ -16,19 +16,9 @@
 
 #include <vector>
 
-#include "cache/cache.hh"
+#include "cache/cache_config.hh"
 
 namespace occsim {
-
-/** Convenience wrapper: a 360/85-configured Cache. */
-class SectorCache360Model85 : public Cache
-{
-  public:
-    explicit SectorCache360Model85(std::uint32_t word_size = 4)
-        : Cache(make360Model85Config(word_size))
-    {
-    }
-};
 
 /**
  * Table 6's comparison set: 16 KB caches with 64-byte blocks

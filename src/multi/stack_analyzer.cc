@@ -144,7 +144,7 @@ SetLruTracker::touch(Addr block)
 }
 
 // ---------------------------------------------------------------- //
-// StackAnalyzer / SetStackAnalyzer
+// StackAnalyzer
 // ---------------------------------------------------------------- //
 
 StackAnalyzer::StackAnalyzer(std::uint32_t block_size,
@@ -200,52 +200,6 @@ StackAnalyzer::missRatioForCapacity(std::uint32_t capacity_blocks) const
                                 static_cast<std::uint32_t>(
                                     distanceHist_.size() - 1));
     return 1.0 - static_cast<double>(hitsUpTo_[limit]) /
-                     static_cast<double>(refs_);
-}
-
-SetStackAnalyzer::SetStackAnalyzer(std::uint32_t block_size,
-                                   std::uint32_t num_sets,
-                                   std::uint32_t max_depth)
-    : blockBits_(floorLog2(block_size)), maxDepth_(max_depth),
-      tracker_(num_sets), distanceHist_(max_depth + 1, 0)
-{
-    occsim_assert(isPowerOfTwo(block_size),
-                  "block size must be a power of two");
-    occsim_assert(isPowerOfTwo(num_sets),
-                  "set count must be a power of two");
-}
-
-void
-SetStackAnalyzer::process(Addr addr)
-{
-    ++refs_;
-    prefixStale_ = true;
-    const Addr block = addr >> blockBits_;
-    const std::uint64_t distance = tracker_.touch(block);
-    if (distance == SetLruTracker::kFirstTouch ||
-        distance > maxDepth_) {
-        ++missesBeyondDepth_;
-    } else {
-        ++distanceHist_[distance];
-    }
-}
-
-void
-SetStackAnalyzer::processTrace(const VectorTrace &trace)
-{
-    for (const MemRef &ref : trace.refs())
-        process(ref.addr);
-}
-
-double
-SetStackAnalyzer::missRatioForAssoc(std::uint32_t assoc) const
-{
-    occsim_assert(assoc > 0 && assoc <= maxDepth_,
-                  "associativity %u outside analyzer depth", assoc);
-    if (refs_ == 0)
-        return 0.0;
-    refreshPrefix(distanceHist_, hitsUpTo_, prefixStale_);
-    return 1.0 - static_cast<double>(hitsUpTo_[assoc]) /
                      static_cast<double>(refs_);
 }
 

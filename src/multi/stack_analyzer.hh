@@ -5,17 +5,14 @@
  * choosing LRU: "LRU permits more efficient simulation").
  *
  * One pass over a trace yields the miss ratio of *every* capacity at
- * once, for a fixed block size:
+ * once, for a fixed block size. StackAnalyzer models fully-associative
+ * LRU: the stack distance of a reference is the number of distinct
+ * blocks referenced since the last touch of its block, and a cache of
+ * C blocks misses exactly the references with distance > C (inclusion
+ * property).
  *
- *  - StackAnalyzer: fully-associative LRU. The stack distance of a
- *    reference is the number of distinct blocks referenced since the
- *    last touch of its block; a cache of C blocks misses exactly the
- *    references with distance > C (inclusion property).
- *  - SetStackAnalyzer: per-set stacks for a fixed set count; yields
- *    the miss ratio of every associativity at once.
- *
- * Both analyzers run on the shared SetLruTracker order-statistics
- * structure (hash map + Fenwick tree, below), so a reference costs
+ * The analyzer runs on the SetLruTracker order-statistics structure
+ * (hash map + Fenwick tree, below), so a reference costs
  * O(log depth) instead of the O(depth) linear stack scan of the
  * classic implementation. Distances beyond max_depth are
  * classified exactly as the historical bounded-stack code did: a
@@ -24,8 +21,8 @@
  * reproduces the old counters bit-for-bit while no longer bounding
  * the per-reference search.
  *
- * These analyzers double as an independent oracle for the Cache model
- * (with sub-block == block their predictions must match direct
+ * The analyzer doubles as an independent oracle for the Cache model
+ * (with sub-block == block its predictions must match direct
  * simulation exactly), which the test suite exploits.
  */
 
@@ -89,8 +86,8 @@ class TouchTimeSet
 /**
  * Per-set LRU stack-distance tracker: one shared hash map of block
  * last-touch times plus one TouchTimeSet per set. This is the
- * O(log depth) replacement for the linear touchStack scan, shared by
- * both analyzers below.
+ * O(log depth) replacement for the linear touchStack scan behind
+ * StackAnalyzer below.
  */
 class SetLruTracker
 {
@@ -171,41 +168,6 @@ class StackAnalyzer
     std::uint64_t refs_ = 0;
     std::uint64_t distinct_ = 0;
     std::uint64_t overflow_ = 0;
-};
-
-/** Per-set LRU stack profiler: all associativities at fixed sets. */
-class SetStackAnalyzer
-{
-  public:
-    SetStackAnalyzer(std::uint32_t block_size, std::uint32_t num_sets,
-                     std::uint32_t max_depth = 256);
-
-    void process(Addr addr);
-    void processTrace(const VectorTrace &trace);
-
-    std::uint64_t refs() const { return refs_; }
-
-    /** hist[d] = references with per-set stack distance exactly d
-     *  (1-based; index 0 unused). Distances beyond max_depth are not
-     *  recorded. */
-    const std::vector<std::uint64_t> &distanceHistogram() const
-    {
-        return distanceHist_;
-    }
-
-    /** Miss ratio of an LRU set-associative cache with this block
-     *  size, this set count, and associativity @p assoc. */
-    double missRatioForAssoc(std::uint32_t assoc) const;
-
-  private:
-    std::uint32_t blockBits_;
-    std::uint32_t maxDepth_;
-    SetLruTracker tracker_;
-    std::vector<std::uint64_t> distanceHist_;
-    mutable std::vector<std::uint64_t> hitsUpTo_;
-    mutable bool prefixStale_ = true;
-    std::uint64_t refs_ = 0;
-    std::uint64_t missesBeyondDepth_ = 0;
 };
 
 } // namespace occsim

@@ -6,9 +6,11 @@
  *  - The anchor invariant: a 1-core scenario degenerates to the
  *    single-cache model bit for bit, across the paper's whole Table 6
  *    grid, both at the engine level (CoherentSystem vs Cache) and
- *    through runSweep() routing.
+ *    through runSweep() routing, also on the core-stamped parallel
+ *    workloads.
  *  - The three parallel workloads replay through the coherent engine
- *    and the flat-snooping oracle with every counter agreeing.
+ *    and the flat-snooping oracle with every counter agreeing, and
+ *    2- and 4-core sweeps carry real coherency traffic.
  *  - Workload generation is a pure function of its params.
  *  - validateScenario() rejects every malformed scenario shape with a
  *    human-readable reason.
@@ -57,6 +59,13 @@ mesiSubset(CacheConfig config)
     config.partition = CachePartition::Unified;
     return config;
 }
+
+/** The three parallel sharing workloads. */
+constexpr ParallelWorkloadKind kWorkloads[] = {
+    ParallelWorkloadKind::SharedQueue,
+    ParallelWorkloadKind::PartitionedSum,
+    ParallelWorkloadKind::ProducerConsumerRing,
+};
 
 ParallelWorkloadParams
 smallWorkload(std::uint32_t cores)
@@ -125,12 +134,19 @@ TEST(Coherence, OneCoreScenarioRoutesIdenticallyThroughRunSweep)
 {
     // An explicit cores == 1 scenario IS the pre-redesign request:
     // runSweep must produce byte-identical headline numbers to a
-    // request that never touched the scenario field.
+    // request that never touched the scenario field, and to a plain
+    // Cache over the same trace. The three parallel workloads carry
+    // core ids 0..3, which every single-cache route must ignore.
     TraceGen gen(kSeed + 1);
     SweepRequest plain;
     plain.traces.push_back(gen.make(8000, 2));
+    for (const ParallelWorkloadKind kind : kWorkloads) {
+        plain.traces.push_back(std::make_shared<const VectorTrace>(
+            makeParallelTrace(kind, smallWorkload(4))));
+    }
     for (const CacheConfig &point : paperGrid(256, 2))
         plain.configs.push_back(mesiSubset(point));
+    plain.configs.push_back(mesiSubset(makeConfig(1024, 16, 8, 2)));
 
     SweepRequest scenario_request = plain;
     scenario_request.scenario = ScenarioConfig{};
@@ -138,13 +154,24 @@ TEST(Coherence, OneCoreScenarioRoutesIdenticallyThroughRunSweep)
 
     const SweepReport a = runSweep(plain);
     const SweepReport b = runSweep(scenario_request);
-    ASSERT_EQ(a.perTrace.size(), b.perTrace.size());
-    for (std::size_t c = 0; c < a.perTrace[0].size(); ++c) {
-        const SweepResult &ra = a.perTrace[0][c];
-        const SweepResult &rb = b.perTrace[0][c];
-        expectIdentical(ra, rb);
-        EXPECT_FALSE(ra.coherency.active);
-        EXPECT_FALSE(rb.coherency.active);
+    ASSERT_EQ(a.perTrace.size(), plain.traces.size());
+    ASSERT_EQ(b.perTrace.size(), plain.traces.size());
+    for (std::size_t t = 0; t < plain.traces.size(); ++t) {
+        ASSERT_EQ(a.perTrace[t].size(), plain.configs.size());
+        ASSERT_EQ(b.perTrace[t].size(), plain.configs.size());
+        for (std::size_t c = 0; c < plain.configs.size(); ++c) {
+            const SweepResult &ra = a.perTrace[t][c];
+            const SweepResult &rb = b.perTrace[t][c];
+            expectIdentical(ra, rb);
+            EXPECT_FALSE(ra.coherency.active);
+            EXPECT_FALSE(rb.coherency.active);
+
+            Cache direct(plain.configs[c]);
+            for (const MemRef &ref : plain.traces[t]->refs())
+                direct.access(ref);
+            direct.finalizeResidencies();
+            expectIdentical(rb, summarizeCache(direct));
+        }
     }
 }
 
@@ -156,10 +183,7 @@ TEST(Coherence, WorkloadsMatchTheFlatSnoopingOracle)
     // runSweep result).
     const CacheConfig config =
         mesiSubset(makeConfig(1024, 16, 8, 2));
-    for (const ParallelWorkloadKind kind :
-         {ParallelWorkloadKind::SharedQueue,
-          ParallelWorkloadKind::PartitionedSum,
-          ParallelWorkloadKind::ProducerConsumerRing}) {
+    for (const ParallelWorkloadKind kind : kWorkloads) {
         for (const std::uint32_t cores : {2u, 4u}) {
             const VectorTrace trace =
                 makeParallelTrace(kind, smallWorkload(cores));
@@ -177,34 +201,35 @@ TEST(Coherence, WorkloadsMatchTheFlatSnoopingOracle)
 
 TEST(Coherence, MulticoreSweepGeneratesCoherencyTraffic)
 {
-    // The shared-queue workload is built to communicate: its 2-core
-    // sweep must surface invalidations and upgrades in the routed
-    // SweepResult, and its per-core miss ratios must be populated.
-    const VectorTrace trace =
-        makeSharedQueueTrace(smallWorkload(2));
-    SweepRequest request;
-    request.traces.push_back(
-        std::make_shared<const VectorTrace>(trace));
-    request.configs = {mesiSubset(makeConfig(1024, 16, 8, 2))};
-    request.scenario.cores = 2;
-    const SweepReport report = runSweep(request);
-    const SweepResult &result = report.perTrace.at(0).at(0);
-    ASSERT_TRUE(result.coherency.active);
-    EXPECT_EQ(result.coherency.cores, 2u);
-    EXPECT_GT(result.coherency.invalidations, 0u);
-    EXPECT_GT(result.coherency.busUpgrades +
-                  result.coherency.busReadForOwnership,
-              0u);
-    EXPECT_GT(result.coherency.invalidationsPerKiloRef, 0.0);
-    ASSERT_EQ(result.coherency.coreMissRatios.size(), 2u);
+    // The shared-queue workload is built to communicate: its 2- and
+    // 4-core sweeps must surface invalidations and upgrades in the
+    // routed SweepResult, and its per-core miss ratios must be
+    // populated. A silent bus would mean the scenario quietly
+    // degenerated to independent caches.
+    for (const std::uint32_t cores : {2u, 4u}) {
+        SweepRequest request;
+        request.traces.push_back(std::make_shared<const VectorTrace>(
+            makeSharedQueueTrace(smallWorkload(cores))));
+        request.configs = {mesiSubset(makeConfig(1024, 16, 8, 2))};
+        request.scenario.cores = cores;
+        const SweepReport report = runSweep(request);
+        const SweepResult &result = report.perTrace.at(0).at(0);
+        ASSERT_TRUE(result.coherency.active) << cores;
+        EXPECT_EQ(result.coherency.cores, cores);
+        EXPECT_GT(result.coherency.invalidations, 0u) << cores;
+        EXPECT_GT(result.coherency.busUpgrades +
+                      result.coherency.busReadForOwnership,
+                  0u)
+            << cores;
+        EXPECT_GT(result.coherency.invalidationsPerKiloRef, 0.0)
+            << cores;
+        ASSERT_EQ(result.coherency.coreMissRatios.size(), cores);
+    }
 }
 
 TEST(Coherence, WorkloadsAreDeterministic)
 {
-    for (const ParallelWorkloadKind kind :
-         {ParallelWorkloadKind::SharedQueue,
-          ParallelWorkloadKind::PartitionedSum,
-          ParallelWorkloadKind::ProducerConsumerRing}) {
+    for (const ParallelWorkloadKind kind : kWorkloads) {
         const VectorTrace a =
             makeParallelTrace(kind, smallWorkload(3));
         const VectorTrace b =

@@ -9,8 +9,6 @@
  *    exactly one sub-block per block, load-forward (simple and
  *    optimized) fetches precisely the demand sub-block. All three
  *    policies must agree across the paper grid.
- *  - The SectorCache360Model85 wrapper is packaging, not mechanism:
- *    it must match a plain Cache built from make360Model85Config.
  *  - A 360/85 variant with 64-byte sectors and 64-byte sub-blocks
  *    (sub == block) must match the equivalent conventional
  *    16-way-associative cache under every fetch policy.
@@ -19,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
-#include "cache/sector_cache.hh"
 #include "check/generators.hh"
 #include "check/reference_cache.hh"
 #include "harness/experiment.hh"
@@ -103,19 +100,6 @@ INSTANTIATE_TEST_SUITE_P(
         return "net" + std::to_string(config.netSize) + "_b" +
                std::to_string(config.blockSize);
     });
-
-TEST(DegenerateEquiv, SectorWrapperMatchesPlainCache)
-{
-    SectorCache360Model85 sector(4);
-    Cache plain(make360Model85Config(4));
-    for (const MemRef &ref : sharedTrace(4).refs()) {
-        sector.access(ref);
-        plain.access(ref);
-    }
-    sector.finalizeResidencies();
-    plain.finalizeResidencies();
-    expectSameStats("sector-wrapper", sector.stats(), plain.stats());
-}
 
 TEST(DegenerateEquiv, DegenerateSectorMatchesConventionalCache)
 {

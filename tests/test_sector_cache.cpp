@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "cache/sector_cache.hh"
 #include "workload/synthetic.hh"
 
@@ -14,7 +15,7 @@ using namespace occsim;
 
 TEST(SectorCache, HistoricalGeometry)
 {
-    SectorCache360Model85 cache;
+    Cache cache(make360Model85Config());
     EXPECT_EQ(cache.config().netSize, 16u * 1024u);
     EXPECT_EQ(cache.config().blockSize, 1024u);
     EXPECT_EQ(cache.config().subBlockSize, 64u);
@@ -25,7 +26,7 @@ TEST(SectorCache, HistoricalGeometry)
 
 TEST(SectorCache, SeventeenthSectorEvicts)
 {
-    SectorCache360Model85 cache;
+    Cache cache(make360Model85Config());
     // Touch 16 distinct sectors (1024 bytes apart).
     for (Addr sector = 0; sector < 16; ++sector)
         cache.access(MemRef{sector * 1024, RefKind::DataRead, 4});
@@ -39,7 +40,7 @@ TEST(SectorCache, SeventeenthSectorEvicts)
 
 TEST(SectorCache, SubBlockMissWithinResidentSector)
 {
-    SectorCache360Model85 cache;
+    Cache cache(make360Model85Config());
     cache.access(MemRef{0, RefKind::DataRead, 4});
     // Same sector, different 64-byte sub-block: sub-block miss.
     EXPECT_EQ(cache.access(MemRef{64, RefKind::DataRead, 4}),
@@ -82,7 +83,7 @@ TEST(SectorCache, WorseThanSetAssociativeOnScatteredData)
     params.dataScanProb = 0.15;
     const VectorTrace trace = makeSyntheticTrace(params, 150000);
 
-    SectorCache360Model85 sector;
+    Cache sector(make360Model85Config());
     VectorTrace copy = trace;
     sector.run(copy);
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit tests for the Mattson stack-distance analyzers, including the
+ * Unit tests for the Mattson stack-distance analyzer, including the
  * key cross-validation property: for fully-associative LRU caches
  * with sub-block == block, the analyzer's one-pass predictions must
- * match direct Cache simulation exactly, for every capacity — and
- * likewise per-set for every associativity. This gives the simulator
- * an independent correctness oracle. The order-statistics structures
- * under both analyzers (SetLruTracker, TouchTimeSet) are checked
- * against brute-force linear LRU models.
+ * match direct Cache simulation exactly, for every capacity. This
+ * gives the simulator an independent correctness oracle. The
+ * order-statistics structures under the analyzer (SetLruTracker,
+ * TouchTimeSet) are checked against brute-force linear LRU models.
  */
 
 #include <gtest/gtest.h>
@@ -99,51 +98,6 @@ TEST(StackAnalyzer, MatchesDirectSimulationFullyAssociative)
     }
 }
 
-TEST(SetStackAnalyzer, MatchesDirectSimulationSetAssociative)
-{
-    SyntheticParams params;
-    params.seed = 33;
-    const VectorTrace trace = makeSyntheticTrace(params, 40000);
-
-    constexpr std::uint32_t kSets = 8;
-    SetStackAnalyzer analyzer(16, kSets);
-    analyzer.processTrace(trace);
-
-    for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
-        CacheConfig config =
-            makeConfig(kSets * assoc * 16, 16, 16, 2);
-        config.assoc = assoc;
-        Cache cache(config);
-        for (const MemRef &ref : trace.refs()) {
-            MemRef as_read = ref;
-            as_read.kind = RefKind::DataRead;
-            cache.access(as_read);
-        }
-        EXPECT_NEAR(cache.stats().missRatio(),
-                    analyzer.missRatioForAssoc(assoc), 1e-12)
-            << "assoc " << assoc;
-    }
-}
-
-TEST(SetStackAnalyzer, AssociativityGainsFlatten)
-{
-    // Strecker's observation reproduced as a weak property: going
-    // 1 -> 4 way helps much more than 4 -> 8 way.
-    SyntheticParams params;
-    params.seed = 61;
-    SetStackAnalyzer analyzer(16, 8);
-    SyntheticSource source(params);
-    MemRef ref;
-    for (int i = 0; i < 80000; ++i) {
-        source.next(ref);
-        analyzer.process(ref.addr);
-    }
-    const double m1 = analyzer.missRatioForAssoc(1);
-    const double m4 = analyzer.missRatioForAssoc(4);
-    const double m8 = analyzer.missRatioForAssoc(8);
-    EXPECT_GE(m1 - m4, m4 - m8);
-}
-
 TEST(StackAnalyzer, OverflowBeyondMaxDepth)
 {
     StackAnalyzer analyzer(16, /*max_depth=*/4);
@@ -161,66 +115,6 @@ TEST(StackAnalyzer, OverflowBeyondMaxDepth)
     // distinctBlocks().
     EXPECT_EQ(analyzer.overflowRefs(), 6u);
     EXPECT_EQ(analyzer.distinctBlocks(), 12u);
-}
-
-TEST(SetStackAnalyzer, HistogramMatchesLinearStackOracle)
-{
-    // Cross-check the Fenwick-backed order-statistic tracker against
-    // a brute-force per-set linear LRU stack on an address mix that
-    // forces deep reuse, MRU repeats, and set aliasing.
-    constexpr std::uint32_t kBlockSize = 16;
-    constexpr std::uint32_t kSets = 4;
-    constexpr std::uint32_t kDepth = 64;
-    SetStackAnalyzer analyzer(kBlockSize, kSets, kDepth);
-
-    std::vector<std::vector<Addr>> stacks(kSets);  // front == MRU
-    std::vector<std::uint64_t> hist(kDepth + 1, 0);
-    std::uint64_t beyond = 0;
-
-    std::uint64_t state = 0x2545f4914f6cdd1dULL;
-    auto next = [&state] {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    };
-
-    for (int i = 0; i < 60000; ++i) {
-        // Mostly a tight 24-block loop (shallow distances, frequent
-        // MRU re-touches), occasionally a 3000-block tail that pushes
-        // reuses past the retained depth.
-        const std::uint64_t r = next();
-        const Addr block = (r % 10 != 0) ? (i % 24)
-                                         : Addr(r >> 32) % 3000;
-        analyzer.process(block * kBlockSize);
-
-        auto &stack = stacks[block % kSets];
-        const auto it = std::find(stack.begin(), stack.end(), block);
-        if (it == stack.end()) {
-            ++beyond;
-        } else {
-            const std::size_t d = (it - stack.begin()) + 1;
-            if (d <= kDepth)
-                ++hist[d];
-            else
-                ++beyond;
-            stack.erase(it);
-        }
-        stack.insert(stack.begin(), block);
-    }
-
-    ASSERT_EQ(analyzer.refs(), 60000u);
-    for (std::uint32_t d = 1; d <= kDepth; ++d)
-        EXPECT_EQ(analyzer.distanceHistogram()[d], hist[d])
-            << "distance " << d;
-    for (std::uint32_t assoc = 1; assoc <= kDepth; assoc *= 2) {
-        std::uint64_t hits = 0;
-        for (std::uint32_t d = 1; d <= assoc; ++d)
-            hits += hist[d];
-        EXPECT_DOUBLE_EQ(analyzer.missRatioForAssoc(assoc),
-                         1.0 - double(hits) / 60000.0)
-            << "assoc " << assoc;
-    }
 }
 
 TEST(TouchTimeSet, MatchesLinearStackOracle)
