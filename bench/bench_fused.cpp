@@ -123,7 +123,7 @@ main()
     for (int rep = 0; rep < kReps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
         BatchReplay batch(configs);
-        batch.run(*packed);
+        batch.run(packed->data(), packed->size());
         batch_results = batch.results();
         const double ms = millisSince(start);
         if (rep == 0 || ms < batch_ms)

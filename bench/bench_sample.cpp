@@ -123,7 +123,7 @@ main()
         // specialized kernels), one thread.
         const auto batch_start = std::chrono::steady_clock::now();
         BatchReplay batch(configs);
-        batch.run(*packed);
+        batch.run(packed->data(), packed->size());
         const auto exact = batch.results();
         batch_ms += millisSince(batch_start);
 

@@ -81,7 +81,7 @@ main()
     // Baseline: the batched engine, single thread, single config.
     const auto batch_start = std::chrono::steady_clock::now();
     BatchReplay batch({config});
-    batch.run(*packed);
+    batch.run(packed->data(), packed->size());
     const SweepResult batch_result = batch.results()[0];
     const double batch_ms = millisSince(batch_start);
 

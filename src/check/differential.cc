@@ -165,19 +165,28 @@ runDifferentialCase(const CacheConfig &config,
                     sweepOne(config, trace, SweepEngine::Auto),
                     direct_summary, report.diffs);
 
+    // Engines 4-6 each run twice: from the packed records (the
+    // corpus layout) and from the MemRef span in place (the layout a
+    // sweep over VectorTraces replays). The label prefix says which.
+    const PackedTrace packed(*trace);
+    const auto for_each_span = [&](const auto &check) {
+        check(std::string(), packed.data());
+        check(std::string("memref-"), refs.data());
+    };
+
     // Engine 4: the batched replay kernels standalone, driven with a
     // deliberately awkward tiling (tile of 1 config, 7-record chunks)
     // so chunk-boundary handling is exercised on every case — full
     // statistics against the oracle, summary against the direct run.
-    {
+    for_each_span([&](const std::string &span, const auto *records) {
         BatchReplay batch(configs, 1, 7);
-        batch.run(PackedTrace(*trace));
+        batch.run(records, refs.size());
         for (const std::string &line :
              diffStats(want, batch.cache(0).stats()))
-            report.diffs.push_back("batch." + line);
-        diffSweepResult("batch", batch.results()[0], direct_summary,
-                        report.diffs);
-    }
+            report.diffs.push_back(span + "batch." + line);
+        diffSweepResult(span + "batch", batch.results()[0],
+                        direct_summary, report.diffs);
+    });
 
     // Engine 5: the set-sharded replay engine, when eligible — the
     // per-shard filtered sub-traces must merge bit-identically to the
@@ -193,15 +202,17 @@ runDifferentialCase(const CacheConfig &config,
                 counts.push_back(max_shards / 2);
             if (max_shards > 2)
                 counts.push_back(max_shards);
-            const PackedTrace packed(*trace);
-            for (const std::uint32_t num_shards : counts) {
-                ShardReplay engine(config, num_shards);
-                for (std::uint32_t s = 0; s < num_shards; ++s)
-                    engine.runShard(s, packed.data(), packed.size());
-                diffSweepResult(
-                    "shard" + std::to_string(num_shards),
-                    engine.result(), direct_summary, report.diffs);
-            }
+            for_each_span([&](const std::string &span,
+                              const auto *records) {
+                for (const std::uint32_t num_shards : counts) {
+                    ShardReplay engine(config, num_shards);
+                    for (std::uint32_t s = 0; s < num_shards; ++s)
+                        engine.runShard(s, records, refs.size());
+                    diffSweepResult(
+                        span + "shard" + std::to_string(num_shards),
+                        engine.result(), direct_summary, report.diffs);
+                }
+            });
         }
     }
 
@@ -252,37 +263,35 @@ runDifferentialCase(const CacheConfig &config,
             member_summaries.push_back(summarizeCache(member));
         }
 
-        const PackedTrace packed(*trace);
-        {
-            FusedReplay fused(group);
-            fused.run(packed.data(), packed.size());
-            for (std::size_t m = 0; m < group.size(); ++m) {
-                diffSweepResult("fused.m" + std::to_string(m),
-                                fused.result(m), member_summaries[m],
-                                report.diffs);
-            }
-        }
-
         const CacheGeometry geom(config);
         const std::uint32_t max_shards =
             std::min<std::uint32_t>(geom.numSets(), kMaxShards);
-        if (max_shards >= 2) {
-            std::vector<std::uint32_t> counts{2};
-            if (max_shards > 2)
-                counts.push_back(max_shards);
+        std::vector<std::uint32_t> counts{1};
+        if (max_shards >= 2)
+            counts.push_back(2);
+        if (max_shards > 2)
+            counts.push_back(max_shards);
+        for_each_span([&](const std::string &span, const auto *records) {
             for (const std::uint32_t num_shards : counts) {
                 FusedReplay fused(group, num_shards);
-                for (std::uint32_t s = 0; s < num_shards; ++s)
-                    fused.runShard(s, packed.data(), packed.size());
+                if (num_shards == 1) {
+                    fused.run(records, refs.size());
+                } else {
+                    for (std::uint32_t s = 0; s < num_shards; ++s)
+                        fused.runShard(s, records, refs.size());
+                }
+                const std::string label =
+                    num_shards == 1
+                        ? span + "fused"
+                        : span + "fused-shard" +
+                              std::to_string(num_shards);
                 for (std::size_t m = 0; m < group.size(); ++m) {
-                    diffSweepResult(
-                        "fused-shard" + std::to_string(num_shards) +
-                            ".m" + std::to_string(m),
-                        fused.result(m), member_summaries[m],
-                        report.diffs);
+                    diffSweepResult(label + ".m" + std::to_string(m),
+                                    fused.result(m), member_summaries[m],
+                                    report.diffs);
                 }
             }
-        }
+        });
     }
 
     return report;

@@ -25,6 +25,10 @@
  *     and sharded) with awkward sibling configs; every member vs its
  *     own direct run.
  *
+ * Engines 4-6 run twice, once over the packed records and once over
+ * the MemRef span in place (diff labels prefixed "memref-"), since a
+ * sweep over VectorTraces feeds them MemRef records.
+ *
  * Split I/D configs take their own stack: a pair of oracle halves vs
  * the SplitCache, and both routing modes vs its summary.
  *

@@ -4,36 +4,6 @@
 
 namespace occsim {
 
-namespace {
-
-// The fields the kernel reads, from either record type.
-
-std::uint32_t
-coreOf(const MemRef &ref)
-{
-    return ref.core;
-}
-
-std::uint32_t
-coreOf(const PackedRecord &rec)
-{
-    return rec.core();
-}
-
-Addr
-addrOf(const MemRef &ref)
-{
-    return ref.addr;
-}
-
-Addr
-addrOf(const PackedRecord &rec)
-{
-    return rec.addr();
-}
-
-} // namespace
-
 template <std::uint32_t A>
 bool
 CoherentSystem::snoopRead(std::uint32_t requester, Addr block_addr)

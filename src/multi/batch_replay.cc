@@ -1,6 +1,7 @@
 #include "multi/batch_replay.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -23,50 +24,49 @@ BatchReplay::BatchReplay(const std::vector<CacheConfig> &configs,
     numTiles_ = (caches_.size() + tileConfigs_ - 1) / tileConfigs_;
 }
 
+template <class Rec>
 void
-BatchReplay::runTile(std::size_t tile, const PackedTrace &trace,
-                     std::uint64_t max_refs)
+BatchReplay::runTile(std::size_t tile, const Rec *refs, std::size_t n)
 {
     occsim_assert(tile < numTiles_, "tile index out of range");
     OCCSIM_TELEM_STAGE("engine.batch");
     const std::size_t begin = tile * tileConfigs_;
     const std::size_t end =
         std::min(begin + tileConfigs_, caches_.size());
-
-    const std::uint64_t limit =
-        max_refs == 0
-            ? trace.size()
-            : std::min<std::uint64_t>(max_refs, trace.size());
-    const PackedRecord *records = trace.data();
+    constexpr bool kPacked = std::is_same_v<Rec, PackedRecord>;
+    std::vector<PackedRecord> buffer(kPacked ? 0
+                                             : std::min(chunkRecords_, n));
 
     // Chunk-blocked: every cache of the tile consumes one chunk
     // before the next chunk is touched, keeping the chunk L2-resident
-    // across the tile. Each cache still sees records strictly in
-    // trace order, so its state and statistics are exactly those of a
-    // solo replay.
-    for (std::uint64_t pos = 0; pos < limit; pos += chunkRecords_) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunkRecords_, limit - pos));
+    // across the tile (a MemRef chunk is packed into the buffer once,
+    // then read by every cache). Each cache still sees records
+    // strictly in trace order, so its state and statistics are
+    // exactly those of a solo replay.
+    for (std::size_t pos = 0; pos < n; pos += chunkRecords_) {
+        const std::size_t len = std::min(chunkRecords_, n - pos);
+        const PackedRecord *chunk = nullptr;
+        if constexpr (kPacked) {
+            chunk = refs + pos;
+        } else {
+            for (std::size_t i = 0; i < len; ++i)
+                buffer[i] = PackedRecord::pack(refs[pos + i]);
+            chunk = buffer.data();
+        }
         for (std::size_t c = begin; c < end; ++c)
-            caches_[c]->replayPacked(records + pos, n);
+            caches_[c]->replayPacked(chunk, len);
     }
     for (std::size_t c = begin; c < end; ++c)
         caches_[c]->finalizeResidencies();
     OCCSIM_TELEM_COUNT("engine.batch.refs",
-                       limit * static_cast<std::uint64_t>(end - begin));
-    OCCSIM_TELEM_COUNT("engine.batch.bytes",
-                       limit * sizeof(PackedRecord));
+                       n * static_cast<std::uint64_t>(end - begin));
+    OCCSIM_TELEM_COUNT("engine.batch.bytes", n * sizeof(Rec));
 }
 
-std::uint64_t
-BatchReplay::run(const PackedTrace &trace, std::uint64_t max_refs)
-{
-    for (std::size_t tile = 0; tile < numTiles_; ++tile)
-        runTile(tile, trace, max_refs);
-    return max_refs == 0
-               ? trace.size()
-               : std::min<std::uint64_t>(max_refs, trace.size());
-}
+template void BatchReplay::runTile(std::size_t, const MemRef *,
+                                   std::size_t);
+template void BatchReplay::runTile(std::size_t, const PackedRecord *,
+                                   std::size_t);
 
 std::vector<SweepResult>
 BatchReplay::results() const

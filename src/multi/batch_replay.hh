@@ -1,6 +1,6 @@
 /**
  * @file
- * Config-blocked batched replay over a packed trace.
+ * Config-blocked batched replay over a trace's record span.
  *
  * The direct sweep engine streams the whole trace through one Cache
  * at a time: every configuration pays one full pass of trace memory
@@ -8,14 +8,16 @@
  * Cache::access(). BatchReplay restructures that loop around the
  * memory system instead of around the configs:
  *
- *  - the trace is pre-decoded once into a PackedTrace (8 bytes per
- *    reference, see packed_trace.hh);
  *  - configurations are grouped into tiles of K caches, and the
- *    packed trace is streamed chunk by chunk — every chunk (256 KB by
+ *    trace is streamed chunk by chunk — every chunk (256 KB by
  *    default, comfortably L2-resident) is replayed through all K
  *    caches of the tile before the next chunk is touched, so the
  *    trace is read from DRAM once per tile instead of once per
  *    config;
+ *  - a PackedRecord span (a PackedTrace or a mapped corpus file)
+ *    replays in place; a MemRef span (a VectorTrace) is packed one
+ *    chunk at a time into a buffer private to the tile, so the pack
+ *    costs one pass per tile and no whole-trace copy is made;
  *  - each cache replays through Cache::replayPacked, the kernel
  *    specialized at construction for its (fetch x write x
  *    write-allocate) policy combination, so the per-reference policy
@@ -40,7 +42,7 @@
 
 namespace occsim {
 
-/** Batched multi-configuration replay of packed traces. */
+/** Batched multi-configuration replay of record spans. */
 class BatchReplay
 {
   public:
@@ -54,7 +56,7 @@ class BatchReplay
     /**
      * @param configs one result slot per entry.
      * @param tile_configs caches simulated per trace chunk.
-     * @param chunk_records packed records replayed per chunk (the
+     * @param chunk_records records replayed per chunk (the
      *        differential fuzzer uses deliberately awkward values
      *        like 7 to exercise chunk-boundary handling).
      */
@@ -67,22 +69,24 @@ class BatchReplay
     std::size_t numTiles() const { return numTiles_; }
 
     /**
-     * Replay up to @p max_refs records (0 = all) of @p trace through
-     * every cache of tile @p tile and finalize their residencies.
-     * Tiles are independent; callers may run them concurrently.
-     * Repeated passes accumulate as if the traces were concatenated
-     * (same contract as Cache::run).
+     * Replay the @p n records of @p refs (MemRef or PackedRecord)
+     * through every cache of tile @p tile and finalize their
+     * residencies. Tiles are independent; callers may run them
+     * concurrently over one shared span. Repeated passes accumulate
+     * as if the traces were concatenated (same contract as
+     * Cache::run).
      */
-    void runTile(std::size_t tile, const PackedTrace &trace,
-                 std::uint64_t max_refs = 0);
+    template <class Rec>
+    void runTile(std::size_t tile, const Rec *refs, std::size_t n);
 
-    /**
-     * Replay @p trace through every tile in order (the sequential
-     * driver; sweeps schedule runTile themselves).
-     * @return records consumed per config.
-     */
-    std::uint64_t run(const PackedTrace &trace,
-                      std::uint64_t max_refs = 0);
+    /** Replay @p refs through every tile in order (the sequential
+     *  driver; sweeps schedule runTile themselves). */
+    template <class Rec>
+    void run(const Rec *refs, std::size_t n)
+    {
+        for (std::size_t tile = 0; tile < numTiles_; ++tile)
+            runTile(tile, refs, n);
+    }
 
     const Cache &cache(std::size_t i) const { return *caches_[i]; }
     Cache &cache(std::size_t i) { return *caches_[i]; }

@@ -189,13 +189,22 @@ class FusedReplay::Pass
         classDirty_.assign(frames * numClasses_, 0);
         grainValid_.assign(frames * numGrains_, 0);
 
-        kernel_ = selectKernel(configs.front().replacement, copyBack_,
-                               writeAllocate_, assoc_);
+        kernel_ = selectKernel<MemRef>(configs.front().replacement,
+                                       copyBack_, writeAllocate_,
+                                       assoc_);
+        kernelPacked_ = selectKernel<PackedRecord>(
+            configs.front().replacement, copyBack_, writeAllocate_,
+            assoc_);
+    }
+
+    void replay(const MemRef *refs, std::size_t n)
+    {
+        (this->*kernel_)(refs, n);
     }
 
     void replay(const PackedRecord *refs, std::size_t n)
     {
-        (this->*kernel_)(refs, n);
+        (this->*kernelPacked_)(refs, n);
     }
 
     /** Exactly Cache::finalizeResidencies, per config: frames in
@@ -378,7 +387,8 @@ class FusedReplay::Pass
      */
     template <ReplacementPolicy R, bool CopyBack, bool WriteAllocate,
               std::uint32_t A>
-    void accessAll(Addr addr, bool is_write, bool is_ifetch)
+    OCCSIM_ALWAYS_INLINE void accessAll(Addr addr, bool is_write,
+                                        bool is_ifetch)
     {
         const std::uint32_t assoc = A != 0 ? A : assoc_;
         const Addr block_addr = addr >> blockBits_;
@@ -575,9 +585,9 @@ class FusedReplay::Pass
         lastFrame_ = static_cast<std::uint32_t>(frame_index);
     }
 
-    template <ReplacementPolicy R, bool CopyBack, bool WriteAllocate,
-              std::uint32_t A>
-    void replayLoop(const PackedRecord *refs, std::size_t n)
+    template <class Rec, ReplacementPolicy R, bool CopyBack,
+              bool WriteAllocate, std::uint32_t A>
+    void replayLoop(const Rec *refs, std::size_t n)
     {
         // Same look-ahead as Cache::replayLoop: the tag read of a
         // record a few iterations out is the dominant cache-missing
@@ -594,7 +604,7 @@ class FusedReplay::Pass
             16384;
         for (std::size_t i = 0; i < n; ++i) {
             if (prefetch && i + kPrefetchDistance < n) {
-                const Addr ahead = refs[i + kPrefetchDistance].addr();
+                const Addr ahead = addrOf(refs[i + kPrefetchDistance]);
                 const std::size_t frame =
                     static_cast<std::size_t>(
                         (ahead >> blockBits_) & setMask_) *
@@ -605,50 +615,55 @@ class FusedReplay::Pass
                 OCCSIM_PREFETCH_READ(classTouched_.data() +
                                      frame * numClasses_);
             }
-            const PackedRecord rec = refs[i];
+            const Rec rec = refs[i];
             accessAll<R, CopyBack, WriteAllocate, A>(
-                rec.addr(), rec.isWrite(), rec.isInstruction());
+                addrOf(rec), rec.isWrite(), rec.isInstruction());
         }
     }
 
-    using Kernel = void (Pass::*)(const PackedRecord *, std::size_t);
+    template <class Rec>
+    using Kernel = void (Pass::*)(const Rec *, std::size_t);
 
-    static Kernel selectKernel(ReplacementPolicy repl, bool copy_back,
-                               bool write_allocate,
-                               std::uint32_t assoc)
+    template <class Rec>
+    static Kernel<Rec> selectKernel(ReplacementPolicy repl,
+                                    bool copy_back, bool write_allocate,
+                                    std::uint32_t assoc)
     {
         const auto pick_write =
             [copy_back,
              write_allocate]<ReplacementPolicy R, std::uint32_t A>() {
                 if (copy_back) {
                     return write_allocate
-                               ? &Pass::replayLoop<R, true, true, A>
-                               : &Pass::replayLoop<R, true, false, A>;
+                               ? &Pass::replayLoop<Rec, R, true, true, A>
+                               : &Pass::replayLoop<Rec, R, true, false,
+                                                   A>;
                 }
                 return write_allocate
-                           ? &Pass::replayLoop<R, false, true, A>
-                           : &Pass::replayLoop<R, false, false, A>;
+                           ? &Pass::replayLoop<Rec, R, false, true, A>
+                           : &Pass::replayLoop<Rec, R, false, false, A>;
             };
         const auto pick_assoc =
             [&pick_write, assoc]<ReplacementPolicy R>() {
                 switch (assoc) {
                   case 1:
-                    return pick_write.operator()<R, 1u>();
+                    return pick_write.template operator()<R, 1u>();
                   case 2:
-                    return pick_write.operator()<R, 2u>();
+                    return pick_write.template operator()<R, 2u>();
                   case 4:
-                    return pick_write.operator()<R, 4u>();
+                    return pick_write.template operator()<R, 4u>();
                   case 8:
-                    return pick_write.operator()<R, 8u>();
+                    return pick_write.template operator()<R, 8u>();
                   default:
-                    return pick_write.operator()<R, 0u>();
+                    return pick_write.template operator()<R, 0u>();
                 }
             };
         switch (repl) {
           case ReplacementPolicy::LRU:
-            return pick_assoc.operator()<ReplacementPolicy::LRU>();
+            return pick_assoc
+                .template operator()<ReplacementPolicy::LRU>();
           case ReplacementPolicy::FIFO:
-            return pick_assoc.operator()<ReplacementPolicy::FIFO>();
+            return pick_assoc
+                .template operator()<ReplacementPolicy::FIFO>();
           case ReplacementPolicy::Random:
             break;  // ineligible; fall through to panic
         }
@@ -677,7 +692,10 @@ class FusedReplay::Pass
     std::uint32_t grainBits_ = 0;
     /** One bit per member config (numConfigs_ <= 64). */
     std::uint64_t allMask_ = 0;
-    Kernel kernel_ = nullptr;
+    /** The replay loop for each record layout, picked once at
+     *  construction: MemRef spans are read where they lie. */
+    Kernel<MemRef> kernel_ = nullptr;
+    Kernel<PackedRecord> kernelPacked_ = nullptr;
     std::unique_ptr<ReplacementState> repl_;
     std::vector<Lane> lanes_;
     /** lanes_[c].subBits again, one byte per config: the only lane
@@ -751,8 +769,9 @@ FusedReplay::FusedReplay(const std::vector<CacheConfig> &configs,
 
 FusedReplay::~FusedReplay() = default;
 
+template <class Rec>
 void
-FusedReplay::run(const PackedRecord *refs, std::size_t n)
+FusedReplay::run(const Rec *refs, std::size_t n)
 {
     occsim_assert(numShards_ == 1,
                   "run() drives an unsharded fused pass; use "
@@ -763,12 +782,12 @@ FusedReplay::run(const PackedRecord *refs, std::size_t n)
     passes_[0]->finalize();
     refs_[0] += n;
     OCCSIM_TELEM_COUNT("engine.fused.refs", n * configs_.size());
-    OCCSIM_TELEM_COUNT("engine.fused.bytes", n * sizeof(PackedRecord));
+    OCCSIM_TELEM_COUNT("engine.fused.bytes", n * sizeof(Rec));
 }
 
+template <class Rec>
 void
-FusedReplay::runShard(std::size_t shard, const PackedRecord *refs,
-                      std::size_t n)
+FusedReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
 {
     occsim_assert(shard < passes_.size(), "shard %zu of %zu", shard,
                   passes_.size());
@@ -783,8 +802,15 @@ FusedReplay::runShard(std::size_t shard, const PackedRecord *refs,
     pass.finalize();
     refs_[shard] += kept;
     OCCSIM_TELEM_COUNT("engine.fused.refs", kept * configs_.size());
-    OCCSIM_TELEM_COUNT("engine.fused.bytes", n * sizeof(PackedRecord));
+    OCCSIM_TELEM_COUNT("engine.fused.bytes", n * sizeof(Rec));
 }
+
+template void FusedReplay::run(const MemRef *, std::size_t);
+template void FusedReplay::run(const PackedRecord *, std::size_t);
+template void FusedReplay::runShard(std::size_t, const MemRef *,
+                                    std::size_t);
+template void FusedReplay::runShard(std::size_t, const PackedRecord *,
+                                    std::size_t);
 
 CacheStats
 FusedReplay::mergedStats(std::size_t c) const

@@ -141,14 +141,17 @@ class FusedReplay
 
     /** Unsharded drive (numShards() == 1): price @p n records for
      *  every member config in one pass and finalize residencies,
-     *  exactly like one Cache::run pass per config. */
-    void run(const PackedRecord *refs, std::size_t n);
+     *  exactly like one Cache::run pass per config. @p Rec is MemRef
+     *  or PackedRecord; the pass reads either span in place. */
+    template <class Rec>
+    void run(const Rec *refs, std::size_t n);
 
     /** Replay the records of shard @p shard among the first @p n of
-     *  @p refs (forEachShardChunk) through the group pass and
-     *  finalize its residencies. */
-    void runShard(std::size_t shard, const PackedRecord *refs,
-                  std::size_t n);
+     *  @p refs (forEachShardChunk, which packs MemRef records as it
+     *  compacts them) through the group pass and finalize its
+     *  residencies. */
+    template <class Rec>
+    void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
     /** References replayed by @p shard so far (imbalance telemetry). */
     std::uint64_t shardRefs(std::size_t shard) const

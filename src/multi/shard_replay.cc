@@ -95,9 +95,9 @@ ShardReplay::ShardReplay(const CacheConfig &config,
     refs_.assign(num_shards, 0);
 }
 
+template <class Rec>
 void
-ShardReplay::runShard(std::size_t shard, const PackedRecord *refs,
-                      std::size_t n)
+ShardReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
 {
     occsim_assert(shard < caches_.size(), "shard %zu of %zu", shard,
                   caches_.size());
@@ -112,8 +112,13 @@ ShardReplay::runShard(std::size_t shard, const PackedRecord *refs,
     cache.finalizeResidencies();
     refs_[shard] += kept;
     OCCSIM_TELEM_COUNT("engine.shard.refs", kept);
-    OCCSIM_TELEM_COUNT("engine.shard.bytes", n * sizeof(PackedRecord));
+    OCCSIM_TELEM_COUNT("engine.shard.bytes", n * sizeof(Rec));
 }
+
+template void ShardReplay::runShard(std::size_t, const MemRef *,
+                                    std::size_t);
+template void ShardReplay::runShard(std::size_t, const PackedRecord *,
+                                    std::size_t);
 
 CacheStats
 ShardReplay::mergedStats() const

@@ -89,7 +89,7 @@ bool shouldShard(ShardMode mode, const CacheConfig &config,
 
 /**
  * One sharded (trace, config) run: numShards private Caches, each
- * replaying one set shard of the packed trace. runShard(s, ...) only
+ * replaying one set shard of the trace. runShard(s, ...) only
  * touches shard s's cache and counter (its filter buffer is local to
  * the call), so distinct shards are safe to run concurrently with no
  * synchronization; merging happens single-threaded afterwards.
@@ -109,9 +109,11 @@ class ShardReplay
 
     /** Replay the records of shard @p shard among the first @p n of
      *  @p refs (forEachShardChunk) and finalize its residencies,
-     *  exactly like one Cache::run pass over that sub-trace. */
-    void runShard(std::size_t shard, const PackedRecord *refs,
-                  std::size_t n);
+     *  exactly like one Cache::run pass over that sub-trace. @p Rec
+     *  is MemRef or PackedRecord; the filter packs MemRef records as
+     *  it compacts them. */
+    template <class Rec>
+    void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
     /** References replayed by @p shard so far (imbalance telemetry). */
     std::uint64_t shardRefs(std::size_t shard) const

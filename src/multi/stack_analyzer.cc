@@ -118,29 +118,21 @@ TouchTimeSet::maybeCompact()
 }
 
 // ---------------------------------------------------------------- //
-// SetLruTracker
+// LruTracker
 // ---------------------------------------------------------------- //
 
-SetLruTracker::SetLruTracker(std::uint32_t num_sets)
-    : mask_(num_sets - 1), sets_(num_sets)
-{
-    occsim_assert(num_sets > 0 && isPowerOfTwo(num_sets),
-                  "set count must be a power of two");
-}
-
 std::uint64_t
-SetLruTracker::touch(Addr block)
+LruTracker::touch(Addr block)
 {
     const std::uint64_t t = ++clock_;
-    TouchTimeSet &set = sets_[block & mask_];
     const auto [it, inserted] = lastTouch_.try_emplace(block, t);
     if (inserted) {
-        set.insertNew(t);
+        stack_.insertNew(t);
         return kFirstTouch;
     }
     const std::uint64_t prev = it->second;
     it->second = t;
-    return set.touch(prev, t) + 1;
+    return stack_.touch(prev, t) + 1;
 }
 
 // ---------------------------------------------------------------- //
@@ -150,7 +142,7 @@ SetLruTracker::touch(Addr block)
 StackAnalyzer::StackAnalyzer(std::uint32_t block_size,
                              std::uint32_t max_depth)
     : blockBits_(floorLog2(block_size)), maxDepth_(max_depth),
-      tracker_(1), distanceHist_(max_depth + 1, 0)
+      distanceHist_(max_depth + 1, 0)
 {
     occsim_assert(isPowerOfTwo(block_size),
                   "block size must be a power of two");
@@ -164,7 +156,7 @@ StackAnalyzer::process(Addr addr)
     prefixStale_ = true;
     const Addr block = addr >> blockBits_;
     const std::uint64_t distance = tracker_.touch(block);
-    if (distance == SetLruTracker::kFirstTouch) {
+    if (distance == LruTracker::kFirstTouch) {
         ++distinct_;
     } else if (distance <= maxDepth_) {
         ++distanceHist_[distance];

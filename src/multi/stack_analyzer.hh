@@ -11,7 +11,7 @@
  * C blocks misses exactly the references with distance > C (inclusion
  * property).
  *
- * The analyzer runs on the SetLruTracker order-statistics structure
+ * The analyzer runs on the LruTracker order-statistics structure
  * (hash map + Fenwick tree, below), so a reference costs
  * O(log depth) instead of the O(depth) linear stack scan of the
  * classic implementation. Distances beyond max_depth are
@@ -84,31 +84,27 @@ class TouchTimeSet
 };
 
 /**
- * Per-set LRU stack-distance tracker: one shared hash map of block
- * last-touch times plus one TouchTimeSet per set. This is the
+ * Fully-associative LRU stack-distance tracker: a hash map of block
+ * last-touch times plus one TouchTimeSet over them. This is the
  * O(log depth) replacement for the linear touchStack scan behind
  * StackAnalyzer below.
  */
-class SetLruTracker
+class LruTracker
 {
   public:
     /** Distance returned for the first touch of a block. */
     static constexpr std::uint64_t kFirstTouch = ~0ULL;
 
-    /** @param num_sets power-of-two set count. */
-    explicit SetLruTracker(std::uint32_t num_sets);
-
     /**
      * Record a touch of @p block (a block address, i.e. addr >>
      * log2(blockSize)).
-     * @return the 1-based LRU stack distance of the block within its
-     *         set, or kFirstTouch if never seen before.
+     * @return the 1-based LRU stack distance of the block, or
+     *         kFirstTouch if never seen before.
      */
     std::uint64_t touch(Addr block);
 
   private:
-    Addr mask_;
-    std::vector<TouchTimeSet> sets_;
+    TouchTimeSet stack_;
     std::unordered_map<Addr, std::uint64_t> lastTouch_;
     std::uint64_t clock_ = 0;
 };
@@ -159,7 +155,7 @@ class StackAnalyzer
   private:
     std::uint32_t blockBits_;
     std::uint32_t maxDepth_;
-    SetLruTracker tracker_;  ///< one set: fully associative
+    LruTracker tracker_;
     std::vector<std::uint64_t> distanceHist_;
     /** Lazily rebuilt prefix sums: hitsUpTo_[c] = refs with distance
      *  in [1, c] — one pass instead of a rescan per query. */

@@ -60,7 +60,7 @@ struct SweepRequest
      * Already packed traces — e.g. corpus files mapped read-only by
      * TraceCorpus::open(), replayed in place with no decode and no
      * copy. Packed records carry no MemRef stream, so this path is
-     * served entirely by the packed replay engines — fused, batch,
+     * served entirely by the span replay engines — fused, batch,
      * set-sharded and split pairs (whose results are bit-identical to
      * every other engine); it requires SweepEngine::Auto.
      */

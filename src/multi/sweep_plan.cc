@@ -1,5 +1,8 @@
 #include "multi/sweep_plan.hh"
 
+#include <type_traits>
+#include <variant>
+
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -18,29 +21,69 @@ selectConfigs(const std::vector<CacheConfig> &configs,
     return out;
 }
 
-/** One trace's inputs for one execution of a plan. */
+/** One trace's records for one execution of a plan: a VectorTrace's
+ *  MemRef span or a packed trace's span, read in place, plus the
+ *  number of records the sweep replays. */
 struct TraceInput
 {
-    const VectorTrace *refs = nullptr;  ///< null for packed input
-    std::shared_ptr<const PackedTrace> packed;
+    std::variant<const MemRef *, const PackedRecord *> records;
     std::uint64_t limit = 0;
-    std::size_t recordBytes = 0;
 };
 
-/** Drive a Cache or SplitCache over @p in's first limit records. */
-template <class Sim>
+/** Drive a Cache or SplitCache over the first @p n of @p refs. */
+template <class Sim, class Rec>
 void
-replayDirect(Sim &sim, const TraceInput &in)
+replayDirect(Sim &sim, const Rec *refs, std::size_t n)
 {
-    if (in.refs != nullptr) {
-        const std::vector<MemRef> &refs = in.refs->refs();
-        for (std::uint64_t r = 0; r < in.limit; ++r)
+    if constexpr (std::is_same_v<Rec, MemRef>) {
+        for (std::size_t r = 0; r < n; ++r)
             sim.access(refs[r]);
     } else {
-        sim.replayPacked(in.packed->data(),
-                         static_cast<std::size_t>(in.limit));
+        sim.replayPacked(refs, n);
     }
     sim.finalizeResidencies();
+}
+
+/** Run one plan task over the first @p n of its trace's records. */
+template <class Rec>
+void
+runTask(const PlanTask &task, TracePlan &tp, const Rec *refs,
+        std::size_t n)
+{
+    switch (task.kind) {
+    case PlanTask::Kind::BatchTile:
+        tp.batch->runTile(task.part, refs, n);
+        break;
+    case PlanTask::Kind::Fused: {
+        FusedReplay &eng = *tp.fused[task.engine];
+        if (eng.numShards() == 1)
+            eng.run(refs, n);
+        else
+            eng.runShard(task.part, refs, n);
+        break;
+    }
+    case PlanTask::Kind::Shard:
+        tp.shards[task.engine]->runShard(task.part, refs, n);
+        break;
+    case PlanTask::Kind::Direct:
+    case PlanTask::Kind::Split: {
+        OCCSIM_TELEM_STAGE("engine.direct");
+        if (task.kind == PlanTask::Kind::Direct)
+            replayDirect(*tp.direct[task.engine], refs, n);
+        else
+            replayDirect(*tp.splits[task.engine], refs, n);
+        OCCSIM_TELEM_COUNT("engine.direct.refs", n);
+        OCCSIM_TELEM_COUNT("engine.direct.bytes", n * sizeof(Rec));
+        break;
+    }
+    case PlanTask::Kind::Shadow: {
+        OCCSIM_TELEM_STAGE("engine.shadow");
+        replayDirect(*tp.shadows[task.engine], refs, n);
+        OCCSIM_TELEM_COUNT("engine.shadow.refs", n);
+        OCCSIM_TELEM_COUNT("engine.shadow.bytes", n * sizeof(Rec));
+        break;
+    }
+    }
 }
 
 } // namespace
@@ -229,70 +272,33 @@ runSweepPlan(SweepPlan &plan,
                       plan.traces.size(),
                   "plan covers %zu traces", plan.traces.size());
 
-    // Decode each trace once for the replay engines (memoized across
-    // engines and sweeps sharing the trace). Sharded tasks filter
-    // their own set shard from it as they run.
+    // Every engine reads each trace's records where they lie: no
+    // whole-trace copy is made. Sharded tasks filter their own set
+    // shard as they run.
     std::vector<TraceInput> inputs(plan.traces.size());
     std::uint64_t refs = 0;
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
-        const TracePlan &tp = plan.traces[t];
         TraceInput &in = inputs[t];
         if (memrefs) {
-            in.refs = traces[t].get();
-            in.limit = refLimit(in.refs->refs().size(), max_refs);
-            in.recordBytes = sizeof(MemRef);
-            if (tp.batch != nullptr || !tp.fused.empty() ||
-                !tp.shards.empty())
-                in.packed = packedTraceShared(traces[t]);
+            const std::vector<MemRef> &records = traces[t]->refs();
+            in.records = records.data();
+            in.limit = refLimit(records.size(), max_refs);
         } else {
-            in.packed = packed[t];
-            in.limit = refLimit(in.packed->size(), max_refs);
-            in.recordBytes = sizeof(PackedRecord);
+            in.records = packed[t]->data();
+            in.limit = refLimit(packed[t]->size(), max_refs);
         }
         refs += in.limit;
     }
 
     pool.parallelFor(plan.tasks.size(), [&](std::size_t i) {
         const PlanTask &task = plan.tasks[i];
-        TracePlan &tp = plan.traces[task.trace];
         const TraceInput &in = inputs[task.trace];
-        switch (task.kind) {
-        case PlanTask::Kind::BatchTile:
-            tp.batch->runTile(task.part, *in.packed, max_refs);
-            break;
-        case PlanTask::Kind::Fused: {
-            FusedReplay &eng = *tp.fused[task.engine];
-            if (eng.numShards() == 1)
-                eng.run(in.packed->data(), in.limit);
-            else
-                eng.runShard(task.part, in.packed->data(), in.limit);
-            break;
-        }
-        case PlanTask::Kind::Shard:
-            tp.shards[task.engine]->runShard(
-                task.part, in.packed->data(), in.limit);
-            break;
-        case PlanTask::Kind::Direct:
-        case PlanTask::Kind::Split: {
-            OCCSIM_TELEM_STAGE("engine.direct");
-            if (task.kind == PlanTask::Kind::Direct)
-                replayDirect(*tp.direct[task.engine], in);
-            else
-                replayDirect(*tp.splits[task.engine], in);
-            OCCSIM_TELEM_COUNT("engine.direct.refs", in.limit);
-            OCCSIM_TELEM_COUNT("engine.direct.bytes",
-                               in.limit * in.recordBytes);
-            break;
-        }
-        case PlanTask::Kind::Shadow: {
-            OCCSIM_TELEM_STAGE("engine.shadow");
-            replayDirect(*tp.shadows[task.engine], in);
-            OCCSIM_TELEM_COUNT("engine.shadow.refs", in.limit);
-            OCCSIM_TELEM_COUNT("engine.shadow.bytes",
-                               in.limit * in.recordBytes);
-            break;
-        }
-        }
+        std::visit(
+            [&](const auto *records) {
+                runTask(task, plan.traces[task.trace], records,
+                        static_cast<std::size_t>(in.limit));
+            },
+            in.records);
     });
 
     // CrossCheck: the optimized engines must reproduce every shadow's

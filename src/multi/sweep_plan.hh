@@ -35,7 +35,9 @@
  *
  * runSweepPlan() executes a plan over the traces it was planned for,
  * given either as MemRef traces or as packed records (the plan is the
- * same for both); every task touches only its own engine, cache, tile
+ * same for both). Every engine reads the records where they lie, so
+ * a sweep makes no whole-trace copy. Every task touches only its own
+ * engine, cache, tile
  * or shard, so results are bit-identical to sequential per-config
  * simulation however the pool schedules them. Running the same plan
  * again feeds every engine the next trace as if the traces were
@@ -59,8 +61,8 @@ namespace occsim {
 
 /** Engine selection policy for sweeps. */
 enum class SweepEngine : std::uint8_t {
-    /** Fused / set-sharded / batched packed replay for every
-     *  unified config (the default). */
+    /** Fused / set-sharded / batched replay for every unified
+     *  config (the default). */
     Auto = 0,
     /** Direct per-config Cache simulation for every config. */
     DirectOnly = 1,

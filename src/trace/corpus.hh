@@ -3,14 +3,13 @@
  * On-disk trace corpus: persistent, mmap-able PackedTrace storage
  * with content-hash deduplication.
  *
- * The batch/sample/shard engines already share one in-process packed
- * decode per trace (packedTraceShared); the corpus extends that
- * amortization across processes and across time. A trace is ingested
- * ONCE — packed, hashed, written to `<hash>.opc` under the corpus
- * directory — and every later request (from any process) maps the
- * file read-only and replays the records in place: no re-decode, no
- * copy, and the page cache shares the bytes between concurrent
- * servers.
+ * In process, the sweep engines read a VectorTrace's MemRef records
+ * in place; the corpus gives traces a life across processes and
+ * across time. A trace is ingested ONCE — packed, hashed, written to
+ * `<hash>.opc` under the corpus directory — and every later request
+ * (from any process) maps the file read-only and replays the packed
+ * records in place: no re-decode, no copy, and the page cache shares
+ * the bytes between concurrent servers.
  *
  * File format (occsim packed corpus, "OCPC", little-endian):
  *
@@ -25,9 +24,9 @@
  *   offset 64  char[]   trace name (not NUL-terminated)
  *   data offset         count x 8-byte PackedRecord
  *
- * The stored record bytes are exactly the bytes packedTraceShared
+ * The stored record bytes are exactly the bytes PackedRecord::pack
  * produces in memory, so an ingest -> mmap -> replay round trip is
- * bit-identical to in-memory packing by construction; the content
+ * bit-identical to in-memory replay by construction; the content
  * hash doubles as the dedup key and as corruption detection. Every
  * open checks the header (magic, version, size vs record count);
  * TraceCorpus re-hashes the records once per file identity (device,

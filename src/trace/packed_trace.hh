@@ -1,22 +1,24 @@
 /**
  * @file
- * Packed, pre-decoded trace representation for batched replay.
+ * Packed trace records, and record decoding for both trace layouts.
  *
- * A VectorTrace stores MemRef structs and is consumed either through
- * the virtual TraceSource::next() interface or as a flat MemRef span.
- * The batched replay engine wants neither: it replays the same trace
- * through many cache configurations and kernels, so the trace is
- * decoded ONCE into a contiguous array of 8-byte records — byte
- * address in the low 32 bits, pre-computed classification flags
- * (write / instruction-fetch) in the bits above — and every kernel
- * loop is a branch-light walk over that span. The record deliberately
- * drops MemRef::size: no cache model reads it (the data-path width
- * comes from the config), and keeping records at 8 bytes means a
- * 1 M-reference trace is an 8 MB stream that tiles nicely in L2.
+ * A PackedRecord is one reference in 8 bytes: byte address in the
+ * low 32 bits, pre-computed classification flags (write /
+ * instruction-fetch) and the issuing core in the bits above. It
+ * deliberately drops MemRef::size: no cache model reads it (the
+ * data-path width comes from the config). This is the on-disk layout
+ * of a corpus file (trace/corpus.hh), which replays from its mapping
+ * with zero copies, and the record every Cache replay kernel reads.
  *
- * packedTraceShared() memoizes the packing per shared immutable
- * VectorTrace, mirroring buildTraceShared: however many sweeps replay
- * one trace, it is decoded exactly once while any handle is alive.
+ * A MemRef is 8 bytes too, so the sweep engines read a VectorTrace's
+ * records where they lie and never copy a whole trace: the fused
+ * engine's kernel is templated on the record type (addrOf/coreOf
+ * below decode either), while the shard filter and the batched
+ * engine pack each L2-sized chunk as they stream it.
+ *
+ * packedTraceShared() still builds a whole packed copy of a shared
+ * VectorTrace, memoized while any handle is alive, for callers that
+ * want a PackedTrace (the sampled engine, tests and benches).
  */
 
 #ifndef OCCSIM_TRACE_PACKED_TRACE_HH
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -59,15 +62,16 @@ struct PackedRecord
 
     static PackedRecord pack(const MemRef &ref)
     {
+        // Branch-free: the batched engine packs every MemRef record
+        // it streams. A write is never an ifetch, so at most one flag
+        // is set.
         PackedRecord rec;
-        rec.bits = static_cast<std::uint64_t>(ref.addr);
-        if (ref.isWrite())
-            rec.bits |= kWriteBit;
-        else if (ref.isInstruction())
-            rec.bits |= kIfetchBit;
-        rec.bits |= (static_cast<std::uint64_t>(ref.core) &
+        rec.bits = static_cast<std::uint64_t>(ref.addr) |
+                   (ref.isWrite() ? kWriteBit : 0) |
+                   (ref.isInstruction() ? kIfetchBit : 0) |
+                   ((static_cast<std::uint64_t>(ref.core) &
                      (kMaxCores - 1))
-                    << kCoreShift;
+                    << kCoreShift);
         return rec;
     }
 };
@@ -75,6 +79,38 @@ struct PackedRecord
 static_assert(sizeof(PackedRecord) == 8,
               "packed records must stay 8 bytes (one cache line holds "
               "eight of them)");
+static_assert(sizeof(MemRef) == sizeof(PackedRecord),
+              "a MemRef span streams the same bytes per reference as "
+              "its packed form");
+
+// Record decoding for both layouts: replay loops templated on the
+// record type read MemRef spans (a VectorTrace in place) and
+// PackedRecord spans (a PackedTrace or a mapped corpus file) through
+// these, plus the isWrite()/isInstruction() members both types share.
+
+inline Addr
+addrOf(const MemRef &ref)
+{
+    return ref.addr;
+}
+
+inline Addr
+addrOf(const PackedRecord &rec)
+{
+    return rec.addr();
+}
+
+inline std::uint32_t
+coreOf(const MemRef &ref)
+{
+    return ref.core;
+}
+
+inline std::uint32_t
+coreOf(const PackedRecord &rec)
+{
+    return rec.core();
+}
 
 /**
  * An immutable packed trace: one contiguous span of records. The
@@ -121,21 +157,25 @@ class PackedTrace
 
 /**
  * Memoized packing of a shared immutable trace: the first call for a
- * given VectorTrace decodes it, later calls return the same
- * PackedTrace as long as any previous handle (or the source trace)
- * is still alive. Thread-safe.
+ * given VectorTrace decodes it, and later calls return the same
+ * PackedTrace while a handle returned earlier is still alive. The
+ * memo holds the copy weakly: once the last handle is dropped the
+ * copy is freed, however long the source trace lives, and the next
+ * call packs again. Thread-safe.
  */
 std::shared_ptr<const PackedTrace>
 packedTraceShared(const std::shared_ptr<const VectorTrace> &trace);
 
 /** Records a shard filter compacts per chunk: 16384 x 8 B = 128 KB
- *  of trace read and at most as much written, both L2-resident. */
+ *  of trace read and at most as much written (a MemRef chunk's
+ *  shard records are written again, packed), all L2-resident. */
 inline constexpr std::size_t kShardChunkRecords = 16384;
 
 /**
  * Stream set shard @p shard of the first @p n records of @p refs into
  * @p sink: record r belongs to shard
- * (r.addr() >> blockBits) & (2^shardBits - 1).
+ * (addrOf(r) >> blockBits) & (2^shardBits - 1). @p refs is a MemRef
+ * or a PackedRecord span; either way the sink receives packed records.
  *
  * For any set-associative geometry with the same block size and
  * numSets >= 2^shardBits, the set index is (addr >> blockBits) mod
@@ -146,20 +186,25 @@ inline constexpr std::size_t kShardChunkRecords = 16384;
  * The records are scanned @p chunk_records at a time; a branchless
  * compaction copies each chunk's shard records into a buffer private
  * to this call, and every non-empty buffer goes to
- * sink(const PackedRecord *, std::size_t). The sink sees the shard's
- * records in trace order, which is all a set-local engine observes.
- * No copy of the trace is made: each call reads all @p n records.
+ * sink(const PackedRecord *, std::size_t). MemRef records are packed
+ * after the compaction, so only this shard's share of a chunk pays
+ * for the pack. The sink sees the shard's records in trace order,
+ * which is all a set-local engine observes. No copy of the trace is
+ * made: each call reads all @p n records.
  * @return records passed to @p sink.
  */
-template <class Sink>
+template <class Rec, class Sink>
 std::uint64_t
-forEachShardChunk(const PackedRecord *refs, std::size_t n,
+forEachShardChunk(const Rec *refs, std::size_t n,
                   std::uint32_t block_bits, std::uint32_t shard_bits,
                   std::uint32_t shard, Sink &&sink,
                   std::size_t chunk_records = kShardChunkRecords)
 {
+    constexpr bool kPacked = std::is_same_v<Rec, PackedRecord>;
     const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
-    std::vector<PackedRecord> buffer(std::min(chunk_records, n));
+    const std::size_t capacity = std::min(chunk_records, n);
+    std::vector<Rec> buffer(capacity);
+    std::vector<PackedRecord> packed(kPacked ? 0 : capacity);
     std::uint64_t kept = 0;
     for (std::size_t pos = 0; pos < n; pos += chunk_records) {
         const std::size_t len = std::min(chunk_records, n - pos);
@@ -167,12 +212,19 @@ forEachShardChunk(const PackedRecord *refs, std::size_t n,
         // cursor, which never passes the read index.
         std::size_t out = 0;
         for (std::size_t i = 0; i < len; ++i) {
-            const PackedRecord rec = refs[pos + i];
+            const Rec rec = refs[pos + i];
             buffer[out] = rec;
-            out += ((rec.addr() >> block_bits) & mask) == shard;
+            out += ((addrOf(rec) >> block_bits) & mask) == shard;
         }
-        if (out > 0)
-            sink(buffer.data(), out);
+        if (out > 0) {
+            if constexpr (kPacked) {
+                sink(buffer.data(), out);
+            } else {
+                for (std::size_t i = 0; i < out; ++i)
+                    packed[i] = PackedRecord::pack(buffer[i]);
+                sink(packed.data(), out);
+            }
+        }
         kept += out;
     }
     return kept;

@@ -29,6 +29,18 @@ using Addr = std::uint32_t;
 #define OCCSIM_PREFETCH_READ(ptr) ((void)0)
 #endif
 
+/**
+ * Force a hot-path helper inline. GCC stops inlining a large function
+ * once it has more than one caller, so a per-reference body shared by
+ * several replay-loop instantiations (one per record layout) would
+ * become a call per record without it.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define OCCSIM_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define OCCSIM_ALWAYS_INLINE inline
+#endif
+
 /** @return true if @p v is a (positive) power of two. */
 constexpr bool
 isPowerOfTwo(std::uint64_t v)

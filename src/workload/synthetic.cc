@@ -116,6 +116,7 @@ makeSyntheticTrace(const SyntheticParams &params, std::uint64_t refs,
 {
     SyntheticSource source(params);
     VectorTrace trace(name);
+    trace.reserve(refs);
     MemRef ref;
     for (std::uint64_t i = 0; i < refs; ++i) {
         source.next(ref);

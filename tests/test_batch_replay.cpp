@@ -3,9 +3,9 @@
  * Determinism tests for the batched replay engine: PackedTrace must
  * round-trip the reference stream, and BatchReplay must be
  * bit-identical to direct Cache::access simulation for every tile
- * size, chunk size, policy combination, and thread count — the
- * batching changes only the interleaving between independent caches,
- * never what any one cache observes.
+ * size, chunk size, record layout, policy combination, and thread
+ * count — the batching changes only the interleaving between
+ * independent caches, never what any one cache observes.
  */
 
 #include <gtest/gtest.h>
@@ -159,22 +159,31 @@ TEST(PackedTrace, SharedPackingIsMemoized)
 
 TEST(BatchReplay, BitIdenticalToDirectForAnyTiling)
 {
+    // Both record layouts: the packed span replays in place, the
+    // MemRef span is packed chunk by chunk into the tile's buffer —
+    // awkward chunk sizes put chunk boundaries everywhere.
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
     const auto configs = sectorGrid(suite.profile.wordSize);
     const auto expected = directResults(configs, *trace);
     const PackedTrace packed(*trace);
 
-    for (const std::size_t tile : {1u, 2u, 3u, 5u, 64u}) {
-        for (const std::size_t chunk : {7u, 1000u, 1u << 20}) {
-            BatchReplay batch(configs, tile, chunk);
-            EXPECT_EQ(batch.run(packed), trace->size());
-            const auto actual = batch.results();
-            ASSERT_EQ(actual.size(), expected.size());
-            for (std::size_t i = 0; i < expected.size(); ++i)
-                expectIdentical(actual[i], expected[i]);
+    const auto check = [&](const auto *records) {
+        for (const std::size_t tile : {1u, 2u, 3u, 5u, 64u}) {
+            for (const std::size_t chunk : {7u, 1000u, 1u << 20}) {
+                SCOPED_TRACE(testing::Message()
+                             << "tile " << tile << " chunk " << chunk);
+                BatchReplay batch(configs, tile, chunk);
+                batch.run(records, trace->size());
+                const auto actual = batch.results();
+                ASSERT_EQ(actual.size(), expected.size());
+                for (std::size_t i = 0; i < expected.size(); ++i)
+                    expectIdentical(actual[i], expected[i]);
+            }
         }
-    }
+    };
+    check(packed.data());
+    check(trace->refs().data());
 }
 
 TEST(BatchReplay, EveryKernelMatchesTheRuntimeDispatch)
@@ -199,7 +208,7 @@ TEST(BatchReplay, EveryKernelMatchesTheRuntimeDispatch)
                 config.writeAllocate = allocate;
 
                 BatchReplay batch({config}, 1, 257);
-                batch.run(packed);
+                batch.run(packed.data(), packed.size());
                 const auto expected =
                     directResults({config}, *trace);
                 expectIdentical(batch.results()[0], expected[0]);
@@ -229,7 +238,7 @@ TEST(BatchReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
             config.fetch = FetchPolicy::LoadForward;
 
             BatchReplay batch({config}, 1, 513);
-            batch.run(packed);
+            batch.run(packed.data(), packed.size());
             const auto expected = directResults({config}, *trace);
             expectIdentical(batch.results()[0], expected[0]);
         }
@@ -245,9 +254,10 @@ TEST(BatchReplay, RepeatedRunsAccumulateLikeDirect)
                                     suite.profile.wordSize);
     config.fetch = FetchPolicy::LoadForward;
 
+    // One pass from each record layout.
     BatchReplay batch({config}, 1, 999);
-    batch.run(packed);
-    batch.run(packed);
+    batch.run(packed.data(), packed.size());
+    batch.run(trace->refs().data(), trace->size());
 
     Cache direct(config);
     for (int pass = 0; pass < 2; ++pass) {
@@ -258,16 +268,15 @@ TEST(BatchReplay, RepeatedRunsAccumulateLikeDirect)
     expectIdentical(batch.results()[0], summarizeCache(direct));
 }
 
-TEST(BatchReplay, RespectsMaxRefs)
+TEST(BatchReplay, ReplaysOnlyTheGivenPrefix)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
     const auto configs = sectorGrid(suite.profile.wordSize);
-    const PackedTrace packed(*trace);
+    const auto expected = directResults(configs, *trace, 500);
 
     BatchReplay batch(configs, 3, 128);
-    EXPECT_EQ(batch.run(packed, 500), 500u);
-    const auto expected = directResults(configs, *trace, 500);
+    batch.run(trace->refs().data(), 500);
     const auto actual = batch.results();
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(actual[i], expected[i]);

@@ -45,20 +45,25 @@ directResult(const CacheConfig &config, const VectorTrace &trace)
     return summarizeCache(cache);
 }
 
-/** Run @p configs (one fused key) through one unsharded fused pass
- *  and check every member against its direct simulation. */
+/** Run @p configs (one fused key) through one unsharded fused pass,
+ *  once over the packed records and once over the MemRef span in
+ *  place, and check every member against its direct simulation. */
 void
 expectFusedMatchesDirect(const std::vector<CacheConfig> &configs,
                          const VectorTrace &trace)
 {
     const PackedTrace packed(trace);
-    FusedReplay engine(configs);
-    engine.run(packed.data(), packed.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        SCOPED_TRACE(configs[c].fullName());
-        expectIdentical(engine.result(c),
-                        directResult(configs[c], trace));
-    }
+    const auto check = [&](const auto *records) {
+        FusedReplay engine(configs);
+        engine.run(records, trace.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            SCOPED_TRACE(configs[c].fullName());
+            expectIdentical(engine.result(c),
+                            directResult(configs[c], trace));
+        }
+    };
+    check(packed.data());
+    check(trace.refs().data());
 }
 
 } // namespace
@@ -216,16 +221,22 @@ TEST(FusedReplay, ShardedFusedPassesMergeExactly)
         }
     }
 
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-        FusedReplay engine(configs, shards);
-        for (std::uint32_t s = 0; s < shards; ++s)
-            engine.runShard(s, packed.data(), packed.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            SCOPED_TRACE(configs[c].fullName());
-            expectIdentical(engine.result(c),
-                            directResult(configs[c], *trace));
+    // Both record layouts: the shard filter packs MemRef records as
+    // it compacts them.
+    const auto check = [&](const auto *records) {
+        for (const std::uint32_t shards : {2u, 4u, 8u}) {
+            FusedReplay engine(configs, shards);
+            for (std::uint32_t s = 0; s < shards; ++s)
+                engine.runShard(s, records, trace->size());
+            for (std::size_t c = 0; c < configs.size(); ++c) {
+                SCOPED_TRACE(configs[c].fullName());
+                expectIdentical(engine.result(c),
+                                directResult(configs[c], *trace));
+            }
         }
-    }
+    };
+    check(packed.data());
+    check(trace->refs().data());
 }
 
 TEST(FusedReplay, PlannerRoutesSiblingGroupsFused)

@@ -65,14 +65,16 @@ directResult(const CacheConfig &config, const VectorTrace &trace)
     return summarizeCache(cache);
 }
 
-/** Sharded run of @p config at @p num_shards, sequential drive. */
+/** Sharded run of @p config at @p num_shards over the @p n records
+ *  of @p refs (either layout), sequential drive. */
+template <class Rec>
 SweepResult
-shardedResult(const CacheConfig &config, const PackedTrace &packed,
+shardedResult(const CacheConfig &config, const Rec *refs, std::size_t n,
               std::uint32_t num_shards)
 {
     ShardReplay engine(config, num_shards);
     for (std::uint32_t s = 0; s < num_shards; ++s)
-        engine.runShard(s, packed.data(), packed.size());
+        engine.runShard(s, refs, n);
     return engine.result();
 }
 
@@ -131,20 +133,33 @@ TEST(ShardFilter, ShardsSplitThePrefixExactlyOnceInTraceOrder)
                              << " shardBits " << split.shardBits
                              << " chunk " << chunk << " n " << n);
                 const std::uint32_t shards = 1u << split.shardBits;
-                std::vector<std::vector<PackedRecord>> out(shards);
+                const auto filter = [&](const auto *refs) {
+                    std::vector<std::vector<PackedRecord>> out(shards);
+                    for (std::uint32_t s = 0; s < shards; ++s) {
+                        const std::uint64_t kept = forEachShardChunk(
+                            refs, n, split.blockBits, split.shardBits,
+                            s,
+                            [&](const PackedRecord *records,
+                                std::size_t count) {
+                                EXPECT_GT(count, 0u);
+                                EXPECT_LE(count, chunk);
+                                out[s].insert(out[s].end(), records,
+                                              records + count);
+                            },
+                            chunk);
+                        EXPECT_EQ(kept, out[s].size());
+                    }
+                    return out;
+                };
+                const auto out = filter(packed.data());
+
+                // Filtering the MemRef span packs as it compacts: the
+                // same records reach every shard's sink.
+                const auto from_refs = filter(trace->refs().data());
                 for (std::uint32_t s = 0; s < shards; ++s) {
-                    const std::uint64_t kept = forEachShardChunk(
-                        packed.data(), n, split.blockBits,
-                        split.shardBits, s,
-                        [&](const PackedRecord *records,
-                            std::size_t count) {
-                            EXPECT_GT(count, 0u);
-                            EXPECT_LE(count, chunk);
-                            out[s].insert(out[s].end(), records,
-                                          records + count);
-                        },
-                        chunk);
-                    EXPECT_EQ(kept, out[s].size());
+                    ASSERT_EQ(from_refs[s].size(), out[s].size());
+                    for (std::size_t i = 0; i < out[s].size(); ++i)
+                        ASSERT_EQ(from_refs[s][i].bits, out[s][i].bits);
                 }
 
                 // Walking the shards with one cursor each, in trace
@@ -249,7 +264,11 @@ TEST(ShardReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)
         for (const std::uint32_t shards : {2u, 4u, 8u, 32u}) {
             if (shards > CacheGeometry(config).numSets())
                 continue;
-            expectIdentical(shardedResult(config, packed, shards),
+            expectIdentical(shardedResult(config, packed.data(),
+                                          packed.size(), shards),
+                            expected);
+            expectIdentical(shardedResult(config, trace->refs().data(),
+                                          trace->size(), shards),
                             expected);
         }
     }

@@ -5,7 +5,7 @@
  * with sub-block == block, the analyzer's one-pass predictions must
  * match direct Cache simulation exactly, for every capacity. This
  * gives the simulator an independent correctness oracle. The
- * order-statistics structures under the analyzer (SetLruTracker,
+ * order-statistics structures under the analyzer (LruTracker,
  * TouchTimeSet) are checked against brute-force linear LRU models.
  */
 
@@ -119,11 +119,10 @@ TEST(StackAnalyzer, OverflowBeyondMaxDepth)
 
 TEST(TouchTimeSet, MatchesLinearStackOracle)
 {
-    // SetLruTracker distances vs a brute-force per-set linear LRU
-    // stack, over a stream with enough churn to trigger compaction.
-    constexpr std::uint32_t kSets = 4;
-    SetLruTracker tracker(kSets);
-    std::vector<std::vector<Addr>> stacks(kSets);  // MRU at back
+    // LruTracker distances vs a brute-force linear LRU stack, over a
+    // stream with enough churn to trigger compaction.
+    LruTracker tracker;
+    std::vector<Addr> stack;  // MRU at back
 
     std::uint64_t state = 12345;
     auto next_block = [&]() -> Addr {
@@ -136,8 +135,7 @@ TEST(TouchTimeSet, MatchesLinearStackOracle)
 
     for (int i = 0; i < 60000; ++i) {
         const Addr block = next_block();
-        auto &stack = stacks[block % kSets];
-        std::uint64_t expected = SetLruTracker::kFirstTouch;
+        std::uint64_t expected = LruTracker::kFirstTouch;
         for (std::size_t j = stack.size(); j-- > 0;) {
             if (stack[j] == block) {
                 expected = stack.size() - j;

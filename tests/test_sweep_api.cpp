@@ -585,6 +585,72 @@ TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
                                       "direct", "direct", "direct"}));
 }
 
+TEST(SweepApi, AutoSweepOverVectorTracesMakesNoPackedCopy)
+{
+    // Every exact engine reads a VectorTrace's MemRef records in
+    // place: a sweep whose plan has batched, set-sharded, sharded
+    // fused and unsharded fused work records no trace.pack call, and
+    // its results equal DirectOnly's.
+    const Fixture fx;
+    const std::uint32_t word = pdp11Suite().profile.wordSize;
+    CacheConfig sector = makeConfig(1024, 32, 8, word);
+    CacheConfig forward = sector;
+    forward.fetch = FetchPolicy::LoadForward;
+    // One set: a fused group that cannot shard.
+    CacheConfig one_set = makeConfig(256, 32, 8, word);
+    one_set.assoc = 8;
+    CacheConfig one_set_forward = one_set;
+    one_set_forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig random = makeConfig(1024, 16, 8, word);
+    random.replacement = ReplacementPolicy::Random;
+    const std::vector<CacheConfig> configs{
+        makeConfig(1024, 16, 16, word), sector, forward, one_set,
+        one_set_forward, random};
+
+    const EnvGuard guard("OCCSIM_SHARD", "1");
+    ThreadPool pool(4);
+    const SweepPlan plan =
+        planSweep(configs, SweepEngine::Auto, {kRefs, kRefs}, 4);
+    EXPECT_EQ(plan.route, (std::vector<SweepRoute>{
+                              SweepRoute::Shard, SweepRoute::Fused,
+                              SweepRoute::Fused, SweepRoute::Fused,
+                              SweepRoute::Fused, SweepRoute::Batch}));
+    ASSERT_EQ(plan.traces[0].fused.size(), 2u);
+    EXPECT_GT(plan.traces[0].fused[0]->numShards(), 1u);
+    EXPECT_EQ(plan.traces[0].fused[1]->numShards(), 1u);
+
+    SweepRequest request;
+    request.traces = fx.traces;
+    request.configs = configs;
+    request.pool = &pool;
+    request.engine = SweepEngine::DirectOnly;
+    const SweepReport direct = runSweep(request);
+
+    const bool was_enabled = obs::telemetryEnabled();
+    obs::setTelemetryEnabled(true);
+    obs::telemetry().reset();
+    request.engine = SweepEngine::Auto;
+    const SweepReport report = runSweep(request);
+    const auto stages = obs::telemetry().stages();
+    const auto counters = obs::telemetry().counters();
+    obs::telemetry().reset();
+    obs::setTelemetryEnabled(was_enabled);
+
+    for (const obs::StageSnapshot &stage : stages)
+        EXPECT_NE(stage.name, "trace.pack") << stage.calls << " calls";
+    for (const char *engine : {"fused", "shard", "batch"}) {
+        const auto it = std::find_if(
+            counters.begin(), counters.end(),
+            [&](const obs::CounterSnapshot &counter) {
+                return counter.name ==
+                       std::string("engine.") + engine + ".refs";
+            });
+        ASSERT_NE(it, counters.end()) << engine;
+        EXPECT_GT(it->value, 0u) << engine;
+    }
+    expectIdenticalGrid(report.perTrace, direct.perTrace);
+}
+
 TEST(SweepApi, SubBlockEqualsBlockConfigsJoinTheirSectorSiblings)
 {
     // Every sub == block point of the paper grid that has sector
