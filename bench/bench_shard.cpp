@@ -87,11 +87,11 @@ main()
 
     // Sharded: concurrent filtered shard replay + merge.
     const auto shard_start = std::chrono::steady_clock::now();
-    ShardReplay engine(config, shards);
+    ShardReplay engine({config}, shards);
     pool.parallelFor(shards, [&](std::size_t s) {
         engine.runShard(s, packed->data(), packed->size());
     });
-    const SweepResult shard_result = engine.result();
+    const SweepResult shard_result = engine.results()[0];
     const double shard_ms = millisSince(shard_start);
 
     const bool bit_identical =

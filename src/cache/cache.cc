@@ -174,19 +174,16 @@ Cache::claimVictimSpec(std::uint32_t set)
     return victim;
 }
 
-template <bool Record>
 std::uint32_t
 Cache::claimVictim(std::uint32_t set)
 {
     switch (repl_.policy()) {
       case ReplacementPolicy::LRU:
-        return claimVictimSpec<ReplacementPolicy::LRU, 0, Record>(set);
+        return claimVictimSpec<ReplacementPolicy::LRU>(set);
       case ReplacementPolicy::FIFO:
-        return claimVictimSpec<ReplacementPolicy::FIFO, 0, Record>(
-            set);
+        return claimVictimSpec<ReplacementPolicy::FIFO>(set);
       case ReplacementPolicy::Random:
-        return claimVictimSpec<ReplacementPolicy::Random, 0, Record>(
-            set);
+        return claimVictimSpec<ReplacementPolicy::Random>(set);
     }
     panic("bad replacement policy %d",
           static_cast<int>(repl_.policy()));
@@ -293,7 +290,10 @@ Cache::accessSpec(Addr addr, bool is_write, bool is_ifetch)
     const Addr block_addr = geom_.blockAddr(addr);
     const std::uint32_t sub_index = geom_.subBlockIndex(addr);
     const std::uint64_t sub_bit = std::uint64_t{1} << sub_index;
-    const bool counted = !is_write;
+    // All ones on a write: a copy-back write dirties its sub-block
+    // without a branch.
+    const std::uint64_t write_mask =
+        std::uint64_t{0} - static_cast<std::uint64_t>(is_write);
 
     const int way = findWay<A>(set, block_addr);
 
@@ -305,43 +305,30 @@ Cache::accessSpec(Addr addr, bool is_write, bool is_ifetch)
                                  static_cast<std::uint32_t>(way));
         meta.touched |= sub_bit;
         if (meta.valid & sub_bit) {
-            if (meta.prefetched & sub_bit) {
-                if constexpr (Record)
-                    stats_.recordUsefulPrefetch();
-                meta.prefetched &= ~sub_bit;
+            // Only a prefetch fill sets prefetched bits.
+            if constexpr (F == FetchPolicy::PrefetchNextOnMiss) {
+                if (meta.prefetched & sub_bit) {
+                    if constexpr (Record)
+                        stats_.recordUsefulPrefetch();
+                    meta.prefetched &= ~sub_bit;
+                }
             }
-            if (counted) {
-                if constexpr (Record)
-                    stats_.recordHit(is_ifetch);
-            } else {
-                if constexpr (Record)
-                    stats_.recordWrite(true);
-                if constexpr (CopyBack)
-                    meta.dirty |= sub_bit;
-                else if constexpr (Record)
-                    stats_.recordStoreTraffic(1);
-            }
+            if constexpr (CopyBack)
+                meta.dirty |= sub_bit & write_mask;
             return;
         }
         // Sub-block miss: tag matches but the word is not resident.
         const bool cold = (everFilled_[frame_index] & sub_bit) == 0;
-        if constexpr (Record) {
-            if (counted)
-                stats_.recordMiss(is_ifetch, false, cold);
-            else
-                stats_.recordWrite(false);
-        }
-        fetchIntoSpec<F, Record>(frame_index, sub_index, counted,
+        if constexpr (Record)
+            stats_.recordMissSide(is_write, is_ifetch, false, cold);
+        fetchIntoSpec<F, Record>(frame_index, sub_index, !is_write,
                                  cold);
-        meta.prefetched &= ~sub_bit;
-        if (is_write) {
-            if constexpr (CopyBack)
-                meta.dirty |= sub_bit;
-            else if constexpr (Record)
-                stats_.recordStoreTraffic(1);
+        if constexpr (CopyBack)
+            meta.dirty |= sub_bit & write_mask;
+        if constexpr (F == FetchPolicy::PrefetchNextOnMiss) {
+            meta.prefetched &= ~sub_bit;
+            prefetchSequentialSpec<R, A, Record>(addr);
         }
-        if constexpr (F == FetchPolicy::PrefetchNextOnMiss)
-            prefetchSequential<Record>(addr);
         return;
     }
 
@@ -349,8 +336,12 @@ Cache::accessSpec(Addr addr, bool is_write, bool is_ifetch)
     if constexpr (!WriteAllocate) {
         if (is_write) {
             if constexpr (Record) {
-                stats_.recordWrite(false);
-                stats_.recordStoreTraffic(1);
+                stats_.recordWriteMissCounter();
+                // Write-through store words are per-reference
+                // counters; a copy-back cache sends this one word
+                // only because it does not allocate.
+                if constexpr (CopyBack)
+                    stats_.recordStoreTraffic(1);
             }
             return;
         }
@@ -361,29 +352,19 @@ Cache::accessSpec(Addr addr, bool is_write, bool is_ifetch)
 
     const std::uint32_t frame_index = set * assoc + victim_way;
     const bool cold = (everFilled_[frame_index] & sub_bit) == 0;
-    if constexpr (Record) {
-        if (counted)
-            stats_.recordMiss(is_ifetch, true, cold);
-        else
-            stats_.recordWrite(false);
-    }
+    if constexpr (Record)
+        stats_.recordMissSide(is_write, is_ifetch, true, cold);
 
     tags_[frame_index] = block_addr;
     FrameMeta &meta = meta_[frame_index];
     meta.valid = 0;
     meta.touched = sub_bit;
-    meta.dirty = 0;
+    meta.dirty = CopyBack ? sub_bit & write_mask : 0;
     meta.prefetched = 0;
     repl_.onFillSpec<R, A>(set, victim_way);
-    fetchIntoSpec<F, Record>(frame_index, sub_index, counted, cold);
-    if (is_write) {
-        if constexpr (CopyBack)
-            meta.dirty |= sub_bit;
-        else if constexpr (Record)
-            stats_.recordStoreTraffic(1);
-    }
+    fetchIntoSpec<F, Record>(frame_index, sub_index, !is_write, cold);
     if constexpr (F == FetchPolicy::PrefetchNextOnMiss)
-        prefetchSequential<Record>(addr);
+        prefetchSequentialSpec<R, A, Record>(addr);
 }
 
 template <FetchPolicy F, bool CopyBack, bool WriteAllocate,
@@ -398,6 +379,8 @@ Cache::replayLoop(const PackedRecord *refs, std::size_t n)
     // running past the chunk.
     constexpr std::size_t kPrefetchDistance = 8;
     const std::uint32_t assoc = A != 0 ? A : assoc_;
+    std::uint64_t writes = 0;
+    std::uint64_t ifetch_reads = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchDistance < n) {
             const Addr ahead = refs[i + kPrefetchDistance].addr();
@@ -408,8 +391,23 @@ Cache::replayLoop(const PackedRecord *refs, std::size_t n)
             OCCSIM_PREFETCH_READ(meta_.data() + frame);
         }
         const PackedRecord rec = refs[i];
+        const bool is_write = rec.isWrite();
+        // A write is never counted as an instruction fetch, whatever
+        // flags a packed record carries.
+        const bool is_ifetch = rec.isInstruction() && !is_write;
+        if constexpr (Record) {
+            writes += is_write;
+            ifetch_reads += is_ifetch;
+        }
         accessSpec<F, CopyBack, WriteAllocate, R, A, Record>(
-            rec.addr(), rec.isWrite(), rec.isInstruction());
+            rec.addr(), is_write, is_ifetch);
+    }
+    // The per-reference counters of every read and write, hit or
+    // miss: one access per read, one write access per write, and a
+    // store word per write-through write.
+    if constexpr (Record) {
+        stats_.addUniformAccesses(n - writes, ifetch_reads, writes, 0,
+                                  CopyBack ? 0 : writes);
     }
 }
 
@@ -531,9 +529,9 @@ Cache::seedWarmState(const Addr *mru, std::uint32_t src_stride)
     }
 }
 
-template <bool Record>
+template <ReplacementPolicy R, std::uint32_t A, bool Record>
 void
-Cache::prefetchSequential(Addr miss_addr)
+Cache::prefetchSequentialSpec(Addr miss_addr)
 {
     const Addr target = miss_addr + subBlockSize_;
     if (target < miss_addr) {
@@ -543,31 +541,33 @@ Cache::prefetchSequential(Addr miss_addr)
         // set 0 with a bogus block).
         return;
     }
+    const std::uint32_t assoc = A != 0 ? A : assoc_;
     const std::uint32_t set =
         static_cast<std::uint32_t>(geom_.setIndex(target));
     const Addr block_addr = geom_.blockAddr(target);
     const std::uint32_t sub_index = geom_.subBlockIndex(target);
     const std::uint64_t sub_bit = std::uint64_t{1} << sub_index;
-    const std::uint32_t words = wordsPerSub_;
 
-    const int way = findWay(set, block_addr);
+    const int way = findWay<A>(set, block_addr);
     if (way >= 0) {
         const std::uint32_t frame_index =
-            set * assoc_ + static_cast<std::uint32_t>(way);
+            set * assoc + static_cast<std::uint32_t>(way);
         FrameMeta &meta = meta_[frame_index];
         if (meta.valid & sub_bit)
             return;  // already resident, nothing to move
         meta.valid |= sub_bit;
         meta.prefetched |= sub_bit;
         everFilled_[frame_index] |= sub_bit;
-        stats_.recordPrefetch(words);
+        if constexpr (Record)
+            stats_.recordPrefetch(wordsPerSub_);
         return;
     }
 
     // Allocate a frame for the prefetched block (Smith's sequential
     // prefetch allocates; this is where pollution can occur).
-    const std::uint32_t victim_way = claimVictim(set);
-    const std::uint32_t frame_index = set * assoc_ + victim_way;
+    const std::uint32_t victim_way =
+        claimVictimSpec<R, A, Record>(set);
+    const std::uint32_t frame_index = set * assoc + victim_way;
     tags_[frame_index] = block_addr;
     FrameMeta &meta = meta_[frame_index];
     meta.valid = sub_bit;
@@ -575,8 +575,27 @@ Cache::prefetchSequential(Addr miss_addr)
     meta.dirty = 0;
     meta.prefetched = sub_bit;
     everFilled_[frame_index] |= sub_bit;
-    repl_.onFill(set, victim_way);
-    stats_.recordPrefetch(words);
+    repl_.onFillSpec<R, A>(set, victim_way);
+    if constexpr (Record)
+        stats_.recordPrefetch(wordsPerSub_);
+}
+
+void
+Cache::prefetchSequential(Addr miss_addr)
+{
+    switch (repl_.policy()) {
+      case ReplacementPolicy::LRU:
+        prefetchSequentialSpec<ReplacementPolicy::LRU>(miss_addr);
+        return;
+      case ReplacementPolicy::FIFO:
+        prefetchSequentialSpec<ReplacementPolicy::FIFO>(miss_addr);
+        return;
+      case ReplacementPolicy::Random:
+        prefetchSequentialSpec<ReplacementPolicy::Random>(miss_addr);
+        return;
+    }
+    panic("bad replacement policy %d",
+          static_cast<int>(repl_.policy()));
 }
 
 std::uint64_t

@@ -75,6 +75,10 @@ class Cache
      * and frame contents evolve exactly as if access() had been
      * called on every record in order — the batched engines rely on
      * that bit-for-bit, and the differential fuzzer enforces it.
+     * The counters every reference adds (accesses, ifetch accesses,
+     * write accesses, write-through store words) are tallied per
+     * call and added once at its end, so stats() is exact at the end
+     * of each call, not part-way through one.
      * Does NOT finalize residencies; callers finalize after the last
      * span of a pass, exactly as with access().
      */
@@ -219,7 +223,7 @@ class Cache
      * the first invalid way, else the replacement victim — and retire
      * the previous residency (touched histogram + dirty write-back).
      * Shared (via the runtime-dispatching claimVictim) by access(),
-     * prefetchSequential(), and the replay kernels so the
+     * prefetchSequentialSpec(), and the replay kernels so the
      * victim-selection sequence exists exactly once.
      * @return the claimed way.
      */
@@ -227,16 +231,23 @@ class Cache
               bool Record = true>
     std::uint32_t claimVictimSpec(std::uint32_t set);
 
-    /** claimVictimSpec with the policy dispatched at run time. */
-    template <bool Record = true>
+    /** claimVictimSpec with the policy dispatched at run time (the
+     *  access() path). */
     std::uint32_t claimVictim(std::uint32_t set);
 
     /** Sequentially prefetch the sub-block following the one that
      *  holds @p miss_addr (PrefetchNextOnMiss policy). A target past
      *  the top of the 32-bit address space has no sequential
      *  successor: the prefetch is suppressed instead of wrapping to
-     *  address 0. */
-    template <bool Record = true>
+     *  address 0. @p R and @p A as for claimVictimSpec; @p Record
+     *  false moves the same state without recording the prefetch,
+     *  residency or write-back statistics. */
+    template <ReplacementPolicy R, std::uint32_t A = 0,
+              bool Record = true>
+    void prefetchSequentialSpec(Addr miss_addr);
+
+    /** prefetchSequentialSpec with the policy dispatched at run time
+     *  (the access() path). */
     void prefetchSequential(Addr miss_addr);
 
     /** One access with every policy branch resolved at compile time;
@@ -249,12 +260,17 @@ class Cache
      *  replacement state (including RNG draws) bit-identically —
      *  warming a cache through the Record=false twin and then
      *  measuring must land it in exactly the state the recording
-     *  kernel would have produced. */
+     *  kernel would have produced. With @p Record true it records
+     *  only the miss-side counters: replayLoop adds the per-reference
+     *  ones for the whole span. */
     template <FetchPolicy F, bool CopyBack, bool WriteAllocate,
               ReplacementPolicy R, std::uint32_t A, bool Record>
     void accessSpec(Addr addr, bool is_write, bool is_ifetch);
 
-    /** Kernel: replay a packed span through accessSpec. */
+    /** Kernel: replay a packed span through accessSpec, tallying
+     *  the span's reads, ifetch reads and writes on the way and
+     *  adding them once at the end (CacheStats::addUniformAccesses),
+     *  as the fused engine does per pass. */
     template <FetchPolicy F, bool CopyBack, bool WriteAllocate,
               ReplacementPolicy R, std::uint32_t A, bool Record>
     void replayLoop(const PackedRecord *refs, std::size_t n);

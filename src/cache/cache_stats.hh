@@ -111,6 +111,18 @@ class CacheStats
     }
     /** The miss side of recordWrite(false), same split. */
     void recordWriteMissCounter() { ++writeMisses_; }
+    /** recordMissCounters for a read, recordWriteMissCounter for a
+     *  write, chosen without a branch. */
+    void recordMissSide(bool is_write, bool is_ifetch, bool block_miss,
+                        bool cold)
+    {
+        const std::uint64_t read = is_write ? 0 : 1;
+        misses_ += read;
+        blockMisses_ += read & block_miss;
+        coldMisses_ += read & cold;
+        ifetchMisses_ += read & is_ifetch;
+        writeMisses_ += read ^ 1;
+    }
     /** A counted burst of @p words words; @p cold when triggered by a
      *  cold miss; @p redundant_words of them re-fetched valid data. */
     void recordBurst(std::uint32_t words, bool cold,

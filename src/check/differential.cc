@@ -4,6 +4,7 @@
 #include "check/differential.hh"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "cache/cache.hh"
@@ -63,6 +64,40 @@ sweepOne(const CacheConfig &config,
                                static_cast<unsigned>(pool.size()));
     runSweepPlan(plan, {trace}, {}, 0, pool);
     return planResults(plan, 0)[0];
+}
+
+/** Direct Cache::access run of @p config over @p refs, summarized. */
+SweepResult
+directSummary(const CacheConfig &config, const std::vector<MemRef> &refs)
+{
+    Cache cache(config);
+    for (const MemRef &ref : refs)
+        cache.access(ref);
+    cache.finalizeResidencies();
+    return summarizeCache(cache);
+}
+
+/** A config like @p config but of another block size whose set field
+ *  holds @p config's own window at @p num_shards shards, so the two
+ *  can share a shard tile: half the block first (its set field ends
+ *  where @p config's does), then double. Empty when neither is a
+ *  valid shape. */
+std::optional<CacheConfig>
+shardCompanion(const CacheConfig &config, std::uint32_t num_shards)
+{
+    for (const std::uint32_t block :
+         {config.blockSize / 2, config.blockSize * 2}) {
+        CacheConfig other = config;
+        other.blockSize = block;
+        other.subBlockSize =
+            std::max(std::min(config.subBlockSize, block), block / 64);
+        if (!validateConfig(other).empty())
+            continue;
+        if (ShardWindow{}.with(config).with(other).holds(
+                floorLog2(num_shards)))
+            return other;
+    }
+    return std::nullopt;
 }
 
 /** Copy a raw reference vector into a shareable VectorTrace. */
@@ -192,28 +227,50 @@ runDifferentialCase(const CacheConfig &config,
     // per-shard filtered sub-traces must merge bit-identically to the
     // direct run at awkward shard counts (the smallest, the largest
     // legal one, and a mid-size split when the geometry allows it).
+    // The config rides a shard tile with a companion of another block
+    // size whenever one shares its window, so the tile's single
+    // filter pass per shard is diffed for both members.
     if (shardEligible(config)) {
         const CacheGeometry geom(config);
         const std::uint32_t max_shards =
             std::min<std::uint32_t>(geom.numSets(), kMaxShards);
+        struct ShardTile
+        {
+            std::uint32_t shards;
+            std::vector<CacheConfig> configs;
+            std::vector<SweepResult> want;
+        };
+        std::vector<ShardTile> tiles;
         if (max_shards >= 2) {
             std::vector<std::uint32_t> counts{2};
             if (max_shards >= 8)
                 counts.push_back(max_shards / 2);
             if (max_shards > 2)
                 counts.push_back(max_shards);
-            for_each_span([&](const std::string &span,
-                              const auto *records) {
-                for (const std::uint32_t num_shards : counts) {
-                    ShardReplay engine(config, num_shards);
-                    for (std::uint32_t s = 0; s < num_shards; ++s)
-                        engine.runShard(s, records, refs.size());
-                    diffSweepResult(
-                        span + "shard" + std::to_string(num_shards),
-                        engine.result(), direct_summary, report.diffs);
+            for (const std::uint32_t num_shards : counts) {
+                ShardTile tile{num_shards, {config}, {direct_summary}};
+                if (const auto other =
+                        shardCompanion(config, num_shards)) {
+                    tile.configs.push_back(*other);
+                    tile.want.push_back(directSummary(*other, refs));
                 }
-            });
+                tiles.push_back(std::move(tile));
+            }
         }
+        for_each_span([&](const std::string &span, const auto *records) {
+            for (const ShardTile &tile : tiles) {
+                ShardReplay engine(tile.configs, tile.shards);
+                for (std::uint32_t s = 0; s < tile.shards; ++s)
+                    engine.runShard(s, records, refs.size());
+                const std::vector<SweepResult> got = engine.results();
+                for (std::size_t m = 0; m < got.size(); ++m) {
+                    diffSweepResult(span + "shard" +
+                                        std::to_string(tile.shards) +
+                                        (m == 0 ? "" : ".companion"),
+                                    got[m], tile.want[m], report.diffs);
+                }
+            }
+        });
     }
 
     // Engine 6: the fused group engine, when eligible — the config
@@ -255,13 +312,8 @@ runDifferentialCase(const CacheConfig &config,
         std::vector<SweepResult> member_summaries;
         member_summaries.reserve(group.size());
         member_summaries.push_back(direct_summary);
-        for (std::size_t m = 1; m < group.size(); ++m) {
-            Cache member(group[m]);
-            for (const MemRef &ref : refs)
-                member.access(ref);
-            member.finalizeResidencies();
-            member_summaries.push_back(summarizeCache(member));
-        }
+        for (std::size_t m = 1; m < group.size(); ++m)
+            member_summaries.push_back(directSummary(group[m], refs));
 
         const CacheGeometry geom(config);
         const std::uint32_t max_shards =

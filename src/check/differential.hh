@@ -20,7 +20,10 @@
  *     engine's, so the specialized kernels and the chunk-boundary
  *     logic are diffed on every case.
  *  5. For shard-eligible configs, standalone ShardReplay runs at
- *     awkward shard counts vs the direct engine's SweepResult.
+ *     awkward shard counts vs the direct engine's SweepResult. The
+ *     config shares a shard tile with a companion of another block
+ *     size whose set field holds the same shard window, when one
+ *     exists; the companion is diffed against its own direct run.
  *  6. For fused-eligible configs, FusedReplay group passes (unsharded
  *     and sharded) with awkward sibling configs; every member vs its
  *     own direct run.

@@ -73,25 +73,41 @@ shouldShard(ShardMode mode, const CacheConfig &config,
     return false;
 }
 
-ShardReplay::ShardReplay(const CacheConfig &config,
-                         std::uint32_t num_shards)
-    : config_(config)
+ShardWindow
+ShardWindow::with(const CacheConfig &config) const
 {
     const CacheGeometry geom(config);
-    occsim_assert(shardEligible(config),
-                  "sharding an ineligible config (%s)",
-                  config.fullName().c_str());
+    return {std::max(low, geom.blockBits()),
+            std::min(high, geom.blockBits() + floorLog2(geom.numSets()))};
+}
+
+ShardReplay::ShardReplay(const std::vector<CacheConfig> &configs,
+                         std::uint32_t num_shards)
+    : configs_(configs)
+{
+    occsim_assert(!configs.empty(), "shard tile needs a config");
     occsim_assert(isPowerOfTwo(num_shards) && num_shards >= 2 &&
-                      num_shards <= geom.numSets() &&
                       num_shards <= kMaxShards,
-                  "bad shard count %u for %u sets", num_shards,
-                  geom.numSets());
-    blockBits_ = geom.blockBits();
+                  "bad shard count %u", num_shards);
     shardBits_ = floorLog2(num_shards);
-    grossBytes_ = geom.grossBytes();
-    caches_.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s)
-        caches_.push_back(std::make_unique<Cache>(config));
+    ShardWindow window;
+    for (const CacheConfig &config : configs) {
+        occsim_assert(shardEligible(config),
+                      "sharding an ineligible config (%s)",
+                      config.fullName().c_str());
+        window = window.with(config);
+    }
+    occsim_assert(window.holds(shardBits_),
+                  "%u shards at bit %u leave a member's set field "
+                  "(ends at bit %u)",
+                  num_shards, window.low, window.high);
+    windowBits_ = window.low;
+    caches_.reserve(static_cast<std::size_t>(num_shards) *
+                    configs.size());
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+        for (const CacheConfig &config : configs)
+            caches_.push_back(std::make_unique<Cache>(config));
+    }
     refs_.assign(num_shards, 0);
 }
 
@@ -99,19 +115,26 @@ template <class Rec>
 void
 ShardReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
 {
-    occsim_assert(shard < caches_.size(), "shard %zu of %zu", shard,
-                  caches_.size());
+    occsim_assert(shard < refs_.size(), "shard %zu of %zu", shard,
+                  refs_.size());
     OCCSIM_TELEM_STAGE("engine.shard");
-    Cache &cache = *caches_[shard];
+    const std::size_t members = configs_.size();
+    const auto tile = caches_.begin() +
+                      static_cast<std::ptrdiff_t>(shard * members);
+    // Chunk-blocked like BatchReplay: every member replays one
+    // filtered chunk before the filter reads the next, so the chunk
+    // stays L2-resident across the tile.
     const std::uint64_t kept = forEachShardChunk(
-        refs, n, blockBits_, shardBits_,
+        refs, n, windowBits_, shardBits_,
         static_cast<std::uint32_t>(shard),
         [&](const PackedRecord *records, std::size_t count) {
-            cache.replayPacked(records, count);
+            for (auto it = tile; it != tile + members; ++it)
+                (*it)->replayPacked(records, count);
         });
-    cache.finalizeResidencies();
+    for (auto it = tile; it != tile + members; ++it)
+        (*it)->finalizeResidencies();
     refs_[shard] += kept;
-    OCCSIM_TELEM_COUNT("engine.shard.refs", kept);
+    OCCSIM_TELEM_COUNT("engine.shard.refs", kept * members);
     OCCSIM_TELEM_COUNT("engine.shard.bytes", n * sizeof(Rec));
 }
 
@@ -121,21 +144,28 @@ template void ShardReplay::runShard(std::size_t, const PackedRecord *,
                                     std::size_t);
 
 CacheStats
-ShardReplay::mergedStats() const
+ShardReplay::mergedStats(std::size_t m) const
 {
-    const CacheGeometry geom(config_);
+    const CacheGeometry geom(configs_[m]);
     CacheStats merged(geom.subBlocksPerBlock(),
                       geom.subBlocksPerBlock() *
                           geom.wordsPerSubBlock());
-    for (const auto &cache : caches_)
-        merged.mergeFrom(cache->stats());
+    for (std::size_t s = 0; s < refs_.size(); ++s)
+        merged.mergeFrom(caches_[s * configs_.size() + m]->stats());
     return merged;
 }
 
-SweepResult
-ShardReplay::result() const
+std::vector<SweepResult>
+ShardReplay::results() const
 {
-    return summarizeStats(config_, grossBytes_, mergedStats());
+    std::vector<SweepResult> out;
+    out.reserve(configs_.size());
+    for (std::size_t m = 0; m < configs_.size(); ++m) {
+        out.push_back(summarizeStats(
+            configs_[m], CacheGeometry(configs_[m]).grossBytes(),
+            mergedStats(m)));
+    }
+    return out;
 }
 
 void
@@ -150,7 +180,7 @@ ShardTelemetry::accumulate(const ShardReplay &engine)
     maxShardRefs = std::max(maxShardRefs, hi);
     minShardRefs = shardedRuns == 0 ? lo : std::min(minShardRefs, lo);
     maxShards = std::max(maxShards, engine.numShards());
-    ++shardedRuns;
+    shardedRuns += engine.size();
 }
 
 } // namespace occsim

@@ -31,6 +31,16 @@
  * touch only the accessed frame, so everything else is shardable.
  * Tests prove both directions of this predicate by force-sharding an
  * ineligible config and exhibiting the divergence.
+ *
+ * Shard tiles: the filter only needs the shard bits to pick whole
+ * sets, i.e. to lie inside the config's set-index field
+ * [blockBits, blockBits + log2(numSets)). So one ShardReplay prices a
+ * TILE of configs at one shard count: the window is address bits
+ * [B, B + log2(shards)), B the largest member block bits, and it must
+ * end inside every member's set field (ShardWindow). Shard s's task
+ * filters the trace once and replays each filtered chunk through
+ * every member's shard-s Cache, so a tile of k configs reads the
+ * trace once per shard instead of k times.
  */
 
 #ifndef OCCSIM_MULTI_SHARD_REPLAY_HH
@@ -87,52 +97,80 @@ bool shouldShard(ShardMode mode, const CacheConfig &config,
                  unsigned threads, std::uint64_t refs,
                  std::size_t competing_tasks);
 
+/** The shard window of a tile: address bits [low, low + shard bits),
+ *  which must stay below @c high, the lowest top of a member's
+ *  set-index field. A default window admits any config. */
+struct ShardWindow
+{
+    std::uint32_t low = 0;
+    std::uint32_t high = ~std::uint32_t{0};
+
+    /** This window with @p config added to the tile. */
+    ShardWindow with(const CacheConfig &config) const;
+
+    /** True when @p shard_bits window bits from @c low pick whole
+     *  sets of every member. */
+    bool holds(std::uint32_t shard_bits) const
+    {
+        return low + shard_bits <= high;
+    }
+};
+
 /**
- * One sharded (trace, config) run: numShards private Caches, each
- * replaying one set shard of the trace. runShard(s, ...) only
- * touches shard s's cache and counter (its filter buffer is local to
- * the call), so distinct shards are safe to run concurrently with no
- * synchronization; merging happens single-threaded afterwards.
+ * One sharded tile of (trace, config) runs: numShards private Caches
+ * per member config, each replaying one set shard of the trace.
+ * runShard(s, ...) only touches shard s's caches and counter (its
+ * filter buffer is local to the call), so distinct shards are safe to
+ * run concurrently with no synchronization; merging happens
+ * single-threaded afterwards.
  */
 class ShardReplay
 {
   public:
-    /** @p num_shards must be planShardCount-valid: a power of two in
-     *  [2, min(numSets, kMaxShards)], and @p config shardEligible. */
-    ShardReplay(const CacheConfig &config, std::uint32_t num_shards);
+    /** @p configs must all be shardEligible and @p num_shards a power
+     *  of two in [2, kMaxShards] whose window holds for the tile
+     *  (ShardWindow; for a single config, num_shards <= numSets). */
+    ShardReplay(const std::vector<CacheConfig> &configs,
+                std::uint32_t num_shards);
 
-    const CacheConfig &config() const { return config_; }
+    /** Member configs in the tile. */
+    std::size_t size() const { return configs_.size(); }
     std::uint32_t numShards() const
     {
-        return static_cast<std::uint32_t>(caches_.size());
+        return static_cast<std::uint32_t>(refs_.size());
     }
+    /** Lowest address bit of the shard window. */
+    std::uint32_t windowBits() const { return windowBits_; }
 
-    /** Replay the records of shard @p shard among the first @p n of
-     *  @p refs (forEachShardChunk) and finalize its residencies,
-     *  exactly like one Cache::run pass over that sub-trace. @p Rec
-     *  is MemRef or PackedRecord; the filter packs MemRef records as
-     *  it compacts them. */
+    /** Filter the records of shard @p shard among the first @p n of
+     *  @p refs once (forEachShardChunk), replay each filtered chunk
+     *  through every member's shard cache, and finalize their
+     *  residencies — per member exactly one Cache::run pass over that
+     *  sub-trace. @p Rec is MemRef or PackedRecord; the filter packs
+     *  MemRef records as it compacts them. */
     template <class Rec>
     void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
-    /** References replayed by @p shard so far (imbalance telemetry). */
+    /** References replayed by @p shard so far (imbalance telemetry);
+     *  every member sees the same ones. */
     std::uint64_t shardRefs(std::size_t shard) const
     {
         return refs_[shard];
     }
 
-    /** Sum of the per-shard statistics (exact integer merge). */
-    CacheStats mergedStats() const;
+    /** Member @p m's per-shard statistics summed (exact integer
+     *  merge). */
+    CacheStats mergedStats(std::size_t m) const;
 
-    /** Summary of the merged run — bit-identical to an unsharded
-     *  replay of the same records. */
-    SweepResult result() const;
+    /** Summaries of the merged runs in member order — bit-identical
+     *  to unsharded replays of the same records. */
+    std::vector<SweepResult> results() const;
 
   private:
-    CacheConfig config_;
-    std::uint32_t blockBits_;
-    std::uint32_t shardBits_;
-    std::uint64_t grossBytes_;
+    std::vector<CacheConfig> configs_;
+    std::uint32_t windowBits_ = 0;
+    std::uint32_t shardBits_ = 0;
+    /** Shard-major: shard s's caches are [s * size(), (s+1) * size()). */
     std::vector<std::unique_ptr<Cache>> caches_;
     std::vector<std::uint64_t> refs_;
 };
@@ -151,7 +189,8 @@ struct ShardTelemetry
     std::uint64_t maxShardRefs = 0;  ///< fullest shard sub-trace
     std::uint64_t minShardRefs = 0;  ///< emptiest shard sub-trace
 
-    /** Fold one finished sharded run into the summary. */
+    /** Fold one finished shard tile into the summary (one sharded
+     *  run per member config). */
     void accumulate(const ShardReplay &engine);
     /** Fold one finished sharded fused-group run (counts as ONE
      *  sharded run however many configs it priced). Defined in

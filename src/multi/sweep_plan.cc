@@ -191,6 +191,15 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
                 selectConfigs(configs, group),
                 shard_count(configs[group.front()])));
         }
+        // Shard tiles: each config joins the first tile of its shard
+        // count whose window still fits it, in first-appearance order.
+        struct ShardTile
+        {
+            std::uint32_t shards;
+            ShardWindow window;
+            std::vector<std::size_t> members;
+        };
+        std::vector<ShardTile> tiles;
         for (const std::size_t c : candidates) {
             const std::uint32_t shards = shard_count(configs[c]);
             if (shards == 1) {
@@ -198,9 +207,21 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
                 continue;
             }
             plan.route[c] = SweepRoute::Shard;
-            tp.shardIndex.push_back(c);
-            tp.shards.push_back(
-                std::make_unique<ShardReplay>(configs[c], shards));
+            auto tile = std::find_if(
+                tiles.begin(), tiles.end(), [&](const ShardTile &open) {
+                    return open.shards == shards &&
+                           open.window.with(configs[c]).holds(
+                               floorLog2(shards));
+                });
+            if (tile == tiles.end())
+                tile = tiles.insert(tiles.end(), {shards, {}, {}});
+            tile->window = tile->window.with(configs[c]);
+            tile->members.push_back(c);
+        }
+        for (ShardTile &tile : tiles) {
+            tp.shards.push_back(std::make_unique<ShardReplay>(
+                selectConfigs(configs, tile.members), tile.shards));
+            tp.shardTiles.push_back(std::move(tile.members));
         }
         for (const std::size_t c : plan.directIndex)
             tp.direct.push_back(std::make_unique<Cache>(configs[c]));
@@ -341,7 +362,7 @@ planResults(const SweepPlan &plan, std::size_t t)
     for (std::size_t g = 0; g < tp.fused.size(); ++g)
         place(plan.fusedGroups[g], tp.fused[g]->results());
     for (std::size_t k = 0; k < tp.shards.size(); ++k)
-        out[tp.shardIndex[k]] = tp.shards[k]->result();
+        place(tp.shardTiles[k], tp.shards[k]->results());
     for (std::size_t j = 0; j < tp.direct.size(); ++j)
         out[plan.directIndex[j]] = summarizeCache(*tp.direct[j]);
     for (std::size_t k = 0; k < tp.splits.size(); ++k) {

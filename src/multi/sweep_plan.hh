@@ -18,7 +18,11 @@
  *  - fused        groups of >= 2 configs sharing a FusedKey
  *                 (fusableGroups), one FusedReplay per (trace, group);
  *  - shard        the remaining configs shouldShard picks on a trace,
- *                 one ShardReplay per (trace, config);
+ *                 one ShardReplay per (trace, shard tile): each config
+ *                 joins the first tile of its shard count whose shard
+ *                 window still picks whole sets of every member
+ *                 (ShardWindow), so one filter pass per shard serves
+ *                 the whole tile;
  *  - batch        the rest, one BatchReplay per trace.
  *
  * The shard verdict is per trace (lengths differ) and weighs the whole
@@ -128,8 +132,9 @@ struct TracePlan
     std::vector<std::unique_ptr<FusedReplay>> fused;
     std::unique_ptr<BatchReplay> batch;  ///< null when nothing batches
     std::vector<std::size_t> batchIndex;  ///< this trace's batch configs
-    std::vector<std::unique_ptr<ShardReplay>> shards;
-    std::vector<std::size_t> shardIndex;  ///< this trace's shard configs
+    std::vector<std::unique_ptr<ShardReplay>> shards;  ///< one per tile
+    /** Config indices per shard tile, in member order. */
+    std::vector<std::vector<std::size_t>> shardTiles;
     std::vector<std::unique_ptr<Cache>> direct;
     std::vector<std::unique_ptr<SplitCache>> splits;
     std::vector<std::unique_ptr<Cache>> shadows;
@@ -170,7 +175,7 @@ struct SweepPlan
     /** One per planned trace. */
     std::vector<TracePlan> traces;
     /** Per trace: batch tiles, fused passes (or their shards), shard
-     *  runs, direct caches, split pairs, shadows. */
+     *  tiles' shards, direct caches, split pairs, shadows. */
     std::vector<PlanTask> tasks;
 };
 

@@ -7,7 +7,10 @@
  * eligible policy combination and shard count, and BOTH directions of
  * the routing predicate must hold — eligible configs merge exactly,
  * and force-sharding either ineligible policy (Random replacement,
- * next-block prefetch) demonstrably diverges from the full run.
+ * next-block prefetch) demonstrably diverges from the full run. Shard
+ * tiles — several configs behind one filter pass per shard — must
+ * price every member exactly, and the planner must only tile configs
+ * whose set fields hold the shared window.
  */
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include "harness/experiment.hh"
 #include "multi/shard_replay.hh"
 #include "multi/sweep_api.hh"
+#include "obs/telemetry.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
@@ -72,10 +76,10 @@ SweepResult
 shardedResult(const CacheConfig &config, const Rec *refs, std::size_t n,
               std::uint32_t num_shards)
 {
-    ShardReplay engine(config, num_shards);
+    ShardReplay engine({config}, num_shards);
     for (std::uint32_t s = 0; s < num_shards; ++s)
         engine.runShard(s, refs, n);
-    return engine.result();
+    return engine.results()[0];
 }
 
 /**
@@ -289,7 +293,7 @@ TEST(ShardReplay, ZeroRefShardsMergeCleanly)
     const CacheConfig config = makeConfig(8192, 16, 16, 2);  // 128 sets
     const PackedTrace packed(*trace);
 
-    ShardReplay engine(config, 4);
+    ShardReplay engine({config}, 4);
     for (std::uint32_t s = 0; s < 4; ++s)
         engine.runShard(s, packed.data(), packed.size());
 
@@ -299,7 +303,7 @@ TEST(ShardReplay, ZeroRefShardsMergeCleanly)
     EXPECT_EQ(engine.shardRefs(1), 0u);
     EXPECT_EQ(engine.shardRefs(2), 0u);
     EXPECT_EQ(engine.shardRefs(3), 0u);
-    expectIdentical(engine.result(), directResult(config, *trace));
+    expectIdentical(engine.results()[0], directResult(config, *trace));
 
     // The imbalance telemetry reports the skew.
     ShardTelemetry telem;
@@ -308,6 +312,138 @@ TEST(ShardReplay, ZeroRefShardsMergeCleanly)
     EXPECT_EQ(telem.maxShards, 4u);
     EXPECT_EQ(telem.maxShardRefs, trace->size());
     EXPECT_EQ(telem.minShardRefs, 0u);
+}
+
+TEST(ShardReplay, TileOfBlockSizesMatchesDirectFromBothSpans)
+{
+    // 8 KB 4-way at 16, 32 and 64 B blocks: set fields [4, 11),
+    // [5, 11) and [6, 11), so one window from bit 6 holds up to 5
+    // shard bits for all three. Mixed policies put every member on a
+    // different replay kernel.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), kRefs);
+    const PackedTrace packed(*trace);
+    const std::uint32_t word = suite.profile.wordSize;
+    std::vector<CacheConfig> configs{makeConfig(8192, 16, 8, word)};
+    {
+        CacheConfig c = makeConfig(8192, 32, 8, word);
+        c.write = WritePolicy::CopyBack;
+        c.fetch = FetchPolicy::LoadForward;
+        configs.push_back(c);
+    }
+    {
+        CacheConfig c = makeConfig(8192, 64, 16, word);
+        c.replacement = ReplacementPolicy::FIFO;
+        c.writeAllocate = false;
+        configs.push_back(c);
+    }
+    std::vector<SweepResult> expected;
+    for (const CacheConfig &config : configs)
+        expected.push_back(directResult(config, *trace));
+
+    for (const std::uint32_t shards : {2u, 4u, 32u}) {
+        SCOPED_TRACE(testing::Message() << shards << " shards");
+        const auto run = [&](const auto *refs, std::size_t n) {
+            ShardReplay engine(configs, shards);
+            EXPECT_EQ(engine.windowBits(), 6u);
+            for (std::uint32_t s = 0; s < shards; ++s)
+                engine.runShard(s, refs, n);
+            std::uint64_t kept = 0;
+            for (std::uint32_t s = 0; s < shards; ++s)
+                kept += engine.shardRefs(s);
+            EXPECT_EQ(kept, n);
+            return engine.results();
+        };
+        expectIdenticalGrid({run(packed.data(), packed.size())},
+                            {expected});
+        expectIdenticalGrid({run(trace->refs().data(), trace->size())},
+                            {expected});
+    }
+    EXPECT_FALSE(ShardWindow{}.with(configs[0]).with(configs[2]).holds(6))
+        << "64 shards would leave the 64 B config's 32 sets";
+}
+
+namespace {
+
+/** Four shard-eligible configs on 4 shards (2 window bits): three
+ *  whose set fields ([4, 10), [6, 10), [4, 9)) hold the window
+ *  [6, 8), and a small one ([4, 7)) that cannot join them. */
+std::vector<CacheConfig>
+tiledConfigs(std::uint32_t word)
+{
+    return {makeConfig(4096, 16, 8, word),   // 64 sets
+            makeConfig(4096, 64, 16, word),  // 16 sets
+            makeConfig(512, 16, 8, word),    // 8 sets
+            makeConfig(2048, 16, 16, word)};  // 32 sets
+}
+
+} // namespace
+
+TEST(ShardReplay, ConfigOutsideTheWindowGetsItsOwnTile)
+{
+    const EnvGuard guard("OCCSIM_SHARD", "1");
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), kRefs);
+    const std::vector<CacheConfig> configs =
+        tiledConfigs(suite.profile.wordSize);
+
+    ThreadPool pool(4);
+    const SweepPlan reference =
+        runPlanned(configs, SweepEngine::DirectOnly, trace, pool);
+    const SweepPlan routed =
+        runPlanned(configs, SweepEngine::Auto, trace, pool);
+    ASSERT_EQ(shardedCount(routed), configs.size());
+    const TracePlan &tp = routed.traces[0];
+    EXPECT_EQ(tp.shardTiles,
+              (std::vector<std::vector<std::size_t>>{{0, 1, 3}, {2}}));
+    ASSERT_EQ(tp.shards.size(), 2u);
+    EXPECT_EQ(tp.shards[0]->windowBits(), 6u);
+    EXPECT_EQ(tp.shards[1]->windowBits(), 4u);
+    EXPECT_EQ(tp.shards[0]->numShards(), 4u);
+    expectIdenticalGrid({planResults(routed, 0)},
+                        {planResults(reference, 0)});
+
+    // Tiles still report one sharded run per (trace, config).
+    EXPECT_EQ(planShardTelemetry(routed).shardedRuns, configs.size());
+}
+
+TEST(ShardReplay, EachTileFiltersTheTraceOncePerShard)
+{
+    // engine.shard.bytes counts the bytes the filters read: one trace
+    // scan per (tile, shard), not per (config, shard). engine.shard.refs
+    // still counts config-references: every kept record once per
+    // tile member.
+    const EnvGuard guard("OCCSIM_SHARD", "1");
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), kRefs);
+    const std::vector<CacheConfig> configs =
+        tiledConfigs(suite.profile.wordSize);
+
+    ThreadPool pool(4);
+    const bool was_enabled = obs::telemetryEnabled();
+    obs::setTelemetryEnabled(true);
+    obs::telemetry().reset();
+    const SweepPlan plan =
+        runPlanned(configs, SweepEngine::Auto, trace, pool);
+    const auto counters = obs::telemetry().counters();
+    obs::telemetry().reset();
+    obs::setTelemetryEnabled(was_enabled);
+
+    const auto counter = [&](const std::string &name) {
+        for (const obs::CounterSnapshot &c : counters) {
+            if (c.name == name)
+                return c.value;
+        }
+        ADD_FAILURE() << "no counter " << name;
+        return std::uint64_t{0};
+    };
+    const TracePlan &tp = plan.traces[0];
+    ASSERT_EQ(tp.shards.size(), 2u);
+    const std::uint64_t bytes = trace->size() * sizeof(MemRef);
+    EXPECT_EQ(counter("engine.shard.bytes"), 4 * tp.shards.size() * bytes)
+        << "one filter pass per shard per tile";
+    EXPECT_EQ(counter("engine.shard.refs"),
+              trace->size() * configs.size());
 }
 
 TEST(ShardReplay, PlanShardCountRespectsGeometryAndEligibility)
