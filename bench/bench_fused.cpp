@@ -32,10 +32,10 @@
 
 #include "bench_reporter.hh"
 #include "harness/experiment.hh"
-#include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
 #include "multi/sweep_api.hh"
 #include "multi/sweep_runner.hh"
+#include "multi/tile_replay.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"
@@ -116,13 +116,14 @@ main()
     // gate either way.
     constexpr int kReps = 3;
 
-    // Baseline: the batched engine, single thread — one decode of
-    // the packed trace per config tile, 28 block-level simulations.
+    // Baseline: the batched engine (a one-shard tile), single
+    // thread — one pass over the packed trace, 28 block-level
+    // simulations.
     double batch_ms = 0.0;
     std::vector<SweepResult> batch_results;
     for (int rep = 0; rep < kReps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        BatchReplay batch(configs);
+        TileReplay batch(configs, 1);
         batch.run(packed->data(), packed->size());
         batch_results = batch.results();
         const double ms = millisSince(start);

@@ -34,8 +34,8 @@
 #include "bench_reporter.hh"
 #include "cache/cache_config.hh"
 #include "check/sample_check.hh"
-#include "multi/batch_replay.hh"
 #include "multi/sample_replay.hh"
+#include "multi/tile_replay.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "workload/suites.hh"
@@ -119,10 +119,10 @@ main()
         const auto trace = buildTraceShared(trace_spec, refs);
         const auto packed = packedTraceShared(trace);
 
-        // Exact baseline: the batched engine (packed trace +
-        // specialized kernels), one thread.
+        // Exact baseline: the batched engine (a one-shard tile over
+        // the packed trace + specialized kernels), one thread.
         const auto batch_start = std::chrono::steady_clock::now();
-        BatchReplay batch(configs);
+        TileReplay batch(configs, 1);
         batch.run(packed->data(), packed->size());
         const auto exact = batch.results();
         batch_ms += millisSince(batch_start);

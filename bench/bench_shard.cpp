@@ -28,13 +28,13 @@
  * "BENCH_JSON " line persisted to BENCH_shard.json.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "bench_reporter.hh"
 #include "cache/cache_config.hh"
-#include "multi/batch_replay.hh"
-#include "multi/shard_replay.hh"
+#include "multi/tile_replay.hh"
 #include "trace/packed_trace.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"
@@ -80,14 +80,14 @@ main()
 
     // Baseline: the batched engine, single thread, single config.
     const auto batch_start = std::chrono::steady_clock::now();
-    BatchReplay batch({config});
+    TileReplay batch({config}, 1);
     batch.run(packed->data(), packed->size());
     const SweepResult batch_result = batch.results()[0];
     const double batch_ms = millisSince(batch_start);
 
     // Sharded: concurrent filtered shard replay + merge.
     const auto shard_start = std::chrono::steady_clock::now();
-    ShardReplay engine({config}, shards);
+    TileReplay engine({config}, shards);
     pool.parallelFor(shards, [&](std::size_t s) {
         engine.runShard(s, packed->data(), packed->size());
     });
@@ -99,12 +99,9 @@ main()
     const double speedup =
         shard_ms > 0.0 ? batch_ms / shard_ms : 0.0;
 
-    std::uint64_t min_refs = engine.shardRefs(0);
-    std::uint64_t max_refs = min_refs;
-    for (std::uint32_t s = 1; s < shards; ++s) {
-        min_refs = std::min(min_refs, engine.shardRefs(s));
-        max_refs = std::max(max_refs, engine.shardRefs(s));
-    }
+    const auto [min_refs, max_refs] =
+        std::minmax_element(engine.shardRefs().begin(),
+                            engine.shardRefs().end());
 
     const unsigned hw = effectiveHardwareThreads();
     const bool gate_enforced = hw >= kThreads && refs >= 1000000;
@@ -118,8 +115,8 @@ main()
                 gate_enforced
                     ? (gate_pass ? ">=3x pass" : ">=3x FAIL")
                     : "not enforced",
-                static_cast<unsigned long long>(min_refs),
-                static_cast<unsigned long long>(max_refs),
+                static_cast<unsigned long long>(*min_refs),
+                static_cast<unsigned long long>(*max_refs),
                 bit_identical ? "yes" : "NO");
     if (!gate_enforced) {
         std::printf("gate skipped: %u effective hw thread%s, %llu "
@@ -140,8 +137,8 @@ main()
                config.fullName().c_str(),
                static_cast<unsigned long long>(refs), shards,
                pool.size(), batch_ms, shard_ms, speedup,
-               static_cast<unsigned long long>(min_refs),
-               static_cast<unsigned long long>(max_refs),
+               static_cast<unsigned long long>(*min_refs),
+               static_cast<unsigned long long>(*max_refs),
                bit_identical ? "true" : "false"),
         gate_enforced, bit_identical && gate_pass);
 }

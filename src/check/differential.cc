@@ -10,9 +10,7 @@
 #include "cache/cache.hh"
 #include "cache/cache_geometry.hh"
 #include "cache/split_cache.hh"
-#include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/shard_replay.hh"
 #include "multi/sweep_plan.hh"
 #include "multi/sweep_runner.hh"
 #include "trace/packed_trace.hh"
@@ -200,7 +198,7 @@ runDifferentialCase(const CacheConfig &config,
                     sweepOne(config, trace, SweepEngine::Auto),
                     direct_summary, report.diffs);
 
-    // Engines 4-6 each run twice: from the packed records (the
+    // Engines 4 and 5 each run twice: from the packed records (the
     // corpus layout) and from the MemRef span in place (the layout a
     // sweep over VectorTraces replays). The label prefix says which.
     const PackedTrace packed(*trace);
@@ -209,71 +207,64 @@ runDifferentialCase(const CacheConfig &config,
         check(std::string("memref-"), refs.data());
     };
 
-    // Engine 4: the batched replay kernels standalone, driven with a
-    // deliberately awkward tiling (tile of 1 config, 7-record chunks)
-    // so chunk-boundary handling is exercised on every case — full
-    // statistics against the oracle, summary against the direct run.
-    for_each_span([&](const std::string &span, const auto *records) {
-        BatchReplay batch(configs, 1, 7);
-        batch.run(records, refs.size());
-        for (const std::string &line :
-             diffStats(want, batch.cache(0).stats()))
-            report.diffs.push_back(span + "batch." + line);
-        diffSweepResult(span + "batch", batch.results()[0],
-                        direct_summary, report.diffs);
-    });
-
-    // Engine 5: the set-sharded replay engine, when eligible — the
-    // per-shard filtered sub-traces must merge bit-identically to the
-    // direct run at awkward shard counts (the smallest, the largest
-    // legal one, and a mid-size split when the geometry allows it).
-    // The config rides a shard tile with a companion of another block
-    // size whenever one shares its window, so the tile's single
-    // filter pass per shard is diffed for both members.
+    // Engine 4: the tile engine standalone at deliberately awkward
+    // 7-record chunks, so chunk-boundary handling is exercised on
+    // every case. A one-shard tile of the config alone (the batch
+    // route) takes any config; a shard-eligible config also rides
+    // sharded tiles at awkward shard counts (the smallest, the
+    // largest legal one, and a mid-size split when the geometry
+    // allows it), with a companion of another block size whenever one
+    // shares its window, so the tile's single filter pass per shard
+    // is diffed for both members. The config's merged statistics must
+    // equal the oracle's in full, and every member's summary its own
+    // direct run's.
+    struct Tile
+    {
+        std::uint32_t shards;
+        std::vector<CacheConfig> configs;
+        std::vector<SweepResult> want;
+    };
+    std::vector<Tile> tiles{{1, configs, {direct_summary}}};
     if (shardEligible(config)) {
         const CacheGeometry geom(config);
         const std::uint32_t max_shards =
             std::min<std::uint32_t>(geom.numSets(), kMaxShards);
-        struct ShardTile
-        {
-            std::uint32_t shards;
-            std::vector<CacheConfig> configs;
-            std::vector<SweepResult> want;
-        };
-        std::vector<ShardTile> tiles;
-        if (max_shards >= 2) {
-            std::vector<std::uint32_t> counts{2};
-            if (max_shards >= 8)
-                counts.push_back(max_shards / 2);
-            if (max_shards > 2)
-                counts.push_back(max_shards);
-            for (const std::uint32_t num_shards : counts) {
-                ShardTile tile{num_shards, {config}, {direct_summary}};
-                if (const auto other =
-                        shardCompanion(config, num_shards)) {
-                    tile.configs.push_back(*other);
-                    tile.want.push_back(directSummary(*other, refs));
-                }
-                tiles.push_back(std::move(tile));
+        std::vector<std::uint32_t> counts;
+        if (max_shards >= 2)
+            counts.push_back(2);
+        if (max_shards >= 8)
+            counts.push_back(max_shards / 2);
+        if (max_shards > 2)
+            counts.push_back(max_shards);
+        for (const std::uint32_t num_shards : counts) {
+            Tile tile{num_shards, configs, {direct_summary}};
+            if (const auto other = shardCompanion(config, num_shards)) {
+                tile.configs.push_back(*other);
+                tile.want.push_back(directSummary(*other, refs));
+            }
+            tiles.push_back(std::move(tile));
+        }
+    }
+    for_each_span([&](const std::string &span, const auto *records) {
+        for (const Tile &tile : tiles) {
+            TileReplay engine(tile.configs, tile.shards, 7);
+            engine.run(records, refs.size());
+            const std::string label =
+                span + (tile.shards == 1
+                            ? std::string("batch")
+                            : "shard" + std::to_string(tile.shards));
+            for (const std::string &line :
+                 diffStats(want, engine.mergedStats(0)))
+                report.diffs.push_back(label + "." + line);
+            const std::vector<SweepResult> got = engine.results();
+            for (std::size_t m = 0; m < got.size(); ++m) {
+                diffSweepResult(label + (m == 0 ? "" : ".companion"),
+                                got[m], tile.want[m], report.diffs);
             }
         }
-        for_each_span([&](const std::string &span, const auto *records) {
-            for (const ShardTile &tile : tiles) {
-                ShardReplay engine(tile.configs, tile.shards);
-                for (std::uint32_t s = 0; s < tile.shards; ++s)
-                    engine.runShard(s, records, refs.size());
-                const std::vector<SweepResult> got = engine.results();
-                for (std::size_t m = 0; m < got.size(); ++m) {
-                    diffSweepResult(span + "shard" +
-                                        std::to_string(tile.shards) +
-                                        (m == 0 ? "" : ".companion"),
-                                    got[m], tile.want[m], report.diffs);
-                }
-            }
-        });
-    }
+    });
 
-    // Engine 6: the fused group engine, when eligible — the config
+    // Engine 5: the fused group engine, when eligible — the config
     // rides one group pass alongside deliberately awkward companion
     // siblings (same FusedKey, different sub-block size and fetch
     // policy), so the per-config mask planes are exercised against

@@ -11,26 +11,25 @@
  *  2. A one-trace sweep (planSweep + runSweepPlan, the pair behind
  *     runSweep) with SweepEngine::DirectOnly vs the direct Cache's
  *     SweepResult (the routing layer must be a no-op).
- *  3. The same with SweepEngine::Auto (this exercises the batched
- *     replay engine, or the set-sharded one when the shard heuristic
- *     picks it).
- *  4. A standalone BatchReplay run with a deliberately awkward
- *     tiling (1-config tiles, 7-record chunks): full statistics vs
- *     the oracle and the summarized SweepResult vs the direct
- *     engine's, so the specialized kernels and the chunk-boundary
- *     logic are diffed on every case.
- *  5. For shard-eligible configs, standalone ShardReplay runs at
- *     awkward shard counts vs the direct engine's SweepResult. The
- *     config shares a shard tile with a companion of another block
- *     size whose set field holds the same shard window, when one
- *     exists; the companion is diffed against its own direct run.
- *  6. For fused-eligible configs, FusedReplay group passes (unsharded
+ *  3. The same with SweepEngine::Auto (this exercises a one-shard
+ *     tile, the batch route, or a sharded tile when the shard
+ *     heuristic picks it).
+ *  4. Standalone TileReplay runs at deliberately awkward 7-record
+ *     chunks: a one-shard tile of the config alone and, for
+ *     shard-eligible configs, sharded tiles at awkward shard counts.
+ *     A sharded tile adds a companion of another block size whose
+ *     set field holds the same shard window, when one exists. The
+ *     config's merged statistics are diffed in full against the
+ *     oracle, and every member's summary against its own direct run,
+ *     so the specialized kernels, the shard filter and the
+ *     chunk-boundary logic are diffed on every case.
+ *  5. For fused-eligible configs, FusedReplay group passes (unsharded
  *     and sharded) with awkward sibling configs; every member vs its
  *     own direct run.
  *
- * Engines 4-6 run twice, once over the packed records and once over
- * the MemRef span in place (diff labels prefixed "memref-"), since a
- * sweep over VectorTraces feeds them MemRef records.
+ * Engines 4 and 5 run twice, once over the packed records and once
+ * over the MemRef span in place (diff labels prefixed "memref-"),
+ * since a sweep over VectorTraces feeds them MemRef records.
  *
  * Split I/D configs take their own stack: a pair of oracle halves vs
  * the SplitCache, and both routing modes vs its summary.

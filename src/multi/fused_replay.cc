@@ -5,7 +5,7 @@
 
 #include "cache/cache_geometry.hh"
 #include "cache/replacement.hh"
-#include "multi/shard_replay.hh"
+#include "multi/tile_replay.hh"
 #include "obs/telemetry.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -839,21 +839,6 @@ FusedReplay::results() const
     for (std::size_t c = 0; c < configs_.size(); ++c)
         out.push_back(result(c));
     return out;
-}
-
-void
-ShardTelemetry::accumulate(const FusedReplay &engine)
-{
-    std::uint64_t lo = engine.shardRefs(0);
-    std::uint64_t hi = lo;
-    for (std::uint32_t s = 1; s < engine.numShards(); ++s) {
-        lo = std::min(lo, engine.shardRefs(s));
-        hi = std::max(hi, engine.shardRefs(s));
-    }
-    maxShardRefs = std::max(maxShardRefs, hi);
-    minShardRefs = shardedRuns == 0 ? lo : std::min(minShardRefs, lo);
-    maxShards = std::max(maxShards, engine.numShards());
-    ++shardedRuns;
 }
 
 } // namespace occsim

@@ -47,7 +47,7 @@
  * reference whose sub-block is valid in every lane) tests the whole
  * group with a single load.
  *
- * Composes with set-sharding exactly like ShardReplay: construct with
+ * Composes with set-sharding exactly like TileReplay: construct with
  * num_shards > 1 and drive runShard(s, refs, n) per shard — every
  * config of the group is set-local, so per-shard group passes merge
  * exactly (CacheStats::mergeFrom is an exact integer merge).
@@ -153,11 +153,8 @@ class FusedReplay
     template <class Rec>
     void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
-    /** References replayed by @p shard so far (imbalance telemetry). */
-    std::uint64_t shardRefs(std::size_t shard) const
-    {
-        return refs_[shard];
-    }
+    /** References replayed per shard so far (imbalance telemetry). */
+    const std::vector<std::uint64_t> &shardRefs() const { return refs_; }
 
     /** Member @p c's statistics, merged across shards (exact). */
     CacheStats mergedStats(std::size_t c) const;

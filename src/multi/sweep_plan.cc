@@ -10,6 +10,11 @@ namespace occsim {
 
 namespace {
 
+/** Configs per one-shard tile at most: 8 caches per trace chunk keeps
+ *  the chunk hot in L2 across the tile without blowing the per-cache
+ *  state out of cache. */
+constexpr std::size_t kDefaultTileConfigs = 8;
+
 std::vector<CacheConfig>
 selectConfigs(const std::vector<CacheConfig> &configs,
               const std::vector<std::size_t> &indices)
@@ -51,8 +56,8 @@ runTask(const PlanTask &task, TracePlan &tp, const Rec *refs,
         std::size_t n)
 {
     switch (task.kind) {
-    case PlanTask::Kind::BatchTile:
-        tp.batch->runTile(task.part, refs, n);
+    case PlanTask::Kind::Tile:
+        tp.tiles[task.engine]->runShard(task.part, refs, n);
         break;
     case PlanTask::Kind::Fused: {
         FusedReplay &eng = *tp.fused[task.engine];
@@ -62,9 +67,6 @@ runTask(const PlanTask &task, TracePlan &tp, const Rec *refs,
             eng.runShard(task.part, refs, n);
         break;
     }
-    case PlanTask::Kind::Shard:
-        tp.shards[task.engine]->runShard(task.part, refs, n);
-        break;
     case PlanTask::Kind::Direct:
     case PlanTask::Kind::Split: {
         OCCSIM_TELEM_STAGE("engine.direct");
@@ -171,10 +173,19 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     // here, so the pool-sized tiles below never change a route.
     const std::size_t competing =
         plan.traces.size() *
-        ((candidates.size() + BatchReplay::kDefaultTileConfigs - 1) /
-             BatchReplay::kDefaultTileConfigs +
+        ((candidates.size() + kDefaultTileConfigs - 1) /
+             kDefaultTileConfigs +
          plan.fusedGroups.size());
     const ShardMode mode = shardModeFromEnv();
+    struct ShardTile
+    {
+        std::uint32_t shards;
+        ShardWindow window;
+        std::vector<std::size_t> members;
+    };
+    // Per trace: its batch configs and its shard tiles.
+    std::vector<std::vector<std::size_t>> batch(plan.traces.size());
+    std::vector<std::vector<ShardTile>> sharded(plan.traces.size());
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
         const auto shard_count = [&](const CacheConfig &config) {
@@ -193,17 +204,11 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
         }
         // Shard tiles: each config joins the first tile of its shard
         // count whose window still fits it, in first-appearance order.
-        struct ShardTile
-        {
-            std::uint32_t shards;
-            ShardWindow window;
-            std::vector<std::size_t> members;
-        };
-        std::vector<ShardTile> tiles;
+        std::vector<ShardTile> &tiles = sharded[t];
         for (const std::size_t c : candidates) {
             const std::uint32_t shards = shard_count(configs[c]);
             if (shards == 1) {
-                tp.batchIndex.push_back(c);
+                batch[t].push_back(c);
                 continue;
             }
             plan.route[c] = SweepRoute::Shard;
@@ -217,11 +222,6 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
                 tile = tiles.insert(tiles.end(), {shards, {}, {}});
             tile->window = tile->window.with(configs[c]);
             tile->members.push_back(c);
-        }
-        for (ShardTile &tile : tiles) {
-            tp.shards.push_back(std::make_unique<ShardReplay>(
-                selectConfigs(configs, tile.members), tile.shards));
-            tp.shardTiles.push_back(std::move(tile.members));
         }
         for (const std::size_t c : plan.directIndex)
             tp.direct.push_back(std::make_unique<Cache>(configs[c]));
@@ -238,19 +238,28 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     // L2-friendly default. One long trace's few unshardable configs
     // then run one per worker instead of serially in one tile.
     std::size_t batch_runs = 0;
-    for (const TracePlan &tp : plan.traces)
-        batch_runs += tp.batchIndex.size();
+    for (const std::vector<std::size_t> &batched : batch)
+        batch_runs += batched.size();
     const std::size_t workers = std::max(threads, 1u);
     const std::size_t tile_configs = std::clamp<std::size_t>(
-        (batch_runs + workers - 1) / workers, 1,
-        BatchReplay::kDefaultTileConfigs);
+        (batch_runs + workers - 1) / workers, 1, kDefaultTileConfigs);
 
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
-        if (!tp.batchIndex.empty()) {
-            tp.batch = std::make_unique<BatchReplay>(
-                selectConfigs(configs, tp.batchIndex), tile_configs);
+        const auto add_tile = [&](std::vector<std::size_t> members,
+                                  std::uint32_t shards) {
+            tp.tiles.push_back(std::make_unique<TileReplay>(
+                selectConfigs(configs, members), shards));
+            tp.tileIndex.push_back(std::move(members));
+        };
+        const std::vector<std::size_t> &batched = batch[t];
+        for (std::size_t b = 0; b < batched.size(); b += tile_configs) {
+            const std::size_t end =
+                std::min(b + tile_configs, batched.size());
+            add_tile({batched.begin() + b, batched.begin() + end}, 1);
         }
+        for (ShardTile &tile : sharded[t])
+            add_tile(std::move(tile.members), tile.shards);
 
         // The one task order.
         const auto add = [&](PlanTask::Kind kind, std::size_t engines,
@@ -265,13 +274,11 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
             }
         };
         const auto one = [](std::size_t) { return std::size_t{1}; };
-        add(PlanTask::Kind::BatchTile, tp.batch != nullptr,
-            [&](std::size_t) { return tp.batch->numTiles(); });
+        add(PlanTask::Kind::Tile, tp.tiles.size(), [&](std::size_t k) {
+            return std::size_t{tp.tiles[k]->numShards()};
+        });
         add(PlanTask::Kind::Fused, tp.fused.size(), [&](std::size_t g) {
             return std::size_t{tp.fused[g]->numShards()};
-        });
-        add(PlanTask::Kind::Shard, tp.shards.size(), [&](std::size_t k) {
-            return std::size_t{tp.shards[k]->numShards()};
         });
         add(PlanTask::Kind::Direct, tp.direct.size(), one);
         add(PlanTask::Kind::Split, tp.splits.size(), one);
@@ -357,12 +364,10 @@ planResults(const SweepPlan &plan, std::size_t t)
         for (std::size_t k = 0; k < results.size(); ++k)
             out[index[k]] = results[k];
     };
-    if (tp.batch != nullptr)
-        place(tp.batchIndex, tp.batch->results());
+    for (std::size_t k = 0; k < tp.tiles.size(); ++k)
+        place(tp.tileIndex[k], tp.tiles[k]->results());
     for (std::size_t g = 0; g < tp.fused.size(); ++g)
         place(plan.fusedGroups[g], tp.fused[g]->results());
-    for (std::size_t k = 0; k < tp.shards.size(); ++k)
-        place(tp.shardTiles[k], tp.shards[k]->results());
     for (std::size_t j = 0; j < tp.direct.size(); ++j)
         out[plan.directIndex[j]] = summarizeCache(*tp.direct[j]);
     for (std::size_t k = 0; k < tp.splits.size(); ++k) {
@@ -377,11 +382,13 @@ planShardTelemetry(const SweepPlan &plan)
 {
     ShardTelemetry telem;
     for (const TracePlan &tp : plan.traces) {
-        for (const auto &engine : tp.shards)
-            telem.accumulate(*engine);
+        for (const auto &tile : tp.tiles) {
+            if (tile->numShards() > 1)
+                telem.accumulate(tile->shardRefs(), tile->size());
+        }
         for (const auto &engine : tp.fused) {
             if (engine->numShards() > 1)
-                telem.accumulate(*engine);
+                telem.accumulate(engine->shardRefs(), 1);
         }
     }
     return telem;

@@ -18,12 +18,12 @@
  *  - fused        groups of >= 2 configs sharing a FusedKey
  *                 (fusableGroups), one FusedReplay per (trace, group);
  *  - shard        the remaining configs shouldShard picks on a trace,
- *                 one ShardReplay per (trace, shard tile): each config
- *                 joins the first tile of its shard count whose shard
- *                 window still picks whole sets of every member
+ *                 one sharded TileReplay per (trace, shard tile): each
+ *                 config joins the first tile of its shard count whose
+ *                 shard window still picks whole sets of every member
  *                 (ShardWindow), so one filter pass per shard serves
  *                 the whole tile;
- *  - batch        the rest, one BatchReplay per trace.
+ *  - batch        the rest, in one-shard TileReplays.
  *
  * The shard verdict is per trace (lengths differ) and weighs the whole
  * sweep's unsharded task count — batch tiles and fused passes over
@@ -31,21 +31,22 @@
  * (Auto or CrossCheck) runs it. A fused group shards as a unit and
  * keeps the route "fused".
  *
- * Every trace's BatchReplay tiles clamp(ceil(R / threads), 1,
- * kDefaultTileConfigs) configs, R being the plan's batch-routed
- * (trace, config) runs: a grid wide enough to fill the pool keeps
- * the L2-friendly default, and a few batch configs on one long trace
- * get a tile (a pool task) each instead of one serial tile.
+ * Every trace's batch configs are cut, in order, into one-shard tiles
+ * of clamp(ceil(R / threads), 1, 8) configs, R being the plan's
+ * batch-routed (trace, config) runs: a grid wide enough to fill the
+ * pool keeps the L2-friendly 8-config tile, and a few batch configs
+ * on one long trace get a tile (a pool task) each instead of one
+ * serial tile. A trace's tile list holds its one-shard tiles, then
+ * its shard tiles.
  *
  * runSweepPlan() executes a plan over the traces it was planned for,
  * given either as MemRef traces or as packed records (the plan is the
  * same for both). Every engine reads the records where they lie, so
  * a sweep makes no whole-trace copy. Every task touches only its own
- * engine, cache, tile
- * or shard, so results are bit-identical to sequential per-config
- * simulation however the pool schedules them. Running the same plan
- * again feeds every engine the next trace as if the traces were
- * concatenated.
+ * engine, cache, or tile shard, so results are bit-identical to
+ * sequential per-config simulation however the pool schedules them.
+ * Running the same plan again feeds every engine the next trace as
+ * if the traces were concatenated.
  */
 
 #ifndef OCCSIM_MULTI_SWEEP_PLAN_HH
@@ -56,9 +57,8 @@
 #include <vector>
 
 #include "cache/split_cache.hh"
-#include "multi/batch_replay.hh"
 #include "multi/fused_replay.hh"
-#include "multi/shard_replay.hh"
+#include "multi/tile_replay.hh"
 #include "util/thread_pool.hh"
 
 namespace occsim {
@@ -130,30 +130,27 @@ fusableGroups(const std::vector<CacheConfig> &configs,
 struct TracePlan
 {
     std::vector<std::unique_ptr<FusedReplay>> fused;
-    std::unique_ptr<BatchReplay> batch;  ///< null when nothing batches
-    std::vector<std::size_t> batchIndex;  ///< this trace's batch configs
-    std::vector<std::unique_ptr<ShardReplay>> shards;  ///< one per tile
-    /** Config indices per shard tile, in member order. */
-    std::vector<std::vector<std::size_t>> shardTiles;
+    /** One-shard (batch) tiles, then sharded ones. */
+    std::vector<std::unique_ptr<TileReplay>> tiles;
+    /** This trace's config indices per tile, in member order. */
+    std::vector<std::vector<std::size_t>> tileIndex;
     std::vector<std::unique_ptr<Cache>> direct;
     std::vector<std::unique_ptr<SplitCache>> splits;
     std::vector<std::unique_ptr<Cache>> shadows;
 };
 
-/** One schedulable unit of a plan: @p part of engine slot @p engine
- *  (a tile or shard; 0 for whole-engine tasks) on trace
- *  @p trace. */
+/** One schedulable unit of a plan: shard @p part of engine slot
+ *  @p engine (0 for whole-engine tasks) on trace @p trace. */
 struct PlanTask
 {
     enum class Kind : std::uint8_t {
-        BatchTile,
+        Tile,
         Fused,
-        Shard,
         Direct,
         Split,
         Shadow,
     };
-    Kind kind = Kind::BatchTile;
+    Kind kind = Kind::Tile;
     std::uint32_t trace = 0;
     std::uint32_t engine = 0;
     std::uint32_t part = 0;
@@ -174,8 +171,8 @@ struct SweepPlan
     std::vector<std::size_t> shadowIndex;
     /** One per planned trace. */
     std::vector<TracePlan> traces;
-    /** Per trace: batch tiles, fused passes (or their shards), shard
-     *  tiles' shards, direct caches, split pairs, shadows. */
+    /** Per trace: tiles' shards, fused passes (or their shards),
+     *  direct caches, split pairs, shadows. */
     std::vector<PlanTask> tasks;
 };
 
@@ -207,8 +204,8 @@ runSweepPlan(SweepPlan &plan,
 std::vector<SweepResult> planResults(const SweepPlan &plan,
                                      std::size_t t);
 
-/** Imbalance summary over every sharded run of @p plan (standalone
- *  shard runs and sharded fused groups). */
+/** Imbalance summary over every sharded run of @p plan (sharded
+ *  tiles' members and sharded fused groups). */
 ShardTelemetry planShardTelemetry(const SweepPlan &plan);
 
 } // namespace occsim

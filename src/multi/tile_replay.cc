@@ -1,4 +1,4 @@
-#include "multi/shard_replay.hh"
+#include "multi/tile_replay.hh"
 
 #include <algorithm>
 #include <cstdlib>
@@ -81,27 +81,30 @@ ShardWindow::with(const CacheConfig &config) const
             std::min(high, geom.blockBits() + floorLog2(geom.numSets()))};
 }
 
-ShardReplay::ShardReplay(const std::vector<CacheConfig> &configs,
-                         std::uint32_t num_shards)
-    : configs_(configs)
+TileReplay::TileReplay(const std::vector<CacheConfig> &configs,
+                       std::uint32_t num_shards,
+                       std::size_t chunk_records)
+    : configs_(configs), chunkRecords_(chunk_records)
 {
-    occsim_assert(!configs.empty(), "shard tile needs a config");
-    occsim_assert(isPowerOfTwo(num_shards) && num_shards >= 2 &&
-                      num_shards <= kMaxShards,
+    occsim_assert(!configs.empty(), "tile needs a config");
+    occsim_assert(chunkRecords_ > 0, "chunk size must be positive");
+    occsim_assert(isPowerOfTwo(num_shards) && num_shards <= kMaxShards,
                   "bad shard count %u", num_shards);
     shardBits_ = floorLog2(num_shards);
-    ShardWindow window;
-    for (const CacheConfig &config : configs) {
-        occsim_assert(shardEligible(config),
-                      "sharding an ineligible config (%s)",
-                      config.fullName().c_str());
-        window = window.with(config);
+    if (num_shards > 1) {
+        ShardWindow window;
+        for (const CacheConfig &config : configs) {
+            occsim_assert(shardEligible(config),
+                          "sharding an ineligible config (%s)",
+                          config.fullName().c_str());
+            window = window.with(config);
+        }
+        occsim_assert(window.holds(shardBits_),
+                      "%u shards at bit %u leave a member's set field "
+                      "(ends at bit %u)",
+                      num_shards, window.low, window.high);
+        windowBits_ = window.low;
     }
-    occsim_assert(window.holds(shardBits_),
-                  "%u shards at bit %u leave a member's set field "
-                  "(ends at bit %u)",
-                  num_shards, window.low, window.high);
-    windowBits_ = window.low;
     caches_.reserve(static_cast<std::size_t>(num_shards) *
                     configs.size());
     for (std::uint32_t s = 0; s < num_shards; ++s) {
@@ -113,38 +116,42 @@ ShardReplay::ShardReplay(const std::vector<CacheConfig> &configs,
 
 template <class Rec>
 void
-ShardReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
+TileReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
 {
     occsim_assert(shard < refs_.size(), "shard %zu of %zu", shard,
                   refs_.size());
-    OCCSIM_TELEM_STAGE("engine.shard");
+    const bool batch = refs_.size() == 1;
+    OCCSIM_TELEM_STAGE(batch ? "engine.batch" : "engine.shard");
     const std::size_t members = configs_.size();
     const auto tile = caches_.begin() +
                       static_cast<std::ptrdiff_t>(shard * members);
-    // Chunk-blocked like BatchReplay: every member replays one
-    // filtered chunk before the filter reads the next, so the chunk
-    // stays L2-resident across the tile.
+    // Chunk-blocked: every member replays one chunk before the filter
+    // reads the next, so the chunk stays L2-resident across the tile.
+    // Each cache still sees its records strictly in trace order.
     const std::uint64_t kept = forEachShardChunk(
         refs, n, windowBits_, shardBits_,
         static_cast<std::uint32_t>(shard),
         [&](const PackedRecord *records, std::size_t count) {
             for (auto it = tile; it != tile + members; ++it)
                 (*it)->replayPacked(records, count);
-        });
+        },
+        chunkRecords_);
     for (auto it = tile; it != tile + members; ++it)
         (*it)->finalizeResidencies();
     refs_[shard] += kept;
-    OCCSIM_TELEM_COUNT("engine.shard.refs", kept * members);
-    OCCSIM_TELEM_COUNT("engine.shard.bytes", n * sizeof(Rec));
+    OCCSIM_TELEM_COUNT(batch ? "engine.batch.refs" : "engine.shard.refs",
+                       kept * members);
+    OCCSIM_TELEM_COUNT(batch ? "engine.batch.bytes" : "engine.shard.bytes",
+                       n * sizeof(Rec));
 }
 
-template void ShardReplay::runShard(std::size_t, const MemRef *,
-                                    std::size_t);
-template void ShardReplay::runShard(std::size_t, const PackedRecord *,
-                                    std::size_t);
+template void TileReplay::runShard(std::size_t, const MemRef *,
+                                   std::size_t);
+template void TileReplay::runShard(std::size_t, const PackedRecord *,
+                                   std::size_t);
 
 CacheStats
-ShardReplay::mergedStats(std::size_t m) const
+TileReplay::mergedStats(std::size_t m) const
 {
     const CacheGeometry geom(configs_[m]);
     CacheStats merged(geom.subBlocksPerBlock(),
@@ -156,7 +163,7 @@ ShardReplay::mergedStats(std::size_t m) const
 }
 
 std::vector<SweepResult>
-ShardReplay::results() const
+TileReplay::results() const
 {
     std::vector<SweepResult> out;
     out.reserve(configs_.size());
@@ -169,18 +176,16 @@ ShardReplay::results() const
 }
 
 void
-ShardTelemetry::accumulate(const ShardReplay &engine)
+ShardTelemetry::accumulate(std::span<const std::uint64_t> shard_refs,
+                           std::size_t runs)
 {
-    std::uint64_t lo = engine.shardRefs(0);
-    std::uint64_t hi = lo;
-    for (std::uint32_t s = 1; s < engine.numShards(); ++s) {
-        lo = std::min(lo, engine.shardRefs(s));
-        hi = std::max(hi, engine.shardRefs(s));
-    }
-    maxShardRefs = std::max(maxShardRefs, hi);
-    minShardRefs = shardedRuns == 0 ? lo : std::min(minShardRefs, lo);
-    maxShards = std::max(maxShards, engine.numShards());
-    shardedRuns += engine.size();
+    const auto [lo, hi] =
+        std::minmax_element(shard_refs.begin(), shard_refs.end());
+    maxShardRefs = std::max(maxShardRefs, *hi);
+    minShardRefs = shardedRuns == 0 ? *lo : std::min(minShardRefs, *lo);
+    maxShards = std::max(maxShards,
+                         static_cast<std::uint32_t>(shard_refs.size()));
+    shardedRuns += runs;
 }
 
 } // namespace occsim

@@ -1,20 +1,31 @@
 /**
  * @file
- * Set-sharded intra-trace replay — engine 5 of the sweep stack.
+ * Tiled replay: one trace priced through a tile of configs, chunk by
+ * chunk, at one or more set shards.
  *
- * All other engines parallelize ACROSS (trace, config) tasks; one
- * huge trace on one config is strictly serial for them. This engine
- * splits that single run: under any set-local policy combination the
- * cache sets never interact, so the trace can be split by the low
- * bits of the block address (forEachShardChunk) and each shard
- * replayed on its own private Cache by a different worker. Every
- * CacheStats field is an integer sum over the references that
- * produced it, so summing the per-shard stats and feeding the totals
- * through summarizeStats() reproduces the unsharded run bit for bit.
+ * The direct sweep engine streams the whole trace through one Cache
+ * at a time: every config pays one full pass of trace memory traffic
+ * plus the per-reference decode and policy branches of
+ * Cache::access(). TileReplay restructures that loop around the
+ * memory system instead of around the configs:
  *
- * Routing predicate (shardEligible): a config may be sharded iff its
- * behaviour is set-local, i.e. what happens in one set never depends
- * on references to other sets. Two policies break that:
+ *  - a tile's configs share every trace chunk: each chunk (256 KB of
+ *    packed records, L2-resident) is replayed through every member's
+ *    cache before the next chunk is touched, so the trace is read
+ *    once per tile instead of once per config;
+ *  - each cache replays through Cache::replayPacked, the kernel
+ *    specialized at construction for its policy combination, so the
+ *    per-reference policy switches are gone from the inner loop;
+ *  - with more than one shard, the trace is split by a window of
+ *    block-address bits (forEachShardChunk) and each shard replays on
+ *    private Caches, so one long (trace, config) run spreads over
+ *    several workers. With one shard the filter is the identity: a
+ *    packed span replays in place, and a MemRef span is packed one
+ *    chunk at a time into a buffer private to the call.
+ *
+ * Sharding needs set-local behaviour: what happens in one set must
+ * never depend on references to other sets (shardEligible). Two
+ * policies break that:
  *
  *  - Random replacement: all sets of one cache share a single Rng
  *    stream, so the victim chosen in set A depends on how many
@@ -30,23 +41,26 @@
  * missed block, LRU/FIFO order is per-set state, and write policies
  * touch only the accessed frame, so everything else is shardable.
  * Tests prove both directions of this predicate by force-sharding an
- * ineligible config and exhibiting the divergence.
+ * ineligible config and exhibiting the divergence. A one-shard tile
+ * takes any unified config.
  *
- * Shard tiles: the filter only needs the shard bits to pick whole
- * sets, i.e. to lie inside the config's set-index field
- * [blockBits, blockBits + log2(numSets)). So one ShardReplay prices a
- * TILE of configs at one shard count: the window is address bits
- * [B, B + log2(shards)), B the largest member block bits, and it must
- * end inside every member's set field (ShardWindow). Shard s's task
- * filters the trace once and replays each filtered chunk through
- * every member's shard-s Cache, so a tile of k configs reads the
- * trace once per shard instead of k times.
+ * The filter only needs the shard bits to pick whole sets, i.e. to
+ * lie inside every member's set-index field
+ * [blockBits, blockBits + log2(numSets)): the window is address bits
+ * [B, B + log2(shards)), B the largest member block bits
+ * (ShardWindow). Every CacheStats field is an integer sum over the
+ * references that produced it, so summing the per-shard stats and
+ * feeding the totals through summarizeStats() reproduces the
+ * unsharded run bit for bit. Chunks and shards change only the
+ * interleaving BETWEEN independent caches, never the reference order
+ * seen by any one cache.
  */
 
-#ifndef OCCSIM_MULTI_SHARD_REPLAY_HH
-#define OCCSIM_MULTI_SHARD_REPLAY_HH
+#ifndef OCCSIM_MULTI_TILE_REPLAY_HH
+#define OCCSIM_MULTI_TILE_REPLAY_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -117,21 +131,33 @@ struct ShardWindow
 };
 
 /**
- * One sharded tile of (trace, config) runs: numShards private Caches
- * per member config, each replaying one set shard of the trace.
+ * One tile of (trace, config) runs: numShards private Caches per
+ * member config, each replaying one set shard of the trace.
  * runShard(s, ...) only touches shard s's caches and counter (its
- * filter buffer is local to the call), so distinct shards are safe to
+ * chunk buffer is local to the call), so distinct shards are safe to
  * run concurrently with no synchronization; merging happens
  * single-threaded afterwards.
+ *
+ * Telemetry names the route: a one-shard tile reports stage
+ * engine.batch, a sharded one engine.shard, each with .refs (records
+ * kept times members) and .bytes (records read) counters.
  */
-class ShardReplay
+class TileReplay
 {
   public:
-    /** @p configs must all be shardEligible and @p num_shards a power
-     *  of two in [2, kMaxShards] whose window holds for the tile
-     *  (ShardWindow; for a single config, num_shards <= numSets). */
-    ShardReplay(const std::vector<CacheConfig> &configs,
-                std::uint32_t num_shards);
+    /**
+     * @param configs one result slot per entry.
+     * @param num_shards a power of two in [1, kMaxShards]. Above one,
+     *        every config must be shardEligible and the tile's window
+     *        must hold the shard bits (ShardWindow; for a single
+     *        config, num_shards <= numSets).
+     * @param chunk_records records filtered and replayed per chunk
+     *        (the differential fuzzer uses deliberately awkward
+     *        values like 7 to exercise chunk-boundary handling).
+     */
+    TileReplay(const std::vector<CacheConfig> &configs,
+               std::uint32_t num_shards,
+               std::size_t chunk_records = kShardChunkRecords);
 
     /** Member configs in the tile. */
     std::size_t size() const { return configs_.size(); }
@@ -139,24 +165,31 @@ class ShardReplay
     {
         return static_cast<std::uint32_t>(refs_.size());
     }
-    /** Lowest address bit of the shard window. */
+    /** Lowest address bit of the shard window (0 at one shard). */
     std::uint32_t windowBits() const { return windowBits_; }
 
     /** Filter the records of shard @p shard among the first @p n of
-     *  @p refs once (forEachShardChunk), replay each filtered chunk
-     *  through every member's shard cache, and finalize their
-     *  residencies — per member exactly one Cache::run pass over that
-     *  sub-trace. @p Rec is MemRef or PackedRecord; the filter packs
-     *  MemRef records as it compacts them. */
+     *  @p refs once (forEachShardChunk), replay each chunk through
+     *  every member's shard cache, and finalize their residencies —
+     *  per member exactly one Cache::run pass over that sub-trace.
+     *  @p Rec is MemRef or PackedRecord. Repeated passes accumulate
+     *  as if the traces were concatenated (same contract as
+     *  Cache::run). */
     template <class Rec>
     void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
-    /** References replayed by @p shard so far (imbalance telemetry);
-     *  every member sees the same ones. */
-    std::uint64_t shardRefs(std::size_t shard) const
+    /** Replay @p refs through every shard in order (the sequential
+     *  driver; sweeps schedule runShard themselves). */
+    template <class Rec>
+    void run(const Rec *refs, std::size_t n)
     {
-        return refs_[shard];
+        for (std::size_t s = 0; s < refs_.size(); ++s)
+            runShard(s, refs, n);
     }
+
+    /** References replayed per shard so far (imbalance telemetry);
+     *  every member sees the same ones. */
+    const std::vector<std::uint64_t> &shardRefs() const { return refs_; }
 
     /** Member @p m's per-shard statistics summed (exact integer
      *  merge). */
@@ -168,6 +201,7 @@ class ShardReplay
 
   private:
     std::vector<CacheConfig> configs_;
+    std::size_t chunkRecords_;
     std::uint32_t windowBits_ = 0;
     std::uint32_t shardBits_ = 0;
     /** Shard-major: shard s's caches are [s * size(), (s+1) * size()). */
@@ -189,15 +223,13 @@ struct ShardTelemetry
     std::uint64_t maxShardRefs = 0;  ///< fullest shard sub-trace
     std::uint64_t minShardRefs = 0;  ///< emptiest shard sub-trace
 
-    /** Fold one finished shard tile into the summary (one sharded
-     *  run per member config). */
-    void accumulate(const ShardReplay &engine);
-    /** Fold one finished sharded fused-group run (counts as ONE
-     *  sharded run however many configs it priced). Defined in
-     *  multi/fused_replay.cc. */
-    void accumulate(const class FusedReplay &engine);
+    /** Fold one finished sharded engine, given its per-shard
+     *  reference counts, into the summary as @p runs sharded runs:
+     *  one per tile member, one per fused group. */
+    void accumulate(std::span<const std::uint64_t> shard_refs,
+                    std::size_t runs);
 };
 
 } // namespace occsim
 
-#endif // OCCSIM_MULTI_SHARD_REPLAY_HH
+#endif // OCCSIM_MULTI_TILE_REPLAY_HH

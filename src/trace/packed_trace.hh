@@ -13,8 +13,8 @@
  * A MemRef is 8 bytes too, so the sweep engines read a VectorTrace's
  * records where they lie and never copy a whole trace: the fused
  * engine's kernel is templated on the record type (addrOf/coreOf
- * below decode either), while the shard filter and the batched
- * engine pack each L2-sized chunk as they stream it.
+ * below decode either), while the tile engine's chunk filter
+ * (forEachShardChunk) packs each L2-sized chunk as it streams it.
  *
  * packedTraceShared() still builds a whole packed copy of a shared
  * VectorTrace, memoized while any handle is alive, for callers that
@@ -62,8 +62,8 @@ struct PackedRecord
 
     static PackedRecord pack(const MemRef &ref)
     {
-        // Branch-free: the batched engine packs every MemRef record
-        // it streams. A write is never an ifetch, so at most one flag
+        // Branch-free: the tile engine packs every MemRef record it
+        // streams. A write is never an ifetch, so at most one flag
         // is set.
         PackedRecord rec;
         rec.bits = static_cast<std::uint64_t>(ref.addr) |
@@ -166,10 +166,10 @@ class PackedTrace
 std::shared_ptr<const PackedTrace>
 packedTraceShared(const std::shared_ptr<const VectorTrace> &trace);
 
-/** Records a shard filter compacts per chunk: 16384 x 8 B = 128 KB
+/** Records per chunk of a tile or shard filter: 32768 x 8 B = 256 KB
  *  of trace read and at most as much written (a MemRef chunk's
  *  shard records are written again, packed), all L2-resident. */
-inline constexpr std::size_t kShardChunkRecords = 16384;
+inline constexpr std::size_t kShardChunkRecords = 32768;
 
 /**
  * Stream set shard @p shard of the first @p n records of @p refs into
@@ -191,6 +191,10 @@ inline constexpr std::size_t kShardChunkRecords = 16384;
  * for the pack. The sink sees the shard's records in trace order,
  * which is all a set-local engine observes. No copy of the trace is
  * made: each call reads all @p n records.
+ *
+ * At 0 shard bits (one shard) the filter is the identity: a
+ * PackedRecord chunk goes to the sink in place, and a MemRef chunk
+ * is packed once into the call's buffer.
  * @return records passed to @p sink.
  */
 template <class Rec, class Sink>
@@ -202,26 +206,32 @@ forEachShardChunk(const Rec *refs, std::size_t n,
 {
     constexpr bool kPacked = std::is_same_v<Rec, PackedRecord>;
     const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
+    const bool identity = shard_bits == 0;
     const std::size_t capacity = std::min(chunk_records, n);
-    std::vector<Rec> buffer(capacity);
+    std::vector<Rec> buffer(identity ? 0 : capacity);
     std::vector<PackedRecord> packed(kPacked ? 0 : capacity);
     std::uint64_t kept = 0;
     for (std::size_t pos = 0; pos < n; pos += chunk_records) {
         const std::size_t len = std::min(chunk_records, n - pos);
-        // Every record is written; only a shard record advances the
-        // cursor, which never passes the read index.
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < len; ++i) {
-            const Rec rec = refs[pos + i];
-            buffer[out] = rec;
-            out += ((addrOf(rec) >> block_bits) & mask) == shard;
+        const Rec *chunk = refs + pos;
+        std::size_t out = len;
+        if (!identity) {
+            // Every record is written; only a shard record advances
+            // the cursor, which never passes the read index.
+            out = 0;
+            for (std::size_t i = 0; i < len; ++i) {
+                const Rec rec = chunk[i];
+                buffer[out] = rec;
+                out += ((addrOf(rec) >> block_bits) & mask) == shard;
+            }
+            chunk = buffer.data();
         }
         if (out > 0) {
             if constexpr (kPacked) {
-                sink(buffer.data(), out);
+                sink(chunk, out);
             } else {
                 for (std::size_t i = 0; i < out; ++i)
-                    packed[i] = PackedRecord::pack(buffer[i]);
+                    packed[i] = PackedRecord::pack(chunk[i]);
                 sink(packed.data(), out);
             }
         }

@@ -1,8 +1,11 @@
-# Doc-drift check: every bench binary the prose names must still be
-# built. Fails when README.md, DESIGN.md, EXPERIMENTS.md, doc/*.md or
-# any file under .claude/skills/ names a `bench_<name>` (or its
-# `BENCH_<name>.json` record) that bench/CMakeLists.txt no longer
-# builds.
+# Doc-drift check: every bench binary and every test the prose names
+# must still exist. Fails when README.md, DESIGN.md, EXPERIMENTS.md,
+# doc/*.md or any file under .claude/skills/
+#  - names a `bench_<name>` (or its `BENCH_<name>.json` record) that
+#    bench/CMakeLists.txt no longer builds, or
+#  - cites a test as `Suite.Name` whose suite some TEST, TEST_F or
+#    TEST_P in tests/*.cpp declares, but whose test none does.
+# CHANGES.md is history and is not scanned.
 #
 #   cmake -DSOURCE_DIR=<repo root> -P tests/doc_drift.cmake
 
@@ -38,8 +41,34 @@ file(GLOB_RECURSE skills LIST_DIRECTORIES false
      "${SOURCE_DIR}/.claude/skills/*")
 list(APPEND docs ${skills})
 
+# The declared tests, as Suite.Name, and their suites.
+file(GLOB test_sources "${SOURCE_DIR}/tests/*.cpp")
+set(tests "")
+set(suites "")
+set(ws "[ \t\r\n]*")
+set(ident "[A-Za-z0-9_]+")
+foreach(source IN LISTS test_sources)
+    file(READ "${source}" text)
+    string(REGEX MATCHALL "TEST(_F|_P)?\\(${ws}${ident}${ws},${ws}${ident}"
+           decls "${text}")
+    foreach(decl IN LISTS decls)
+        string(REGEX REPLACE
+               "^TEST(_F|_P)?\\(${ws}(${ident})${ws},${ws}(${ident})$"
+               "\\2.\\3" test "${decl}")
+        string(REGEX REPLACE "\\..*$" "" suite "${test}")
+        list(APPEND tests "${test}")
+        list(APPEND suites "${suite}")
+    endforeach()
+endforeach()
+list(REMOVE_DUPLICATES suites)
+if(NOT suites)
+    message(FATAL_ERROR "doc_drift: no TEST declarations found in "
+                        "tests/*.cpp; the scan itself is broken")
+endif()
+
 set(stale "")
 set(references 0)
+set(citations 0)
 foreach(doc IN LISTS docs)
     file(READ "${doc}" text)
     string(REPLACE ";" " " text "${text}")  # keep matches whole list items
@@ -55,16 +84,40 @@ foreach(doc IN LISTS docs)
             list(APPEND stale "${shown}: ${name}")
         endif()
     endforeach()
+    # A test citation is a Word.Word whose first word is a declared
+    # suite, or a `Word.Word` in backticks with both words capitalized
+    # (so a renamed or deleted suite is still caught). File names
+    # (packed_trace.hh) and prose (e.g.) are neither.
+    string(REGEX MATCHALL "`?[A-Za-z][A-Za-z0-9_]*\\.[A-Za-z][A-Za-z0-9_]*"
+           cited "${text}")
+    foreach(test IN LISTS cited)
+        string(REGEX MATCH "^`[A-Z][A-Za-z0-9_]*\\.[A-Z]" quoted "${test}")
+        string(REPLACE "`" "" test "${test}")
+        string(REGEX REPLACE "\\..*$" "" suite "${test}")
+        if(NOT quoted AND NOT suite IN_LIST suites)
+            continue()
+        endif()
+        math(EXPR citations "${citations} + 1")
+        if(NOT test IN_LIST tests)
+            list(APPEND stale "${shown}: ${test}")
+        endif()
+    endforeach()
 endforeach()
 
 if(references EQUAL 0)
     message(FATAL_ERROR "doc_drift: no bench names found in the docs; "
                         "the scan itself is broken")
 endif()
+if(citations EQUAL 0)
+    message(FATAL_ERROR "doc_drift: no Suite.Name test citations found "
+                        "in the docs; the scan itself is broken")
+endif()
 if(stale)
     list(REMOVE_DUPLICATES stale)
     list(JOIN stale "\n  " lines)
     message(FATAL_ERROR "doc_drift: the docs name bench binaries that "
-                        "bench/CMakeLists.txt does not build:\n  ${lines}")
+                        "bench/CMakeLists.txt does not build, or tests "
+                        "that tests/*.cpp does not declare:\n  ${lines}")
 endif()
-message(STATUS "doc_drift: ${references} bench references, all built")
+message(STATUS "doc_drift: ${references} bench references, all built; "
+               "${citations} test citations, all declared")

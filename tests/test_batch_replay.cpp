@@ -1,10 +1,10 @@
 /**
  * @file
- * Determinism tests for the batched replay engine: PackedTrace must
- * round-trip the reference stream, and BatchReplay must be
- * bit-identical to direct Cache::access simulation for every tile
- * size, chunk size, record layout, policy combination, and thread
- * count — the batching changes only the interleaving between
+ * Determinism tests for one-shard tiles, the batch route: PackedTrace
+ * must round-trip the reference stream, and a one-shard TileReplay
+ * must be bit-identical to direct Cache::access simulation for every
+ * tile width, chunk size, record layout, policy combination, and
+ * thread count — the tiling changes only the interleaving between
  * independent caches, never what any one cache observes.
  */
 
@@ -13,8 +13,8 @@
 #include <algorithm>
 
 #include "harness/experiment.hh"
-#include "multi/batch_replay.hh"
 #include "multi/sweep_api.hh"
+#include "multi/tile_replay.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
 
@@ -124,6 +124,26 @@ directResults(const std::vector<CacheConfig> &configs,
     return out;
 }
 
+/** One-shard tiles of @p width configs at @p chunk records per chunk
+ *  (the way the planner cuts batch configs), each run over the first
+ *  @p n of @p refs; summaries in config order. */
+template <class Rec>
+std::vector<SweepResult>
+tiledResults(const std::vector<CacheConfig> &configs, std::size_t width,
+             std::size_t chunk, const Rec *refs, std::size_t n)
+{
+    std::vector<SweepResult> out;
+    for (std::size_t b = 0; b < configs.size(); b += width) {
+        const std::size_t end = std::min(b + width, configs.size());
+        TileReplay tile({configs.begin() + b, configs.begin() + end}, 1,
+                        chunk);
+        tile.run(refs, n);
+        for (const SweepResult &result : tile.results())
+            out.push_back(result);
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(PackedTrace, RecordsRoundTripTheReferenceStream)
@@ -157,10 +177,10 @@ TEST(PackedTrace, SharedPackingIsMemoized)
     EXPECT_NE(packedTraceShared(longer).get(), first.get());
 }
 
-TEST(BatchReplay, BitIdenticalToDirectForAnyTiling)
+TEST(TileReplay, BitIdenticalToDirectForAnyTiling)
 {
     // Both record layouts: the packed span replays in place, the
-    // MemRef span is packed chunk by chunk into the tile's buffer —
+    // MemRef span is packed chunk by chunk into the call's buffer —
     // awkward chunk sizes put chunk boundaries everywhere.
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
@@ -173,9 +193,8 @@ TEST(BatchReplay, BitIdenticalToDirectForAnyTiling)
             for (const std::size_t chunk : {7u, 1000u, 1u << 20}) {
                 SCOPED_TRACE(testing::Message()
                              << "tile " << tile << " chunk " << chunk);
-                BatchReplay batch(configs, tile, chunk);
-                batch.run(records, trace->size());
-                const auto actual = batch.results();
+                const auto actual = tiledResults(
+                    configs, tile, chunk, records, trace->size());
                 ASSERT_EQ(actual.size(), expected.size());
                 for (std::size_t i = 0; i < expected.size(); ++i)
                     expectIdentical(actual[i], expected[i]);
@@ -186,7 +205,7 @@ TEST(BatchReplay, BitIdenticalToDirectForAnyTiling)
     check(trace->refs().data());
 }
 
-TEST(BatchReplay, EveryKernelMatchesTheRuntimeDispatch)
+TEST(TileReplay, EveryKernelMatchesTheRuntimeDispatch)
 {
     // All 16 (fetch x write x write-allocate) kernel instantiations
     // against the branch-per-reference access() path.
@@ -207,7 +226,7 @@ TEST(BatchReplay, EveryKernelMatchesTheRuntimeDispatch)
                 config.write = write;
                 config.writeAllocate = allocate;
 
-                BatchReplay batch({config}, 1, 257);
+                TileReplay batch({config}, 1, 257);
                 batch.run(packed.data(), packed.size());
                 const auto expected =
                     directResults({config}, *trace);
@@ -217,7 +236,7 @@ TEST(BatchReplay, EveryKernelMatchesTheRuntimeDispatch)
     }
 }
 
-TEST(BatchReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
+TEST(TileReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
 {
     // The other two kernel dimensions: replacement policy (the LRU
     // order update is inlined into the kernels) x associativity
@@ -237,7 +256,7 @@ TEST(BatchReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
             config.replacement = repl;
             config.fetch = FetchPolicy::LoadForward;
 
-            BatchReplay batch({config}, 1, 513);
+            TileReplay batch({config}, 1, 513);
             batch.run(packed.data(), packed.size());
             const auto expected = directResults({config}, *trace);
             expectIdentical(batch.results()[0], expected[0]);
@@ -245,7 +264,7 @@ TEST(BatchReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
     }
 }
 
-TEST(BatchReplay, RepeatedRunsAccumulateLikeDirect)
+TEST(TileReplay, RepeatedRunsAccumulateLikeDirect)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), 10000);
@@ -255,7 +274,7 @@ TEST(BatchReplay, RepeatedRunsAccumulateLikeDirect)
     config.fetch = FetchPolicy::LoadForward;
 
     // One pass from each record layout.
-    BatchReplay batch({config}, 1, 999);
+    TileReplay batch({config}, 1, 999);
     batch.run(packed.data(), packed.size());
     batch.run(trace->refs().data(), trace->size());
 
@@ -268,21 +287,20 @@ TEST(BatchReplay, RepeatedRunsAccumulateLikeDirect)
     expectIdentical(batch.results()[0], summarizeCache(direct));
 }
 
-TEST(BatchReplay, ReplaysOnlyTheGivenPrefix)
+TEST(TileReplay, ReplaysOnlyTheGivenPrefix)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
     const auto configs = sectorGrid(suite.profile.wordSize);
     const auto expected = directResults(configs, *trace, 500);
 
-    BatchReplay batch(configs, 3, 128);
-    batch.run(trace->refs().data(), 500);
-    const auto actual = batch.results();
+    const auto actual =
+        tiledResults(configs, 3, 128, trace->refs().data(), 500);
     for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(actual[i], expected[i]);
 }
 
-TEST(BatchReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
+TEST(TileReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
@@ -310,7 +328,7 @@ TEST(BatchReplay, AutoRoutingMatchesDirectOnlyForAnyThreadCount)
     }
 }
 
-TEST(BatchReplay, RunSweepAutoMatchesDirectOnlyAcrossTraces)
+TEST(TileReplay, RunSweepAutoMatchesDirectOnlyAcrossTraces)
 {
     const Suite suite = pdp11Suite();
     const auto configs = sectorGrid(suite.profile.wordSize);

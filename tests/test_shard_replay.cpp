@@ -1,9 +1,10 @@
 /**
  * @file
- * Determinism tests for the set-sharded replay engine: the streaming
+ * Determinism tests for sharded tiles, the shard route: the streaming
  * shard filter must hand every record to exactly one shard, in trace
- * order, ShardReplay's merged
- * statistics must be bit-identical to an unsharded run for every
+ * order (and at one shard, every record in place), a sharded
+ * TileReplay's merged statistics must be bit-identical to an
+ * unsharded run for every
  * eligible policy combination and shard count, and BOTH directions of
  * the routing predicate must hold — eligible configs merge exactly,
  * and force-sharding either ineligible policy (Random replacement,
@@ -21,8 +22,8 @@
 #include "cache/cache.hh"
 #include "cache/cache_geometry.hh"
 #include "harness/experiment.hh"
-#include "multi/shard_replay.hh"
 #include "multi/sweep_api.hh"
+#include "multi/tile_replay.hh"
 #include "obs/telemetry.hh"
 #include "trace/packed_trace.hh"
 #include "workload/suites.hh"
@@ -76,7 +77,7 @@ SweepResult
 shardedResult(const CacheConfig &config, const Rec *refs, std::size_t n,
               std::uint32_t num_shards)
 {
-    ShardReplay engine({config}, num_shards);
+    TileReplay engine({config}, num_shards);
     for (std::uint32_t s = 0; s < num_shards; ++s)
         engine.runShard(s, refs, n);
     return engine.results()[0];
@@ -86,7 +87,7 @@ shardedResult(const CacheConfig &config, const Rec *refs, std::size_t n,
  * Manual set-sharded run of ANY config (no eligibility assert):
  * filter by set-congruence, replay each shard on a private Cache,
  * merge the raw statistics. For eligible configs this is exactly what
- * ShardReplay computes; for ineligible ones it exhibits why sharding
+ * a sharded TileReplay computes; for ineligible ones it exhibits why sharding
  * is wrong.
  */
 SweepResult
@@ -219,7 +220,53 @@ TEST(ShardFilter, EmptyShardsAndPrefixesNeverReachTheSink)
     }
 }
 
-TEST(ShardReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)
+TEST(ShardFilter, ZeroShardBitsHandPackedChunksOverInPlace)
+{
+    // One shard: the filter is the identity, so a packed span reaches
+    // the sink as pointers into the caller's records, chunk by chunk,
+    // with no copy.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), 1000);
+    const PackedTrace packed(*trace);
+    for (const std::size_t chunk : {std::size_t{7}, kShardChunkRecords}) {
+        SCOPED_TRACE(chunk);
+        std::size_t pos = 0;
+        const std::uint64_t kept = forEachShardChunk(
+            packed.data(), packed.size(), 4, 0, 0,
+            [&](const PackedRecord *records, std::size_t count) {
+                EXPECT_EQ(records, packed.data() + pos);
+                EXPECT_EQ(count, std::min(chunk, packed.size() - pos));
+                pos += count;
+            },
+            chunk);
+        EXPECT_EQ(kept, packed.size());
+        EXPECT_EQ(pos, packed.size());
+    }
+}
+
+TEST(ShardFilter, ZeroShardBitsPackMemRefChunksInOrder)
+{
+    // One shard over a MemRef span: every record reaches the sink
+    // packed, in trace order, in full chunks of 7 but the last.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), 1000);
+    const std::vector<MemRef> &refs = trace->refs();
+    std::vector<PackedRecord> seen;
+    const std::uint64_t kept = forEachShardChunk(
+        refs.data(), refs.size(), 4, 0, 0,
+        [&](const PackedRecord *records, std::size_t count) {
+            EXPECT_EQ(count, std::min<std::size_t>(7, refs.size() -
+                                                         seen.size()));
+            seen.insert(seen.end(), records, records + count);
+        },
+        7);
+    EXPECT_EQ(kept, refs.size());
+    ASSERT_EQ(seen.size(), refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        ASSERT_EQ(seen[i].bits, PackedRecord::pack(refs[i]).bits) << i;
+}
+
+TEST(TileReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)
 {
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
@@ -278,7 +325,7 @@ TEST(ShardReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)
     }
 }
 
-TEST(ShardReplay, ZeroRefShardsMergeCleanly)
+TEST(TileReplay, ZeroRefShardsMergeCleanly)
 {
     // A trace that touches one single set: with 4 shards, three
     // sub-traces are empty and the merge must still be exact.
@@ -293,28 +340,28 @@ TEST(ShardReplay, ZeroRefShardsMergeCleanly)
     const CacheConfig config = makeConfig(8192, 16, 16, 2);  // 128 sets
     const PackedTrace packed(*trace);
 
-    ShardReplay engine({config}, 4);
+    TileReplay engine({config}, 4);
     for (std::uint32_t s = 0; s < 4; ++s)
         engine.runShard(s, packed.data(), packed.size());
 
     // All references land in shard 0 (set index multiples of 128 are
     // congruent to 0 mod 4).
-    EXPECT_EQ(engine.shardRefs(0), trace->size());
-    EXPECT_EQ(engine.shardRefs(1), 0u);
-    EXPECT_EQ(engine.shardRefs(2), 0u);
-    EXPECT_EQ(engine.shardRefs(3), 0u);
+    EXPECT_EQ(engine.shardRefs()[0], trace->size());
+    EXPECT_EQ(engine.shardRefs()[1], 0u);
+    EXPECT_EQ(engine.shardRefs()[2], 0u);
+    EXPECT_EQ(engine.shardRefs()[3], 0u);
     expectIdentical(engine.results()[0], directResult(config, *trace));
 
     // The imbalance telemetry reports the skew.
     ShardTelemetry telem;
-    telem.accumulate(engine);
+    telem.accumulate(engine.shardRefs(), engine.size());
     EXPECT_EQ(telem.shardedRuns, 1u);
     EXPECT_EQ(telem.maxShards, 4u);
     EXPECT_EQ(telem.maxShardRefs, trace->size());
     EXPECT_EQ(telem.minShardRefs, 0u);
 }
 
-TEST(ShardReplay, TileOfBlockSizesMatchesDirectFromBothSpans)
+TEST(TileReplay, TileOfBlockSizesMatchesDirectFromBothSpans)
 {
     // 8 KB 4-way at 16, 32 and 64 B blocks: set fields [4, 11),
     // [5, 11) and [6, 11), so one window from bit 6 holds up to 5
@@ -344,13 +391,13 @@ TEST(ShardReplay, TileOfBlockSizesMatchesDirectFromBothSpans)
     for (const std::uint32_t shards : {2u, 4u, 32u}) {
         SCOPED_TRACE(testing::Message() << shards << " shards");
         const auto run = [&](const auto *refs, std::size_t n) {
-            ShardReplay engine(configs, shards);
+            TileReplay engine(configs, shards);
             EXPECT_EQ(engine.windowBits(), 6u);
             for (std::uint32_t s = 0; s < shards; ++s)
                 engine.runShard(s, refs, n);
             std::uint64_t kept = 0;
             for (std::uint32_t s = 0; s < shards; ++s)
-                kept += engine.shardRefs(s);
+                kept += engine.shardRefs()[s];
             EXPECT_EQ(kept, n);
             return engine.results();
         };
@@ -379,7 +426,7 @@ tiledConfigs(std::uint32_t word)
 
 } // namespace
 
-TEST(ShardReplay, ConfigOutsideTheWindowGetsItsOwnTile)
+TEST(TileReplay, ConfigOutsideTheWindowGetsItsOwnTile)
 {
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();
@@ -394,12 +441,12 @@ TEST(ShardReplay, ConfigOutsideTheWindowGetsItsOwnTile)
         runPlanned(configs, SweepEngine::Auto, trace, pool);
     ASSERT_EQ(shardedCount(routed), configs.size());
     const TracePlan &tp = routed.traces[0];
-    EXPECT_EQ(tp.shardTiles,
+    EXPECT_EQ(tp.tileIndex,
               (std::vector<std::vector<std::size_t>>{{0, 1, 3}, {2}}));
-    ASSERT_EQ(tp.shards.size(), 2u);
-    EXPECT_EQ(tp.shards[0]->windowBits(), 6u);
-    EXPECT_EQ(tp.shards[1]->windowBits(), 4u);
-    EXPECT_EQ(tp.shards[0]->numShards(), 4u);
+    ASSERT_EQ(tp.tiles.size(), 2u);
+    EXPECT_EQ(tp.tiles[0]->windowBits(), 6u);
+    EXPECT_EQ(tp.tiles[1]->windowBits(), 4u);
+    EXPECT_EQ(tp.tiles[0]->numShards(), 4u);
     expectIdenticalGrid({planResults(routed, 0)},
                         {planResults(reference, 0)});
 
@@ -407,7 +454,7 @@ TEST(ShardReplay, ConfigOutsideTheWindowGetsItsOwnTile)
     EXPECT_EQ(planShardTelemetry(routed).shardedRuns, configs.size());
 }
 
-TEST(ShardReplay, EachTileFiltersTheTraceOncePerShard)
+TEST(TileReplay, EachTileFiltersTheTraceOncePerShard)
 {
     // engine.shard.bytes counts the bytes the filters read: one trace
     // scan per (tile, shard), not per (config, shard). engine.shard.refs
@@ -438,15 +485,15 @@ TEST(ShardReplay, EachTileFiltersTheTraceOncePerShard)
         return std::uint64_t{0};
     };
     const TracePlan &tp = plan.traces[0];
-    ASSERT_EQ(tp.shards.size(), 2u);
+    ASSERT_EQ(tp.tiles.size(), 2u);
     const std::uint64_t bytes = trace->size() * sizeof(MemRef);
-    EXPECT_EQ(counter("engine.shard.bytes"), 4 * tp.shards.size() * bytes)
+    EXPECT_EQ(counter("engine.shard.bytes"), 4 * tp.tiles.size() * bytes)
         << "one filter pass per shard per tile";
     EXPECT_EQ(counter("engine.shard.refs"),
               trace->size() * configs.size());
 }
 
-TEST(ShardReplay, PlanShardCountRespectsGeometryAndEligibility)
+TEST(TileReplay, PlanShardCountRespectsGeometryAndEligibility)
 {
     const CacheConfig plain = makeConfig(8192, 16, 16, 2);  // 128 sets
     EXPECT_EQ(planShardCount(plain, 1), 1u) << "one worker, no split";
@@ -492,7 +539,7 @@ TEST(ShardReplay, PlanShardCountRespectsGeometryAndEligibility)
         << "force cannot split below two shards";
 }
 
-TEST(ShardReplay, RoutingPredicateIsNecessaryForRandomReplacement)
+TEST(TileReplay, RoutingPredicateIsNecessaryForRandomReplacement)
 {
     // Random replacement shares one Rng across all sets, so the
     // victim sequence depends on the global interleaving of misses
@@ -513,7 +560,7 @@ TEST(ShardReplay, RoutingPredicateIsNecessaryForRandomReplacement)
            "ever merges exactly, the predicate proof needs revisiting";
 }
 
-TEST(ShardReplay, RoutingPredicateIsNecessaryForNextBlockPrefetch)
+TEST(TileReplay, RoutingPredicateIsNecessaryForNextBlockPrefetch)
 {
     // A miss on the LAST sub-block of a block prefetches the first
     // sub-block of the sequentially-next block — the next set, across
@@ -539,7 +586,7 @@ TEST(ShardReplay, RoutingPredicateIsNecessaryForNextBlockPrefetch)
         << "sharding a next-block-prefetch run should diverge";
 }
 
-TEST(ShardReplay, MergeFromEqualsUnsplitStats)
+TEST(TileReplay, MergeFromEqualsUnsplitStats)
 {
     // CacheStats::mergeFrom over a set-partition reproduces the
     // unsplit statistics exactly (every field is an integer sum).
@@ -553,7 +600,7 @@ TEST(ShardReplay, MergeFromEqualsUnsplitStats)
                     directResult(config, *trace));
 }
 
-TEST(ShardReplay, SingleThreadDegenerationNeverShards)
+TEST(TileReplay, SingleThreadDegenerationNeverShards)
 {
     // With one worker there is nothing to overlap: even a forced
     // OCCSIM_SHARD=1 run stays unsharded (planShardCount < 2) and the
@@ -572,7 +619,7 @@ TEST(ShardReplay, SingleThreadDegenerationNeverShards)
                     directResult(configs[0], *trace));
 }
 
-TEST(ShardReplay, ForcedShardingThroughThePlanIsBitIdentical)
+TEST(TileReplay, ForcedShardingThroughThePlanIsBitIdentical)
 {
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();
@@ -606,7 +653,7 @@ TEST(ShardReplay, ForcedShardingThroughThePlanIsBitIdentical)
     EXPECT_GE(telem.maxShards, 2u);
 }
 
-TEST(ShardReplay, ForcedShardingUnderCrossCheckIsClean)
+TEST(TileReplay, ForcedShardingUnderCrossCheckIsClean)
 {
     // CrossCheck shadows sharded configs on the direct engine and
     // fatals on any divergence — a clean run IS the assertion.
@@ -624,7 +671,7 @@ TEST(ShardReplay, ForcedShardingUnderCrossCheckIsClean)
     EXPECT_GT(shardedCount(plan), 0u);
 }
 
-TEST(ShardReplay, RunSweepRecordsShardRoutesInTheManifest)
+TEST(TileReplay, RunSweepRecordsShardRoutesInTheManifest)
 {
     const EnvGuard guard("OCCSIM_SHARD", "1");
     const Suite suite = pdp11Suite();

@@ -493,7 +493,7 @@ TEST(SweepApi, BatchTilesFollowThePoolWidth)
                       threads);
         const auto tiles = std::count_if(
             plan.tasks.begin(), plan.tasks.end(), [](const PlanTask &t) {
-                return t.kind == PlanTask::Kind::BatchTile;
+                return t.kind == PlanTask::Kind::Tile;
             });
         EXPECT_EQ(tiles, threads == 4 ? 4 : 1);
         EXPECT_EQ(plan.tasks.size(), static_cast<std::size_t>(tiles));
