@@ -53,7 +53,7 @@ BM_CacheAccess(benchmark::State &state)
 }
 
 /** The historical sweep inner loop: one virtual TraceSource::next()
- *  call plus one runtime-dispatched access() per reference. */
+ *  call plus one access() (a one-record kernel call) per reference. */
 void
 BM_CacheAccessVirtual(benchmark::State &state)
 {

@@ -12,16 +12,14 @@ Cache::Cache(const CacheConfig &config)
       numSubs_(geom_.subBlocksPerBlock()),
       wordsPerSub_(geom_.wordsPerSubBlock()),
       subBlockSize_(config.subBlockSize),
-      fetch_(config.fetch),
-      copyBack_(config.write == WritePolicy::CopyBack),
-      writeAllocate_(config.writeAllocate),
-      prefetchOnMiss_(config.fetch == FetchPolicy::PrefetchNextOnMiss),
-      kernel_(selectKernel(fetch_, copyBack_, writeAllocate_,
-                           config.replacement, assoc_,
-                           /*record=*/true)),
-      kernelWarm_(selectKernel(fetch_, copyBack_, writeAllocate_,
-                               config.replacement, assoc_,
-                               /*record=*/false)),
+      kernel_(selectKernel(config.fetch,
+                           config.write == WritePolicy::CopyBack,
+                           config.writeAllocate, config.replacement,
+                           assoc_, /*record=*/true)),
+      kernelWarm_(selectKernel(config.fetch,
+                               config.write == WritePolicy::CopyBack,
+                               config.writeAllocate, config.replacement,
+                               assoc_, /*record=*/false)),
       repl_(config.replacement, geom_.numSets(), geom_.assoc(),
             config.randomSeed),
       stats_(geom_.subBlocksPerBlock(),
@@ -116,30 +114,6 @@ Cache::fetchIntoSpec(std::uint32_t frame_index,
 }
 
 void
-Cache::fetchInto(std::uint32_t frame_index, std::uint32_t sub_index,
-                 bool counted, bool cold)
-{
-    switch (fetch_) {
-      case FetchPolicy::Demand:
-        fetchIntoSpec<FetchPolicy::Demand>(frame_index, sub_index,
-                                           counted, cold);
-        break;
-      case FetchPolicy::PrefetchNextOnMiss:
-        fetchIntoSpec<FetchPolicy::PrefetchNextOnMiss>(
-            frame_index, sub_index, counted, cold);
-        break;
-      case FetchPolicy::LoadForward:
-        fetchIntoSpec<FetchPolicy::LoadForward>(frame_index, sub_index,
-                                                counted, cold);
-        break;
-      case FetchPolicy::LoadForwardOptimized:
-        fetchIntoSpec<FetchPolicy::LoadForwardOptimized>(
-            frame_index, sub_index, counted, cold);
-        break;
-    }
-}
-
-void
 Cache::writebackDirty(FrameMeta &meta)
 {
     if (meta.dirty != 0) {
@@ -174,109 +148,26 @@ Cache::claimVictimSpec(std::uint32_t set)
     return victim;
 }
 
-std::uint32_t
-Cache::claimVictim(std::uint32_t set)
-{
-    switch (repl_.policy()) {
-      case ReplacementPolicy::LRU:
-        return claimVictimSpec<ReplacementPolicy::LRU>(set);
-      case ReplacementPolicy::FIFO:
-        return claimVictimSpec<ReplacementPolicy::FIFO>(set);
-      case ReplacementPolicy::Random:
-        return claimVictimSpec<ReplacementPolicy::Random>(set);
-    }
-    panic("bad replacement policy %d",
-          static_cast<int>(repl_.policy()));
-}
-
 AccessOutcome
 Cache::access(const MemRef &ref)
 {
+    // The outcome is read off the frame state before the reference
+    // moves it; the reference itself runs through the kernel selected
+    // at construction, so every path shares one implementation.
     const std::uint32_t set =
         static_cast<std::uint32_t>(geom_.setIndex(ref.addr));
-    const Addr block_addr = geom_.blockAddr(ref.addr);
-    const std::uint32_t sub_index = geom_.subBlockIndex(ref.addr);
-    const std::uint64_t sub_bit = std::uint64_t{1} << sub_index;
-    const bool is_write = ref.isWrite();
-    const bool counted = !is_write;
-    const bool is_ifetch = ref.isInstruction();
-
-    const int way = findWay(set, block_addr);
-
+    const int way = findWay(set, geom_.blockAddr(ref.addr));
+    AccessOutcome outcome = AccessOutcome::BlockMiss;
     if (way >= 0) {
-        const std::uint32_t frame_index =
-            set * assoc_ + static_cast<std::uint32_t>(way);
-        FrameMeta &meta = meta_[frame_index];
-        repl_.onAccess(set, static_cast<std::uint32_t>(way));
-        meta.touched |= sub_bit;
-        if (meta.valid & sub_bit) {
-            if (meta.prefetched & sub_bit) {
-                stats_.recordUsefulPrefetch();
-                meta.prefetched &= ~sub_bit;
-            }
-            if (counted) {
-                stats_.recordHit(is_ifetch);
-            } else {
-                stats_.recordWrite(true);
-                if (copyBack_)
-                    meta.dirty |= sub_bit;
-                else
-                    stats_.recordStoreTraffic(1);
-            }
-            return AccessOutcome::Hit;
-        }
-        // Sub-block miss: tag matches but the word is not resident.
-        const bool cold = (everFilled_[frame_index] & sub_bit) == 0;
-        if (counted)
-            stats_.recordMiss(is_ifetch, false, cold);
-        else
-            stats_.recordWrite(false);
-        fetchInto(frame_index, sub_index, counted, cold);
-        meta.prefetched &= ~sub_bit;
-        if (is_write) {
-            if (copyBack_)
-                meta.dirty |= sub_bit;
-            else
-                stats_.recordStoreTraffic(1);
-        }
-        if (prefetchOnMiss_)
-            prefetchSequential(ref.addr);
-        return AccessOutcome::SubBlockMiss;
+        const std::uint64_t valid =
+            meta_[set * assoc_ + static_cast<std::uint32_t>(way)].valid;
+        outcome = (valid >> geom_.subBlockIndex(ref.addr)) & 1
+                      ? AccessOutcome::Hit
+                      : AccessOutcome::SubBlockMiss;
     }
-
-    // Block miss: allocate a frame.
-    if (is_write && !writeAllocate_) {
-        stats_.recordWrite(false);
-        stats_.recordStoreTraffic(1);
-        return AccessOutcome::BlockMiss;
-    }
-
-    const std::uint32_t victim_way = claimVictim(set);
-
-    const std::uint32_t frame_index = set * assoc_ + victim_way;
-    const bool cold = (everFilled_[frame_index] & sub_bit) == 0;
-    if (counted)
-        stats_.recordMiss(is_ifetch, true, cold);
-    else
-        stats_.recordWrite(false);
-
-    tags_[frame_index] = block_addr;
-    FrameMeta &meta = meta_[frame_index];
-    meta.valid = 0;
-    meta.touched = sub_bit;
-    meta.dirty = 0;
-    meta.prefetched = 0;
-    repl_.onFill(set, victim_way);
-    fetchInto(frame_index, sub_index, counted, cold);
-    if (is_write) {
-        if (copyBack_)
-            meta.dirty |= sub_bit;
-        else
-            stats_.recordStoreTraffic(1);
-    }
-    if (prefetchOnMiss_)
-        prefetchSequential(ref.addr);
-    return AccessOutcome::BlockMiss;
+    const PackedRecord rec = PackedRecord::pack(ref);
+    replayPacked(&rec, 1);
+    return outcome;
 }
 
 template <FetchPolicy F, bool CopyBack, bool WriteAllocate,
@@ -578,24 +469,6 @@ Cache::prefetchSequentialSpec(Addr miss_addr)
     repl_.onFillSpec<R, A>(set, victim_way);
     if constexpr (Record)
         stats_.recordPrefetch(wordsPerSub_);
-}
-
-void
-Cache::prefetchSequential(Addr miss_addr)
-{
-    switch (repl_.policy()) {
-      case ReplacementPolicy::LRU:
-        prefetchSequentialSpec<ReplacementPolicy::LRU>(miss_addr);
-        return;
-      case ReplacementPolicy::FIFO:
-        prefetchSequentialSpec<ReplacementPolicy::FIFO>(miss_addr);
-        return;
-      case ReplacementPolicy::Random:
-        prefetchSequentialSpec<ReplacementPolicy::Random>(miss_addr);
-        return;
-    }
-    panic("bad replacement policy %d",
-          static_cast<int>(repl_.policy()));
 }
 
 std::uint64_t

@@ -62,19 +62,21 @@ class Cache
     const CacheGeometry &geometry() const { return geom_; }
     const CacheStats &stats() const { return stats_; }
 
-    /** Simulate one reference. */
+    /** Simulate one reference: a one-record replayPacked() call,
+     *  plus the outcome read off the frame state before it. */
     AccessOutcome access(const MemRef &ref);
 
     /**
      * Replay a span of packed records through the specialized kernel
      * selected for this configuration at construction (one
      * instantiation per fetch-policy x write-policy x write-allocate
-     * x replacement-policy combination, so the per-reference policy
-     * branches of access() — including the LRU order update — are
-     * resolved at compile time). Statistics, replacement state,
-     * and frame contents evolve exactly as if access() had been
-     * called on every record in order — the batched engines rely on
-     * that bit-for-bit, and the differential fuzzer enforces it.
+     * x replacement-policy x associativity combination, so every
+     * per-reference policy branch — including the LRU order update —
+     * is resolved at compile time). Splitting a trace into spans of
+     * any length, down to access()'s one record, leaves statistics,
+     * replacement state and frame contents unchanged — the batched
+     * engines rely on that bit-for-bit, and the differential fuzzer
+     * checks every kernel against the independent ReferenceCache.
      * The counters every reference adds (accesses, ifetch accesses,
      * write accesses, write-through store words) are tallied per
      * call and added once at its end, so stats() is exact at the end
@@ -191,21 +193,13 @@ class Cache
     template <std::uint32_t A = 0>
     int findWay(std::uint32_t set, Addr block_addr) const;
 
-    /**
-     * Perform the fetch for a miss on @p sub_index of the frame at
-     * @p frame_index.
-     * @param counted false for write-miss traffic.
-     * @param cold whether the triggering miss was cold.
-     */
-    void fetchInto(std::uint32_t frame_index, std::uint32_t sub_index,
-                   bool counted, bool cold);
-
-    /** fetchInto with the fetch policy resolved at compile time (the
-     *  runtime fetchInto dispatches here, so both paths share one
-     *  implementation per policy). @p Record false elides every
-     *  statistics update while leaving the state evolution
-     *  (valid/ever-filled bits) untouched — the functional-warming
-     *  twin used by warmPacked(). */
+    /** Perform the fetch policy @p F for a miss on @p sub_index of
+     *  the frame at @p frame_index; @p counted is false for
+     *  write-miss traffic, @p cold whether the triggering miss was
+     *  cold. @p Record false elides every statistics update while
+     *  leaving the state evolution (valid/ever-filled bits)
+     *  untouched — the functional-warming twin used by
+     *  warmPacked(). */
     template <FetchPolicy F, bool Record = true>
     void fetchIntoSpec(std::uint32_t frame_index,
                        std::uint32_t sub_index, bool counted,
@@ -222,18 +216,13 @@ class Cache
      * Claim the way of @p set that a new block fill will occupy —
      * the first invalid way, else the replacement victim — and retire
      * the previous residency (touched histogram + dirty write-back).
-     * Shared (via the runtime-dispatching claimVictim) by access(),
-     * prefetchSequentialSpec(), and the replay kernels so the
+     * Shared by accessSpec() and prefetchSequentialSpec() so the
      * victim-selection sequence exists exactly once.
      * @return the claimed way.
      */
     template <ReplacementPolicy R, std::uint32_t A = 0,
               bool Record = true>
     std::uint32_t claimVictimSpec(std::uint32_t set);
-
-    /** claimVictimSpec with the policy dispatched at run time (the
-     *  access() path). */
-    std::uint32_t claimVictim(std::uint32_t set);
 
     /** Sequentially prefetch the sub-block following the one that
      *  holds @p miss_addr (PrefetchNextOnMiss policy). A target past
@@ -246,12 +235,8 @@ class Cache
               bool Record = true>
     void prefetchSequentialSpec(Addr miss_addr);
 
-    /** prefetchSequentialSpec with the policy dispatched at run time
-     *  (the access() path). */
-    void prefetchSequential(Addr miss_addr);
-
-    /** One access with every policy branch resolved at compile time;
-     *  bit-identical in effect to access(). @p A fixes the
+    /** One access with every policy branch resolved at compile time
+     *  (the model's only per-reference step). @p A fixes the
      *  associativity at compile time when nonzero (0 = runtime),
      *  fully unrolling the way scan, the victim scan, and the LRU
      *  order update for the common 1/2/4/8-way geometries.
@@ -287,18 +272,14 @@ class Cache
                                      std::uint32_t assoc, bool record);
 
     CacheGeometry geom_;
-    // Hot-path copies of config/geometry fields, hoisted out of the
-    // per-reference loop (access/findWay run once per trace record;
-    // going through geom_.config() each time costs an extra
-    // indirection per field).
+    // Hot-path copies of geometry fields, hoisted out of the
+    // per-reference loop (accessSpec/findWay run once per trace
+    // record; going through geom_ each time costs an extra
+    // indirection per field). The policies are compiled into kernel_.
     std::uint32_t assoc_;
     std::uint32_t numSubs_;
     std::uint32_t wordsPerSub_;
     std::uint32_t subBlockSize_;
-    FetchPolicy fetch_;
-    bool copyBack_;
-    bool writeAllocate_;
-    bool prefetchOnMiss_;
     ReplayKernel kernel_;
     ReplayKernel kernelWarm_;  ///< Record=false twin of kernel_
     ReplacementState repl_;

@@ -122,8 +122,6 @@ class ReplacementState
             slice[pos++] = static_cast<std::uint8_t>(way - 1);
     }
 
-    ReplacementPolicy policy() const { return policy_; }
-
   private:
     // Defined inline (rather than in replacement.cc) so the
     // policy-specialized fast paths above fold into their callers.

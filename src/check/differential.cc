@@ -270,7 +270,7 @@ runDifferentialCase(const CacheConfig &config,
     // policy), so the per-config mask planes are exercised against
     // each other; every member must match its own direct run bit for
     // bit, unsharded and at awkward shard counts.
-    if (fusedEligible(config)) {
+    if (shardEligible(config)) {
         std::vector<CacheConfig> group{config};
         const auto add_sibling = [&](std::uint32_t sub,
                                      FetchPolicy fetch) {

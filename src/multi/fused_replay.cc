@@ -12,18 +12,10 @@
 
 namespace occsim {
 
-bool
-fusedEligible(const CacheConfig &config)
-{
-    return config.replacement != ReplacementPolicy::Random &&
-           config.fetch != FetchPolicy::PrefetchNextOnMiss &&
-           config.partition == CachePartition::Unified;
-}
-
 FusedKey
 fusedKeyOf(const CacheConfig &config)
 {
-    occsim_assert(fusedEligible(config),
+    occsim_assert(shardEligible(config),
                   "fused key of an ineligible config (%s)",
                   config.fullName().c_str());
     const CacheGeometry geom(config);
@@ -44,7 +36,7 @@ fusedGroups(const std::vector<CacheConfig> &configs,
     std::vector<std::vector<std::size_t>> groups;
     std::vector<FusedKey> keys;
     for (const std::size_t i : candidates) {
-        if (!fusedEligible(configs[i]))
+        if (!shardEligible(configs[i]))
             continue;
         const FusedKey key = fusedKeyOf(configs[i]);
         std::size_t g = groups.size();
@@ -742,7 +734,7 @@ FusedReplay::FusedReplay(const std::vector<CacheConfig> &configs,
                   "fused group needs at least one config");
     const FusedKey key = fusedKeyOf(configs_.front());
     for (const CacheConfig &config : configs_) {
-        occsim_assert(fusedEligible(config),
+        occsim_assert(shardEligible(config),
                       "fusing an ineligible config (%s)",
                       config.fullName().c_str());
         occsim_assert(fusedKeyOf(config) == key,

@@ -26,14 +26,12 @@
  * summaries are bit-identical to direct simulation (the differential
  * fuzzer and bench_fused enforce this).
  *
- * Routing predicate (fusedEligible): the same set-local argument as
- * shardEligible — Random replacement shares one Rng across sets and
- * PrefetchNextOnMiss allocates into the sequentially-next block —
- * plus both break the shared-tag argument here (Random because the
- * fused pass would have to draw once for the whole group, which is
- * fine, but composing with set-sharding would not be; next-block
- * prefetch because the prefetch allocation depends on per-config
- * sub-block geometry, splitting the tag state across the group).
+ * Routing predicate: shardEligible (multi/tile_replay.hh, whose file
+ * comment carries the proof sketch). A group pass is set-sharded
+ * like a tile, so it takes the same set-local configs. Next-block
+ * prefetch is excluded on a second count too: its allocation depends
+ * on each member's sub-block geometry, which would split the group's
+ * shared tag state.
  *
  * Plane layout (all indexed so per-reference loops walk contiguous
  * memory): the touched and dirty masks depend only on WHICH
@@ -67,12 +65,6 @@
 
 namespace occsim {
 
-/** True when @p config can ride a fused group pass (and be set-
- *  sharded within it): non-Random replacement, no next-block
- *  prefetch. Same predicate as shardEligible — see the file comment
- *  for why both exclusions also matter here. */
-bool fusedEligible(const CacheConfig &config);
-
 /**
  * The grouping key: configs agreeing on every field share block-level
  * tag and replacement state (effective geometry — associativity
@@ -94,7 +86,7 @@ struct FusedKey
     bool operator==(const FusedKey &) const = default;
 };
 
-/** Grouping key of @p config (which must be fusedEligible). */
+/** Grouping key of @p config (which must be shardEligible). */
 FusedKey fusedKeyOf(const CacheConfig &config);
 
 /** Most configs one fused pass can carry: the grain-validity planes
@@ -103,7 +95,7 @@ FusedKey fusedKeyOf(const CacheConfig &config);
 inline constexpr std::size_t kMaxGroupConfigs = 64;
 
 /**
- * Partition the fusedEligible members of @p candidates into fusable
+ * Partition the shardEligible members of @p candidates into fusable
  * groups (first-appearance order, so the grouping is deterministic;
  * keys with more than kMaxGroupConfigs members split). Ineligible
  * candidates are omitted entirely; groups of size one are returned
@@ -125,7 +117,7 @@ fusedGroups(const std::vector<CacheConfig> &configs,
 class FusedReplay
 {
   public:
-    /** All @p configs must be fusedEligible and share one FusedKey;
+    /** All @p configs must be shardEligible and share one FusedKey;
      *  @p num_shards must be 1 (unsharded) or planShardCount-valid
      *  (a power of two <= min(numSets, kMaxShards)). */
     explicit FusedReplay(const std::vector<CacheConfig> &configs,

@@ -5,17 +5,17 @@
  *
  * The direct sweep engine streams the whole trace through one Cache
  * at a time: every config pays one full pass of trace memory traffic
- * plus the per-reference decode and policy branches of
- * Cache::access(). TileReplay restructures that loop around the
- * memory system instead of around the configs:
+ * plus one Cache::access() call per reference (an outcome probe and a
+ * one-record kernel call). TileReplay restructures that loop around
+ * the memory system instead of around the configs:
  *
  *  - a tile's configs share every trace chunk: each chunk (256 KB of
  *    packed records, L2-resident) is replayed through every member's
  *    cache before the next chunk is touched, so the trace is read
  *    once per tile instead of once per config;
- *  - each cache replays through Cache::replayPacked, the kernel
- *    specialized at construction for its policy combination, so the
- *    per-reference policy switches are gone from the inner loop;
+ *  - each cache replays a whole chunk in one Cache::replayPacked
+ *    call, through the kernel specialized at construction for its
+ *    policy combination;
  *  - with more than one shard, the trace is split by a window of
  *    block-address bits (forEachShardChunk) and each shard replays on
  *    private Caches, so one long (trace, config) run spreads over

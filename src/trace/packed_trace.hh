@@ -25,7 +25,9 @@
 #define OCCSIM_TRACE_PACKED_TRACE_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -167,8 +169,8 @@ std::shared_ptr<const PackedTrace>
 packedTraceShared(const std::shared_ptr<const VectorTrace> &trace);
 
 /** Records per chunk of a tile or shard filter: 32768 x 8 B = 256 KB
- *  of trace read and at most as much written (a MemRef chunk's
- *  shard records are written again, packed), all L2-resident. */
+ *  of trace read and at most as much written into the filter's one
+ *  chunk buffer, all L2-resident. */
 inline constexpr std::size_t kShardChunkRecords = 32768;
 
 /**
@@ -184,13 +186,13 @@ inline constexpr std::size_t kShardChunkRecords = 32768;
  * filter serves every such config.
  *
  * The records are scanned @p chunk_records at a time; a branchless
- * compaction copies each chunk's shard records into a buffer private
- * to this call, and every non-empty buffer goes to
- * sink(const PackedRecord *, std::size_t). MemRef records are packed
- * after the compaction, so only this shard's share of a chunk pays
- * for the pack. The sink sees the shard's records in trace order,
- * which is all a set-local engine observes. No copy of the trace is
- * made: each call reads all @p n records.
+ * compaction copies each chunk's shard records, byte for byte, into
+ * one PackedRecord buffer private to this call, and every non-empty
+ * buffer goes to sink(const PackedRecord *, std::size_t). Compacted
+ * MemRef records are then packed in place, so only this shard's
+ * share of a chunk pays for the pack. The sink sees the shard's
+ * records in trace order, which is all a set-local engine observes.
+ * No copy of the trace is made: each call reads all @p n records.
  *
  * At 0 shard bits (one shard) the filter is the identity: a
  * PackedRecord chunk goes to the sink in place, and a MemRef chunk
@@ -205,36 +207,43 @@ forEachShardChunk(const Rec *refs, std::size_t n,
                   std::size_t chunk_records = kShardChunkRecords)
 {
     constexpr bool kPacked = std::is_same_v<Rec, PackedRecord>;
+    static_assert(sizeof(Rec) == sizeof(PackedRecord));
     const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
     const bool identity = shard_bits == 0;
-    const std::size_t capacity = std::min(chunk_records, n);
-    std::vector<Rec> buffer(identity ? 0 : capacity);
-    std::vector<PackedRecord> packed(kPacked ? 0 : capacity);
+    std::vector<PackedRecord> buffer(
+        identity && kPacked ? 0 : std::min(chunk_records, n));
     std::uint64_t kept = 0;
     for (std::size_t pos = 0; pos < n; pos += chunk_records) {
         const std::size_t len = std::min(chunk_records, n - pos);
         const Rec *chunk = refs + pos;
-        std::size_t out = len;
-        if (!identity) {
-            // Every record is written; only a shard record advances
-            // the cursor, which never passes the read index.
-            out = 0;
-            for (std::size_t i = 0; i < len; ++i) {
-                const Rec rec = chunk[i];
-                buffer[out] = rec;
-                out += ((addrOf(rec) >> block_bits) & mask) == shard;
-            }
-            chunk = buffer.data();
-        }
-        if (out > 0) {
+        if (identity) {
             if constexpr (kPacked) {
-                sink(chunk, out);
+                sink(chunk, len);
             } else {
-                for (std::size_t i = 0; i < out; ++i)
-                    packed[i] = PackedRecord::pack(chunk[i]);
-                sink(packed.data(), out);
+                for (std::size_t i = 0; i < len; ++i)
+                    buffer[i] = PackedRecord::pack(chunk[i]);
+                sink(buffer.data(), len);
+            }
+            kept += len;
+            continue;
+        }
+        // Every record is written, still in its own layout; only a
+        // shard record advances the cursor, which never passes the
+        // read index.
+        std::size_t out = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            const Rec rec = chunk[i];
+            std::memcpy(&buffer[out].bits, &rec, sizeof rec);
+            out += ((addrOf(rec) >> block_bits) & mask) == shard;
+        }
+        if constexpr (!kPacked) {
+            for (std::size_t i = 0; i < out; ++i) {
+                buffer[i] =
+                    PackedRecord::pack(std::bit_cast<MemRef>(buffer[i]));
             }
         }
+        if (out > 0)
+            sink(buffer.data(), out);
         kept += out;
     }
     return kept;

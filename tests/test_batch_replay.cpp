@@ -205,10 +205,10 @@ TEST(TileReplay, BitIdenticalToDirectForAnyTiling)
     check(trace->refs().data());
 }
 
-TEST(TileReplay, EveryKernelMatchesTheRuntimeDispatch)
+TEST(TileReplay, EveryKernelMatchesPerRecordAccess)
 {
-    // All 16 (fetch x write x write-allocate) kernel instantiations
-    // against the branch-per-reference access() path.
+    // All 16 (fetch x write x write-allocate) kernel instantiations,
+    // chunked through a tile, against one access() call per record.
     const Suite suite = pdp11Suite();
     const auto trace = buildTraceShared(suite.traces.front(), kRefs);
     const PackedTrace packed(*trace);
@@ -236,7 +236,7 @@ TEST(TileReplay, EveryKernelMatchesTheRuntimeDispatch)
     }
 }
 
-TEST(TileReplay, ReplacementAndAssocKernelsMatchTheRuntimeDispatch)
+TEST(TileReplay, ReplacementAndAssocKernelsMatchPerRecordAccess)
 {
     // The other two kernel dimensions: replacement policy (the LRU
     // order update is inlined into the kernels) x associativity

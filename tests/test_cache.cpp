@@ -403,6 +403,70 @@ TEST(Cache, ReplayPackedSpansMatchAccessForEveryPolicy)
     }
 }
 
+TEST(Cache, EveryKernelMatchesTheReferenceCache)
+{
+    // Every kernel selectKernel can pick — fetch x write x allocate x
+    // replacement x associativity, where 1/2/4/8 ways are unrolled
+    // and 16 reaches the runtime-assoc kernel — driven one record at a
+    // time through access() and in spans through replayPacked, must
+    // match the independent oracle on every counter and histogram.
+    const std::vector<MemRef> refs = mixedRefs(10000);
+    const std::vector<PackedRecord> packed = packAll(refs);
+
+    for (const FetchPolicy fetch :
+         {FetchPolicy::Demand, FetchPolicy::LoadForward,
+          FetchPolicy::LoadForwardOptimized,
+          FetchPolicy::PrefetchNextOnMiss}) {
+        for (const WritePolicy write_policy :
+             {WritePolicy::WriteThrough, WritePolicy::CopyBack}) {
+            for (const bool allocate : {true, false}) {
+                for (const ReplacementPolicy repl :
+                     {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+                      ReplacementPolicy::Random}) {
+                    for (const std::uint32_t assoc :
+                         {1u, 2u, 4u, 8u, 16u}) {
+                        CacheConfig config = makeConfig(1024, 16, 4, 2);
+                        config.fetch = fetch;
+                        config.write = write_policy;
+                        config.writeAllocate = allocate;
+                        config.replacement = repl;
+                        config.assoc = assoc;
+                        SCOPED_TRACE(config.fullName());
+
+                        ReferenceCache oracle(config);
+                        oracle.run(refs);
+
+                        Cache direct(config);
+                        for (const MemRef &ref : refs)
+                            direct.access(ref);
+                        direct.finalizeResidencies();
+
+                        Cache replayed(config);
+                        std::size_t pos = 0;
+                        for (const std::size_t len :
+                             {std::size_t{1}, std::size_t{7},
+                              packed.size()}) {
+                            const std::size_t take =
+                                std::min(len, packed.size() - pos);
+                            replayed.replayPacked(packed.data() + pos,
+                                                  take);
+                            pos += take;
+                        }
+                        replayed.finalizeResidencies();
+
+                        for (const std::string &line :
+                             diffStats(oracle.stats(), direct.stats()))
+                            ADD_FAILURE() << "access: " << line;
+                        for (const std::string &line : diffStats(
+                                 oracle.stats(), replayed.stats()))
+                            ADD_FAILURE() << "replay: " << line;
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Cache, WarmPackedRecordsNothingUnderNextBlockPrefetch)
 {
     // warmPacked moves cache state only: the prefetches, evictions
