@@ -35,13 +35,9 @@ int
 Cache::findWay(std::uint32_t set, Addr block_addr) const
 {
     const std::uint32_t assoc = A != 0 ? A : assoc_;
-    const Addr *tags =
-        tags_.data() + static_cast<std::size_t>(set) * assoc;
-    for (std::uint32_t way = 0; way < assoc; ++way) {
-        if (tags[way] == block_addr)
-            return static_cast<int>(way);
-    }
-    return -1;
+    return findWayIn<A>(
+        tags_.data() + static_cast<std::size_t>(set) * assoc, assoc,
+        block_addr);
 }
 
 void
@@ -130,11 +126,9 @@ Cache::claimVictimSpec(std::uint32_t set)
 {
     const std::uint32_t assoc = A != 0 ? A : assoc_;
     const std::size_t base = static_cast<std::size_t>(set) * assoc;
-    const Addr *tags = tags_.data() + base;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-        if (tags[w] == kNoTag)
-            return w;
-    }
+    const int empty = findWayIn<A>(tags_.data() + base, assoc, kNoTag);
+    if (empty >= 0)
+        return static_cast<std::uint32_t>(empty);
     const std::uint32_t victim = repl_.victimSpec<R, A>(set);
     FrameMeta &meta = meta_[base + victim];
     if constexpr (Record) {

@@ -71,7 +71,7 @@ class Cache
      * selected for this configuration at construction (one
      * instantiation per fetch-policy x write-policy x write-allocate
      * x replacement-policy x associativity combination, so every
-     * per-reference policy branch — including the LRU order update —
+     * per-reference policy branch — including the LRU stamp update —
      * is resolved at compile time). Splitting a trace into spans of
      * any length, down to access()'s one record, leaves statistics,
      * replacement state and frame contents unchanged — the batched
@@ -187,9 +187,8 @@ class Cache
         return tags_[frame_index] != kNoTag;
     }
 
-    /** Find the way holding @p block_addr in @p set, or -1. @p A
-     *  fixes the associativity at compile time when nonzero (0 =
-     *  runtime value), unrolling the scan in the replay kernels. */
+    /** findWayIn over @p set's tag row: the way holding
+     *  @p block_addr, or -1. @p A as there (0 = runtime value). */
     template <std::uint32_t A = 0>
     int findWay(std::uint32_t set, Addr block_addr) const;
 
@@ -238,8 +237,9 @@ class Cache
     /** One access with every policy branch resolved at compile time
      *  (the model's only per-reference step). @p A fixes the
      *  associativity at compile time when nonzero (0 = runtime),
-     *  fully unrolling the way scan, the victim scan, and the LRU
-     *  order update for the common 1/2/4/8-way geometries.
+     *  turning the way lookup into one match mask and unrolling the
+     *  oldest-stamp victim scan for the common 1/2/4/8-way
+     *  geometries.
      *  @p Record false strips every statistics update at compile time
      *  while evolving tags, valid/dirty bits, cold tracking, and
      *  replacement state (including RNG draws) bit-identically —

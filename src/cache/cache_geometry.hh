@@ -14,6 +14,7 @@
 #ifndef OCCSIM_CACHE_CACHE_GEOMETRY_HH
 #define OCCSIM_CACHE_CACHE_GEOMETRY_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -89,6 +90,33 @@ class CacheGeometry
     Addr blockMask_ = 0;
     Addr setMask_ = 0;
 };
+
+/**
+ * The lowest way of the @p assoc-way tag row @p tags that holds
+ * @p tag, or -1 — the one way lookup of every engine's frame arrays,
+ * for a block's tag and for the empty-frame marker alike. @p A fixes
+ * the associativity at compile time when nonzero (0 = runtime
+ * value); at 1, 2, 4 or 8 ways every tag is compared into a match
+ * mask before one branch-free pick of its lowest bit.
+ */
+template <std::uint32_t A>
+OCCSIM_ALWAYS_INLINE int
+findWayIn(const Addr *tags, [[maybe_unused]] std::uint32_t assoc,
+          Addr tag)
+{
+    if constexpr (A == 1 || A == 2 || A == 4 || A == 8) {
+        std::uint32_t match = 0;
+        for (std::uint32_t way = 0; way < A; ++way)
+            match |= static_cast<std::uint32_t>(tags[way] == tag) << way;
+        return match == 0 ? -1 : std::countr_zero(match);
+    } else {
+        for (std::uint32_t way = 0; way < assoc; ++way) {
+            if (tags[way] == tag)
+                return static_cast<int>(way);
+        }
+        return -1;
+    }
+}
 
 } // namespace occsim
 

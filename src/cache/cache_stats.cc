@@ -37,8 +37,6 @@ CacheStats::mergeFrom(const CacheStats &other)
     ifetchMisses_ += other.ifetchMisses_;
     writeAccesses_ += other.writeAccesses_;
     writeMisses_ += other.writeMisses_;
-    wordsFetched_ += other.wordsFetched_;
-    coldWords_ += other.coldWords_;
     redundantWords_ += other.redundantWords_;
     writeWords_ += other.writeWords_;
     storeWords_ += other.storeWords_;
@@ -46,8 +44,6 @@ CacheStats::mergeFrom(const CacheStats &other)
     prefetchWords_ += other.prefetchWords_;
     prefetches_ += other.prefetches_;
     usefulPrefetches_ += other.usefulPrefetches_;
-    bursts_ += other.bursts_;
-    evictions_ += other.evictions_;
     residencyTouched_.mergeFrom(other.residencyTouched_);
     burstWords_.mergeFrom(other.burstWords_);
     coldBurstWords_.mergeFrom(other.coldBurstWords_);
@@ -76,13 +72,14 @@ CacheStats::warmMissRatio() const
 double
 CacheStats::trafficRatio() const
 {
-    return ratio(wordsFetched_, accesses_);
+    return ratio(wordsFetched(), accesses_);
 }
 
 double
 CacheStats::warmTrafficRatio() const
 {
-    return ratio(wordsFetched_ - coldWords_, accesses_ - coldMisses_);
+    return ratio(wordsFetched() - coldWordsFetched(),
+                 accesses_ - coldMisses_);
 }
 
 namespace {
@@ -125,7 +122,7 @@ CacheStats::ifetchMissRatio() const
 double
 CacheStats::totalTrafficRatio() const
 {
-    return ratio(wordsFetched_ + writeWords_ + storeWords_ +
+    return ratio(wordsFetched() + writeWords_ + storeWords_ +
                      writebackWords_,
                  accesses_ + writeAccesses_);
 }
@@ -133,7 +130,7 @@ CacheStats::totalTrafficRatio() const
 double
 CacheStats::redundantLoadFraction() const
 {
-    return ratio(redundantWords_, wordsFetched_);
+    return ratio(redundantWords_, wordsFetched());
 }
 
 double
@@ -172,8 +169,8 @@ CacheStats::dump(std::ostream &os) const
                  static_cast<unsigned long long>(writeWords_));
     os << strfmt("words fetched       %12llu  in %llu bursts "
                  "(redundant %llu)\n",
-                 static_cast<unsigned long long>(wordsFetched_),
-                 static_cast<unsigned long long>(bursts_),
+                 static_cast<unsigned long long>(wordsFetched()),
+                 static_cast<unsigned long long>(bursts()),
                  static_cast<unsigned long long>(redundantWords_));
     os << strfmt("store/writeback     %12llu / %llu words (bus "
                  "traffic incl. writes: %.6f)\n",
@@ -181,7 +178,7 @@ CacheStats::dump(std::ostream &os) const
                  static_cast<unsigned long long>(writebackWords_),
                  totalTrafficRatio());
     os << strfmt("evictions           %12llu\n",
-                 static_cast<unsigned long long>(evictions_));
+                 static_cast<unsigned long long>(evictions()));
     os << strfmt("miss ratio          %12.6f  (warm %.6f)\n",
                  missRatio(), warmMissRatio());
     os << strfmt("traffic ratio       %12.6f  (warm %.6f)\n",

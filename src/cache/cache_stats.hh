@@ -46,43 +46,18 @@ class CacheStats
     CacheStats(std::uint32_t sub_blocks_per_block,
                std::uint32_t max_burst_words);
 
-    // ---- recording interface (used by Cache) ----
-    // The counter-only recorders are defined inline: they run once
-    // per reference (hit path included), and an out-of-line call here
-    // would both cost the call and force the replay kernels to spill
-    // and reload their loop state around an opaque function.
-    void recordHit(bool is_ifetch)
-    {
-        ++accesses_;
-        if (is_ifetch)
-            ++ifetchAccesses_;
-    }
-    void recordMiss(bool is_ifetch, bool block_miss, bool cold)
-    {
-        ++accesses_;
-        ++misses_;
-        if (block_miss)
-            ++blockMisses_;
-        if (cold)
-            ++coldMisses_;
-        if (is_ifetch) {
-            ++ifetchAccesses_;
-            ++ifetchMisses_;
-        }
-    }
-    void recordWrite(bool hit)
-    {
-        ++writeAccesses_;
-        if (!hit)
-            ++writeMisses_;
-    }
+    // ---- recording interface (used by the engines) ----
+    // Every engine tallies the per-reference counters of a span and
+    // adds them once (addUniformAccesses); per reference it records
+    // only the miss side. The recorders are defined inline: an
+    // out-of-line call would both cost the call and force the replay
+    // kernels to spill and reload their loop state around an opaque
+    // function.
     /**
      * Bulk-add the counters that are the same for every reference of
      * a replayed span regardless of hit or miss: each counted read
-     * adds one access (recordHit and recordMiss both do), each
-     * instruction fetch one ifetch access, each write one write
-     * access. The fused engine tallies these once per pass instead of
-     * per (reference, config) — integer sums, so the totals are
+     * adds one access, each instruction fetch one ifetch access, each
+     * write one write access. Integer sums, so the totals are
      * bit-identical to per-reference recording.
      */
     void addUniformAccesses(std::uint64_t counted_reads,
@@ -97,19 +72,15 @@ class CacheStats
         writeMisses_ += write_misses;
         storeWords_ += store_words;
     }
-    /** The miss-side counters of recordMiss, for callers that account
-     *  the access-side counters via addUniformAccesses. */
+    /** A counted read missed: the miss-side counters. */
     void recordMissCounters(bool is_ifetch, bool block_miss, bool cold)
     {
         ++misses_;
-        if (block_miss)
-            ++blockMisses_;
-        if (cold)
-            ++coldMisses_;
-        if (is_ifetch)
-            ++ifetchMisses_;
+        blockMisses_ += block_miss;
+        coldMisses_ += cold;
+        ifetchMisses_ += is_ifetch;
     }
-    /** The miss side of recordWrite(false), same split. */
+    /** A write missed. */
     void recordWriteMissCounter() { ++writeMisses_; }
     /** recordMissCounters for a read, recordWriteMissCounter for a
      *  write, chosen without a branch. */
@@ -128,14 +99,12 @@ class CacheStats
     void recordBurst(std::uint32_t words, bool cold,
                      std::uint32_t redundant_words)
     {
-        wordsFetched_ += words;
         redundantWords_ += redundant_words;
-        ++bursts_;
         burstWords_.sample(words);
-        if (cold) {
-            coldWords_ += words;
+        // Branch rather than sample with weight 0: a store into a
+        // second histogram on every burst slowed the fused engine.
+        if (cold)
             coldBurstWords_.sample(words);
-        }
     }
     /** Bus traffic caused by write misses (kept out of headline). */
     void recordWriteBurst(std::uint32_t words) { writeWords_ += words; }
@@ -155,8 +124,6 @@ class CacheStats
     {
         // Prefetch traffic is real bus traffic: it belongs in the
         // headline traffic ratio (the cost side of prefetching).
-        wordsFetched_ += words;
-        ++bursts_;
         burstWords_.sample(words);
         prefetchWords_ += words;
         ++prefetches_;
@@ -166,7 +133,6 @@ class CacheStats
     /** A block residency ended having touched @p touched sub-blocks. */
     void recordResidency(std::uint32_t touched)
     {
-        ++evictions_;
         residencyTouched_.sample(touched);
     }
 
@@ -196,8 +162,15 @@ class CacheStats
     std::uint64_t ifetchMisses() const { return ifetchMisses_; }
     std::uint64_t writeAccesses() const { return writeAccesses_; }
     std::uint64_t writeMisses() const { return writeMisses_; }
-    std::uint64_t wordsFetched() const { return wordsFetched_; }
-    std::uint64_t coldWordsFetched() const { return coldWords_; }
+    // Derived from the histograms, whose buckets span every burst
+    // and residency a cache of this geometry can record.
+    /** Counted fetch and prefetch words: the burst histogram's sum. */
+    std::uint64_t wordsFetched() const { return burstWords_.sum(); }
+    /** The part of wordsFetched() fetched by cold misses. */
+    std::uint64_t coldWordsFetched() const
+    {
+        return coldBurstWords_.sum();
+    }
     std::uint64_t redundantWordsFetched() const
     {
         return redundantWords_;
@@ -210,8 +183,13 @@ class CacheStats
     std::uint64_t usefulPrefetches() const { return usefulPrefetches_; }
     /** Fraction of prefetched sub-blocks later referenced. */
     double prefetchAccuracy() const;
-    std::uint64_t bursts() const { return bursts_; }
-    std::uint64_t evictions() const { return evictions_; }
+    /** Counted and prefetch bursts. */
+    std::uint64_t bursts() const { return burstWords_.samples(); }
+    /** Residencies ended (evictions, flushes, finalization). */
+    std::uint64_t evictions() const
+    {
+        return residencyTouched_.samples();
+    }
 
     // ---- derived metrics ----
     /** Cold-start miss ratio (counted refs). */
@@ -270,8 +248,6 @@ class CacheStats
     std::uint64_t ifetchMisses_ = 0;
     std::uint64_t writeAccesses_ = 0;
     std::uint64_t writeMisses_ = 0;
-    std::uint64_t wordsFetched_ = 0;
-    std::uint64_t coldWords_ = 0;
     std::uint64_t redundantWords_ = 0;
     std::uint64_t writeWords_ = 0;
     std::uint64_t storeWords_ = 0;
@@ -279,8 +255,6 @@ class CacheStats
     std::uint64_t prefetchWords_ = 0;
     std::uint64_t prefetches_ = 0;
     std::uint64_t usefulPrefetches_ = 0;
-    std::uint64_t bursts_ = 0;
-    std::uint64_t evictions_ = 0;
 
     Distribution residencyTouched_;
     Distribution burstWords_;

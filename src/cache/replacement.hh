@@ -7,9 +7,14 @@
  * FIFO and RANDOM perform comparably); FIFO and Random are provided so
  * that observation can be reproduced as an ablation.
  *
- * One ReplacementState instance manages every set of one cache. Ways
- * within a set are tracked in an eviction-order list: position 0 is
- * the next victim, the last position the most protected.
+ * One ReplacementState instance manages every set of one cache. Each
+ * frame carries a 64-bit age stamp drawn from a per-cache clock: LRU
+ * stamps a way on fill and on every reference, FIFO on fill only. The
+ * eviction order of a set is its ways sorted by (stamp, way): the
+ * lowest stamp is the next victim, ties (never-stamped ways) go to
+ * the lowest way. That is exactly the order a move-to-back list
+ * starting at 0..assoc-1 would hold, with a store in place of the
+ * list's scan-and-shift. A 1-way cache and Random keep no stamps.
  */
 
 #ifndef OCCSIM_CACHE_REPLACEMENT_HH
@@ -42,12 +47,10 @@ class ReplacementState
 
     // ---- policy-specialized fast paths (replay kernels) ----
     // Identical state evolution to the runtime methods above, with
-    // the policy branch resolved at compile time so the LRU
-    // move-to-back inlines into the kernel's per-reference loop
-    // (onAccess runs on every hit; an out-of-line call here was the
-    // dominant per-reference cost of the batched engine). The @p A
+    // the policy branch resolved at compile time so the stamp store
+    // inlines into the kernel's per-reference loop. The @p A
     // parameter optionally fixes the associativity at compile time
-    // (0 = use the runtime value), fully unrolling the order-list
+    // (0 = use the runtime value), unrolling the victim's oldest-stamp
     // scan for the common 1/2/4/8-way geometries.
 
     /** onAccess with @p P (and optionally assoc) resolved at compile
@@ -56,7 +59,7 @@ class ReplacementState
     void onAccessSpec(std::uint32_t set, std::uint32_t way)
     {
         if constexpr (P == ReplacementPolicy::LRU)
-            moveToBack<A>(set, way);
+            stamp<A>(set, way);
     }
 
     /** onFill with @p P (and optionally assoc) resolved at compile
@@ -66,19 +69,8 @@ class ReplacementState
     {
         if constexpr (P == ReplacementPolicy::LRU ||
                       P == ReplacementPolicy::FIFO) {
-            moveToBack<A>(set, way);
+            stamp<A>(set, way);
         }
-    }
-
-    /** The most-protected way of @p set — the back of the eviction
-     *  order. moveToBack is a no-op for that way, so a caller holding
-     *  a hit on it may skip onAccessSpec: one load and compare in
-     *  place of the scan-and-shift. Meaningful for LRU and FIFO. */
-    template <std::uint32_t A = 0>
-    std::uint32_t mostProtected(std::uint32_t set) const
-    {
-        const std::uint32_t assoc = A != 0 ? A : assoc_;
-        return setOrder(set)[assoc - 1];
     }
 
     /** victim with @p P (and optionally assoc) resolved at compile
@@ -86,17 +78,29 @@ class ReplacementState
     template <ReplacementPolicy P, std::uint32_t A = 0>
     std::uint32_t victimSpec(std::uint32_t set)
     {
+        const std::uint32_t assoc = A != 0 ? A : assoc_;
         if constexpr (P == ReplacementPolicy::Random) {
-            return static_cast<std::uint32_t>(
-                rng_.below(A != 0 ? A : assoc_));
+            return static_cast<std::uint32_t>(rng_.below(assoc));
         } else {
-            return setOrder(set)[0];
+            if (assoc == 1)
+                return 0;
+            // The running minimum stays in a register, so no load
+            // waits on the previous step's pick.
+            const std::uint64_t *stamps = setStamps(set);
+            std::uint32_t oldest = 0;
+            std::uint64_t oldest_stamp = stamps[0];
+            for (std::uint32_t way = 1; way < assoc; ++way) {
+                const bool older = stamps[way] < oldest_stamp;
+                oldest = older ? way : oldest;
+                oldest_stamp = older ? stamps[way] : oldest_stamp;
+            }
+            return oldest;
         }
     }
 
     /**
      * @return the ways of @p set ordered from next-victim to most
-     * protected (meaningful for LRU/FIFO; arbitrary for Random).
+     * protected (meaningful for LRU/FIFO; 0..assoc-1 for Random).
      */
     std::vector<std::uint32_t> evictionOrder(std::uint32_t set) const;
 
@@ -109,55 +113,35 @@ class ReplacementState
      * ways LRU-first, so the next victim among occupied ways is way
      * filled-1 and the most protected is way 0.
      */
-    void seedMruOrder(std::uint32_t set, std::uint32_t filled)
-    {
-        occsim_assert(filled <= assoc_,
-                      "seeding %u filled ways into %u-way set",
-                      filled, assoc_);
-        std::uint8_t *slice = setOrder(set);
-        std::uint32_t pos = 0;
-        for (std::uint32_t way = filled; way < assoc_; ++way)
-            slice[pos++] = static_cast<std::uint8_t>(way);
-        for (std::uint32_t way = filled; way > 0; --way)
-            slice[pos++] = static_cast<std::uint8_t>(way - 1);
-    }
+    void seedMruOrder(std::uint32_t set, std::uint32_t filled);
 
   private:
-    // Defined inline (rather than in replacement.cc) so the
-    // policy-specialized fast paths above fold into their callers.
-    std::uint8_t *setOrder(std::uint32_t set)
-    {
-        return order_.data() +
-               static_cast<std::size_t>(set) * assoc_;
-    }
-    const std::uint8_t *setOrder(std::uint32_t set) const
-    {
-        return order_.data() +
-               static_cast<std::size_t>(set) * assoc_;
-    }
-
-    /** Promote @p way to the most-protected slot of @p set. @p A as
-     *  in the Spec methods above (0 = runtime associativity). */
+    /** Stamp @p way of @p set with the next clock value. @p A as in
+     *  the Spec methods above (0 = runtime associativity). */
     template <std::uint32_t A = 0>
-    void moveToBack(std::uint32_t set, std::uint32_t way)
+    void stamp(std::uint32_t set, std::uint32_t way)
     {
         const std::uint32_t assoc = A != 0 ? A : assoc_;
-        std::uint8_t *slice = setOrder(set);
-        std::uint32_t pos = 0;
-        while (pos < assoc && slice[pos] != way)
-            ++pos;
-        occsim_assert(pos < assoc,
-                      "way %u not present in set %u order", way, set);
-        for (; pos + 1 < assoc; ++pos)
-            slice[pos] = slice[pos + 1];
-        slice[assoc - 1] = static_cast<std::uint8_t>(way);
+        if (assoc != 1)
+            setStamps(set)[way] = ++clock_;
+    }
+
+    std::uint64_t *setStamps(std::uint32_t set)
+    {
+        return stamps_.data() + static_cast<std::size_t>(set) * assoc_;
+    }
+    const std::uint64_t *setStamps(std::uint32_t set) const
+    {
+        return stamps_.data() + static_cast<std::size_t>(set) * assoc_;
     }
 
     ReplacementPolicy policy_;
-    std::uint32_t numSets_;
     std::uint32_t assoc_;
-    /** numSets * assoc way ids, each set a contiguous slice. */
-    std::vector<std::uint8_t> order_;
+    /** Last stamp handed out; 0 marks a never-stamped way. */
+    std::uint64_t clock_ = 0;
+    /** numSets * assoc stamps, each set a contiguous slice; empty for
+     *  Random and for a 1-way cache. */
+    std::vector<std::uint64_t> stamps_;
     Rng rng_;
 };
 

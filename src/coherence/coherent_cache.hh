@@ -6,7 +6,7 @@
  * MESI engine's subset — copy-back, write-allocate, demand fetch,
  * unified — with one addition: a MESI state per frame. Everything
  * else is deliberately the same machinery (CacheGeometry address
- * arithmetic, CacheStats accounting, ReplacementState order lists,
+ * arithmetic, CacheStats accounting, ReplacementState age stamps,
  * kNoTag empty frames, everFilled cold tracking), evolved in the same
  * order as Cache::access(), so a 1-core CoherentSystem produces
  * CacheStats bit-identical to a plain Cache over the same trace —
@@ -77,20 +77,15 @@ class CoherentCache
         return tags_[frame] != kNoTag;
     }
 
-    /** Way holding @p block_addr in @p set, or -1. @p A fixes the
-     *  associativity at compile time when nonzero (0 = runtime
-     *  value), unrolling the scan in the coherent kernel. */
+    /** findWayIn over @p set's tag row: the way holding
+     *  @p block_addr, or -1. @p A as there (0 = runtime value). */
     template <std::uint32_t A = 0>
     int findWay(std::uint32_t set, Addr block_addr) const
     {
         const std::uint32_t assoc = A != 0 ? A : assoc_;
-        const Addr *tags =
-            tags_.data() + static_cast<std::size_t>(set) * assoc;
-        for (std::uint32_t way = 0; way < assoc; ++way) {
-            if (tags[way] == block_addr)
-                return static_cast<int>(way);
-        }
-        return -1;
+        return findWayIn<A>(
+            tags_.data() + static_cast<std::size_t>(set) * assoc, assoc,
+            block_addr);
     }
 
     // ---- replacement updates of the coherent kernel ----
@@ -108,17 +103,10 @@ class CoherentCache
     template <ReplacementPolicy R, std::uint32_t A>
     void touchWay(std::uint32_t set, std::uint32_t way)
     {
-        if constexpr (R == kRuntimePolicy) {
+        if constexpr (R == kRuntimePolicy)
             repl_.onAccess(set, way);
-        } else if constexpr (R == ReplacementPolicy::LRU) {
-            // Re-referencing the most-protected way leaves the LRU
-            // order as it is: one compare instead of the
-            // scan-and-shift.
-            if (repl_.mostProtected<A>(set) != way)
-                repl_.onAccessSpec<R, A>(set, way);
-        } else {
+        else
             repl_.onAccessSpec<R, A>(set, way);
-        }
     }
 
     /** A way was filled with a new block. */
@@ -140,11 +128,10 @@ class CoherentCache
     {
         const std::uint32_t assoc = A != 0 ? A : assoc_;
         const std::size_t base = static_cast<std::size_t>(set) * assoc;
-        const Addr *tags = tags_.data() + base;
-        for (std::uint32_t w = 0; w < assoc; ++w) {
-            if (tags[w] == kNoTag)
-                return w;
-        }
+        const int empty =
+            findWayIn<A>(tags_.data() + base, assoc, kNoTag);
+        if (empty >= 0)
+            return static_cast<std::uint32_t>(empty);
         std::uint32_t victim;
         if constexpr (R == kRuntimePolicy)
             victim = repl_.victim(set);

@@ -1,5 +1,7 @@
 #include "coherence/coherent_system.hh"
 
+#include <array>
+
 #include "util/logging.hh"
 
 namespace occsim {
@@ -77,7 +79,7 @@ CoherentSystem::snoopInvalidate(std::uint32_t requester,
 }
 
 template <ReplacementPolicy R, std::uint32_t A>
-void
+OCCSIM_ALWAYS_INLINE void
 CoherentSystem::accessSpec(std::uint32_t core, Addr addr,
                            bool is_write, bool is_ifetch)
 {
@@ -99,15 +101,13 @@ CoherentSystem::accessSpec(std::uint32_t core, Addr addr,
         CoherentCache::FrameMeta &meta = cache.meta_[frame];
         cache.touchWay<R, A>(set, static_cast<std::uint32_t>(way));
         meta.touched |= sub_bit;
-        const MesiState state = cache.mesi_[frame];
         if (meta.valid & sub_bit) {
-            if (counted) {
-                cache.stats_.recordHit(is_ifetch);
-                cache.mesi_[frame] =
-                    mesiNext(state, MesiEvent::LocalRead, false);
+            // A read hit leaves the state as it is (LocalRead is the
+            // identity on a held block); its access is in the span
+            // tally.
+            if (counted)
                 return;
-            }
-            cache.stats_.recordWrite(true);
+            const MesiState state = cache.mesi_[frame];
             if (state == MesiState::Shared) {
                 // Address-only upgrade: peers drop their copies, no
                 // data moves.
@@ -123,14 +123,15 @@ CoherentSystem::accessSpec(std::uint32_t core, Addr addr,
         // is already settled (no peer can hold it Modified while we
         // hold the tag), so the fill is a plain bus read — plus an
         // ownership change when a write finds the block Shared.
+        const MesiState state = cache.mesi_[frame];
         const bool cold = (cache.everFilled_[frame] & sub_bit) == 0;
         if (counted) {
-            cache.stats_.recordMiss(is_ifetch, false, cold);
+            cache.stats_.recordMissCounters(is_ifetch, false, cold);
             ++bus_.busReads;
             cache.mesi_[frame] =
                 mesiNext(state, MesiEvent::LocalRead, false);
         } else {
-            cache.stats_.recordWrite(false);
+            cache.stats_.recordWriteMissCounter();
             if (state == MesiState::Shared) {
                 ++bus_.busReadForOwnership;
                 snoopInvalidate<A, /*Upgrade=*/false>(core,
@@ -153,10 +154,7 @@ CoherentSystem::accessSpec(std::uint32_t core, Addr addr,
     const std::size_t frame =
         static_cast<std::size_t>(set) * assoc + victim_way;
     const bool cold = (cache.everFilled_[frame] & sub_bit) == 0;
-    if (counted)
-        cache.stats_.recordMiss(is_ifetch, true, cold);
-    else
-        cache.stats_.recordWrite(false);
+    cache.stats_.recordMissSide(is_write, is_ifetch, true, cold);
 
     cache.tags_[frame] = block_addr;
     CoherentCache::FrameMeta &meta = cache.meta_[frame];
@@ -186,6 +184,10 @@ void
 CoherentSystem::replayLoop(const Rec *refs, std::size_t n)
 {
     const std::uint32_t cores = numCores();
+    // Per core, the span's data reads, ifetch reads and writes, added
+    // once at the end (CacheStats::addUniformAccesses), as
+    // Cache::replayLoop does.
+    std::array<std::uint64_t, 3 * PackedRecord::kMaxCores> tally{};
     for (std::size_t i = 0; i < n; ++i) {
         const Rec &rec = refs[i];
         // A trace stamped for at most this many cores needs no
@@ -193,8 +195,17 @@ CoherentSystem::replayLoop(const Rec *refs, std::size_t n)
         const std::uint32_t stamped = coreOf(rec);
         const std::uint32_t core =
             stamped < cores ? stamped : stamped % cores;
-        accessSpec<R, A>(core, addrOf(rec), rec.isWrite(),
-                         rec.isInstruction());
+        const bool is_write = rec.isWrite();
+        // A write is never counted as an instruction fetch.
+        const bool is_ifetch = rec.isInstruction() && !is_write;
+        ++tally[3 * core + (is_write ? 2 : 0) + (is_ifetch ? 1 : 0)];
+        accessSpec<R, A>(core, addrOf(rec), is_write, is_ifetch);
+    }
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        const std::uint64_t *counts = tally.data() + 3 * c;
+        caches_[c].stats_.addUniformAccesses(counts[0] + counts[1],
+                                             counts[1], counts[2], 0,
+                                             0);
     }
 }
 

@@ -352,19 +352,6 @@ class FusedReplay::Pass
         }
     }
 
-    template <std::uint32_t A>
-    int findWay(std::uint32_t set, Addr block_addr) const
-    {
-        const std::uint32_t assoc = A != 0 ? A : assoc_;
-        const Addr *tags =
-            tags_.data() + static_cast<std::size_t>(set) * assoc;
-        for (std::uint32_t way = 0; way < assoc; ++way) {
-            if (tags[way] == block_addr)
-                return static_cast<int>(way);
-        }
-        return -1;
-    }
-
     /**
      * One reference through the whole group. The per-config recorder
      * sequence matches Cache::accessSpec call for call — minus the
@@ -389,17 +376,20 @@ class FusedReplay::Pass
 
         // Same block as the previous reference: the frame is known,
         // the tag certainly still resident (an eviction in between
-        // would have changed lastBlock_), and the way is already at
-        // the protected end of the order — the probe and the LRU
-        // update are both no-ops, so skip them. Spatial locality
-        // makes this the most common record shape by far.
+        // would have changed lastBlock_), and the way already holds
+        // its set's newest stamp, so re-stamping it cannot change the
+        // set's eviction order — skip the probe and the LRU update.
+        // Spatial locality makes this the most common record shape by
+        // far.
         std::uint32_t frame_index;
         if (block_addr == lastBlock_) {
             frame_index = lastFrame_;
         } else {
             const std::uint32_t set = static_cast<std::uint32_t>(
                 block_addr & setMask_);
-            const int way = findWay<A>(set, block_addr);
+            const int way = findWayIn<A>(
+                tags_.data() + static_cast<std::size_t>(set) * assoc,
+                assoc, block_addr);
             if (way < 0) {
                 blockMiss<R, CopyBack, WriteAllocate, A>(
                     set, block_addr, block_off, is_write, is_ifetch);
@@ -407,21 +397,8 @@ class FusedReplay::Pass
             }
             frame_index =
                 set * assoc + static_cast<std::uint32_t>(way);
-            // Interleaved streams (instruction fetch vs data) leave
-            // each stream's block most-protected in its own set even
-            // when it is not the globally-previous block, so the
-            // LRU promotion is very often a no-op — detect that with
-            // one compare instead of the scan-and-shift.
-            if constexpr (R == ReplacementPolicy::LRU) {
-                if (repl_->mostProtected<A>(set) !=
-                    static_cast<std::uint32_t>(way)) {
-                    repl_->onAccessSpec<R, A>(
-                        set, static_cast<std::uint32_t>(way));
-                }
-            } else {
-                repl_->onAccessSpec<R, A>(
-                    set, static_cast<std::uint32_t>(way));
-            }
+            repl_->onAccessSpec<R, A>(set,
+                                      static_cast<std::uint32_t>(way));
             lastBlock_ = block_addr;
             lastFrame_ = frame_index;
         }
@@ -514,16 +491,12 @@ class FusedReplay::Pass
         // replacement victim (whose residency ends for EVERY config).
         const std::size_t set_base =
             static_cast<std::size_t>(set) * assoc;
-        std::uint32_t victim = assoc;
-        for (std::uint32_t w = 0; w < assoc; ++w) {
-            if (tags_[set_base + w] == kNoTag) {
-                victim = w;
-                break;
-            }
-        }
-        const bool evicting = victim == assoc;
-        if (evicting)
-            victim = repl_->victimSpec<R, A>(set);
+        const int empty =
+            findWayIn<A>(tags_.data() + set_base, assoc, kNoTag);
+        const bool evicting = empty < 0;
+        const std::uint32_t victim =
+            evicting ? repl_->victimSpec<R, A>(set)
+                     : static_cast<std::uint32_t>(empty);
 
         const std::size_t frame_index = set_base + victim;
         const std::size_t cbase = frame_index * numClasses_;
@@ -571,8 +544,8 @@ class FusedReplay::Pass
         }
         tags_[frame_index] = block_addr;
         repl_->onFillSpec<R, A>(set, victim);
-        // The filled way is now the most-protected entry of its set,
-        // exactly the invariant the same-block fast path relies on.
+        // The filled way now holds its set's newest stamp, exactly
+        // the invariant the same-block fast path relies on.
         lastBlock_ = block_addr;
         lastFrame_ = static_cast<std::uint32_t>(frame_index);
     }

@@ -1,6 +1,8 @@
 #include "stats/distribution.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <ostream>
 
 #include "util/logging.hh"
@@ -18,20 +20,13 @@ Distribution::init(std::string name, std::size_t num_buckets)
 {
     occsim_assert(num_buckets > 0, "distribution needs >= 1 bucket");
     name_ = std::move(name);
-    buckets_.assign(num_buckets, 0);
-    overflow_ = 0;
-    samples_ = 0;
-    weightedSum_ = 0;
+    buckets_.assign(num_buckets + 1, 0);
 }
 
 void
 Distribution::reset()
 {
-    for (auto &bucket : buckets_)
-        bucket = 0;
-    overflow_ = 0;
-    samples_ = 0;
-    weightedSum_ = 0;
+    std::fill(buckets_.begin(), buckets_.end(), 0);
 }
 
 void
@@ -40,43 +35,55 @@ Distribution::mergeFrom(const Distribution &other)
     occsim_assert(buckets_.size() == other.buckets_.size(),
                   "merging distributions of different shape (%zu vs "
                   "%zu buckets)",
-                  buckets_.size(), other.buckets_.size());
+                  numBuckets(), other.numBuckets());
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
-    overflow_ += other.overflow_;
-    samples_ += other.samples_;
-    weightedSum_ += other.weightedSum_;
+}
+
+std::uint64_t
+Distribution::samples() const
+{
+    return std::accumulate(buckets_.begin(), buckets_.end(),
+                           std::uint64_t{0});
+}
+
+std::uint64_t
+Distribution::sum() const
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i)
+        total += i * buckets_[i];
+    return total;
 }
 
 std::uint64_t
 Distribution::bucket(std::size_t i) const
 {
-    occsim_assert(i < buckets_.size(), "bucket index %zu out of range",
-                  i);
+    occsim_assert(i < numBuckets(), "bucket index %zu out of range", i);
     return buckets_[i];
 }
 
 double
 Distribution::mean() const
 {
-    return samples_ == 0 ? 0.0 : static_cast<double>(weightedSum_) /
-                                     static_cast<double>(samples_);
+    const std::uint64_t n = samples();
+    return n == 0 ? 0.0
+                  : static_cast<double>(sum()) / static_cast<double>(n);
 }
 
 double
 Distribution::variance() const
 {
-    if (samples_ == 0)
+    const std::uint64_t n = samples();
+    if (n == 0)
         return 0.0;
     const double mu = mean();
-    double sum = 0.0;
+    double total = 0.0;
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
         const double d = static_cast<double>(i) - mu;
-        sum += d * d * static_cast<double>(buckets_[i]);
+        total += d * d * static_cast<double>(buckets_[i]);
     }
-    const double d_over = static_cast<double>(buckets_.size()) - mu;
-    sum += d_over * d_over * static_cast<double>(overflow_);
-    return sum / static_cast<double>(samples_);
+    return total / static_cast<double>(n);
 }
 
 double
@@ -89,52 +96,54 @@ std::uint64_t
 Distribution::percentile(double p) const
 {
     occsim_assert(p >= 0.0 && p <= 1.0, "percentile needs p in [0,1]");
-    if (samples_ == 0)
+    const std::uint64_t n = samples();
+    if (n == 0)
         return 0;
     std::uint64_t cumulative = 0;
-    const auto target = static_cast<std::uint64_t>(
-        p * static_cast<double>(samples_));
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    const auto target =
+        static_cast<std::uint64_t>(p * static_cast<double>(n));
+    for (std::size_t i = 0; i < numBuckets(); ++i) {
         cumulative += buckets_[i];
         if (cumulative >= target && cumulative > 0)
             return i;
     }
-    return buckets_.size();
+    return numBuckets();
 }
 
 double
 Distribution::cdfAt(std::uint64_t v) const
 {
-    if (samples_ == 0)
+    const std::uint64_t n = samples();
+    if (n == 0)
         return 0.0;
     std::uint64_t below = 0;
     for (std::size_t i = 0; i < buckets_.size() && i <= v; ++i)
         below += buckets_[i];
-    if (v >= buckets_.size())
-        below += overflow_;
-    return static_cast<double>(below) / static_cast<double>(samples_);
+    return static_cast<double>(below) / static_cast<double>(n);
 }
 
 void
 Distribution::dump(std::ostream &os) const
 {
-    os << name_ << " (" << samples_ << " samples, mean "
+    const std::uint64_t n = samples();
+    os << name_ << " (" << n << " samples, mean "
        << strfmt("%.4f", mean()) << ")\n";
-    auto fraction = [this](std::uint64_t count) {
-        return samples_ == 0 ? 0.0 : static_cast<double>(count) /
-                                         static_cast<double>(samples_);
+    auto fraction = [n](std::uint64_t count) {
+        return n == 0 ? 0.0
+                      : static_cast<double>(count) /
+                            static_cast<double>(n);
     };
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    for (std::size_t i = 0; i < numBuckets(); ++i) {
         if (buckets_[i] == 0)
             continue;
         os << strfmt("  %6zu  %12llu  %8.4f\n", i,
                      static_cast<unsigned long long>(buckets_[i]),
                      fraction(buckets_[i]));
     }
-    if (overflow_ != 0) {
-        os << strfmt("  >=%4zu  %12llu  %8.4f\n", buckets_.size(),
-                     static_cast<unsigned long long>(overflow_),
-                     fraction(overflow_));
+    if (overflow() != 0) {
+        os << strfmt("  >=%4zu  %12llu  %8.4f\n", numBuckets(),
+                     static_cast<unsigned long long>(overflow()),
+                     fraction(overflow()));
     }
 }
 

@@ -20,7 +20,10 @@ namespace occsim {
 
 /**
  * Histogram over the integer domain [0, numBuckets); samples at or
- * above numBuckets accumulate in an overflow bucket.
+ * above numBuckets accumulate in an overflow bucket, stored as one
+ * more bucket at index numBuckets and valued numBuckets. Sampling
+ * bumps one bucket; the sample count and the weighted sum are derived
+ * from the buckets.
  */
 class Distribution
 {
@@ -41,14 +44,8 @@ class Distribution
     {
         occsim_assert(!buckets_.empty(),
                       "distribution not initialized");
-        if (value < buckets_.size()) {
-            buckets_[value] += weight;
-            weightedSum_ += value * weight;
-        } else {
-            overflow_ += weight;
-            weightedSum_ += buckets_.size() * weight;
-        }
-        samples_ += weight;
+        const std::size_t overflow = buckets_.size() - 1;
+        buckets_[value < overflow ? value : overflow] += weight;
     }
 
     void reset();
@@ -61,10 +58,20 @@ class Distribution
      */
     void mergeFrom(const Distribution &other);
 
-    std::uint64_t samples() const { return samples_; }
+    /** Observations recorded (overflow included). */
+    std::uint64_t samples() const;
+    /** Sum of the recorded values, overflow counted at numBuckets —
+     *  exact for a histogram nothing overflowed. */
+    std::uint64_t sum() const;
     std::uint64_t bucket(std::size_t i) const;
-    std::uint64_t overflow() const { return overflow_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
+    std::uint64_t overflow() const
+    {
+        return buckets_.empty() ? 0 : buckets_.back();
+    }
+    std::size_t numBuckets() const
+    {
+        return buckets_.empty() ? 0 : buckets_.size() - 1;
+    }
 
     /** Mean of the recorded values (overflow counted at numBuckets). */
     double mean() const;
@@ -91,10 +98,8 @@ class Distribution
 
   private:
     std::string name_;
+    /** numBuckets in-range counts, then the overflow count. */
     std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    std::uint64_t weightedSum_ = 0;
 };
 
 } // namespace occsim

@@ -1,14 +1,135 @@
 /**
  * @file
  * Unit tests for the replacement policies: LRU recency maintenance,
- * FIFO insertion order, Random determinism under a fixed seed.
+ * FIFO insertion order, Random determinism under a fixed seed, and
+ * the age stamps against the eviction-order list they replace.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
+#include "cache/cache_config.hh"
 #include "cache/replacement.hh"
 
 using namespace occsim;
+
+namespace {
+
+/**
+ * The per-set eviction-order list that ReplacementState's age stamps
+ * stand in for: ways from next victim to most protected, starting at
+ * 0..assoc-1. A fill moves its way to the back under LRU and FIFO, a
+ * reference only under LRU.
+ */
+class OrderListModel
+{
+  public:
+    OrderListModel(ReplacementPolicy policy, std::uint32_t num_sets,
+                   std::uint32_t assoc)
+        : policy_(policy), assoc_(assoc), order_(num_sets)
+    {
+        for (std::vector<std::uint32_t> &list : order_)
+            seedMruOrder(list, 0);
+    }
+
+    void onFill(std::uint32_t set, std::uint32_t way)
+    {
+        moveToBack(order_[set], way);
+    }
+    void onAccess(std::uint32_t set, std::uint32_t way)
+    {
+        if (policy_ == ReplacementPolicy::LRU)
+            moveToBack(order_[set], way);
+    }
+    /** Empty ways first in way order, then the filled ways 0..filled-1
+     *  LRU-first (way filled-1 next, way 0 most protected). */
+    void seedMruOrder(std::uint32_t set, std::uint32_t filled)
+    {
+        seedMruOrder(order_[set], filled);
+    }
+    const std::vector<std::uint32_t> &order(std::uint32_t set) const
+    {
+        return order_[set];
+    }
+
+  private:
+    static void moveToBack(std::vector<std::uint32_t> &list,
+                           std::uint32_t way)
+    {
+        list.erase(std::find(list.begin(), list.end(), way));
+        list.push_back(way);
+    }
+    void seedMruOrder(std::vector<std::uint32_t> &list,
+                      std::uint32_t filled) const
+    {
+        list.clear();
+        for (std::uint32_t way = filled; way < assoc_; ++way)
+            list.push_back(way);
+        for (std::uint32_t way = filled; way > 0; --way)
+            list.push_back(way - 1);
+    }
+
+    ReplacementPolicy policy_;
+    std::uint32_t assoc_;
+    std::vector<std::vector<std::uint32_t>> order_;
+};
+
+} // namespace
+
+TEST(ReplacementState, AgeStampsMatchTheOrderListModel)
+{
+    // Random fills, references and MRU seedings; after every step the
+    // victim and the whole eviction order of every set must be the
+    // order list's, never-stamped ways included (ties go to the
+    // lowest way).
+    constexpr std::uint32_t kSets = 3;
+    std::mt19937 rng(1984);
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+        for (const std::uint32_t assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
+            SCOPED_TRACE(testing::Message()
+                         << replacementPolicyName(policy) << " " << assoc
+                         << "-way");
+            ReplacementState repl(policy, kSets, assoc);
+            OrderListModel model(policy, kSets, assoc);
+            for (int step = 0; step < 3000; ++step) {
+                const std::uint32_t set = rng() % kSets;
+                const std::uint32_t way = rng() % assoc;
+                switch (rng() % 8) {
+                  case 0:
+                  case 1:
+                  case 2:
+                    repl.onFill(set, way);
+                    model.onFill(set, way);
+                    break;
+                  case 3:
+                  case 4:
+                  case 5:
+                    repl.onAccess(set, way);
+                    model.onAccess(set, way);
+                    break;
+                  case 6: {
+                    const std::uint32_t filled = rng() % (assoc + 1);
+                    repl.seedMruOrder(set, filled);
+                    model.seedMruOrder(set, filled);
+                    break;
+                  }
+                  default:
+                    break;  // a victim query alone
+                }
+                for (std::uint32_t s = 0; s < kSets; ++s) {
+                    ASSERT_EQ(repl.victim(s), model.order(s).front())
+                        << "step " << step << " set " << s;
+                    ASSERT_EQ(repl.evictionOrder(s), model.order(s))
+                        << "step " << step << " set " << s;
+                }
+            }
+        }
+    }
+}
 
 TEST(LRU, VictimIsLeastRecentlyUsed)
 {

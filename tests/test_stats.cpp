@@ -91,6 +91,55 @@ TEST(Distribution, OverflowBucket)
     EXPECT_DOUBLE_EQ(dist.mean(), 2.0);
 }
 
+TEST(Distribution, OverRangeSamplesLandInOverflowAndKeepSummaries)
+{
+    // In-range values 1, 2 (twice) and 3; then 4 (== numBuckets) once
+    // and 9 twice, both over range. Overflow counts at numBuckets (4)
+    // in the mean, sum and variance, lies above every in-range value
+    // for the percentiles, and enters the CDF only at v >= 4.
+    Distribution dist("d", 4);
+    dist.sample(1);
+    dist.sample(2, 2);
+    dist.sample(3);
+    dist.sample(4);
+    dist.sample(9, 2);
+
+    const auto check = [](const Distribution &d) {
+        EXPECT_EQ(d.numBuckets(), 4u);
+        EXPECT_EQ(d.bucket(3), 1u);
+        EXPECT_EQ(d.overflow(), 3u);
+        EXPECT_EQ(d.samples(), 7u);
+        EXPECT_EQ(d.sum(), 1u + 2u * 2u + 3u + 3u * 4u);
+        const double mu = 20.0 / 7.0;
+        EXPECT_DOUBLE_EQ(d.mean(), mu);
+        EXPECT_DOUBLE_EQ(d.variance(),
+                         ((1 - mu) * (1 - mu) + 2 * (2 - mu) * (2 - mu) +
+                          (3 - mu) * (3 - mu) + 3 * (4 - mu) * (4 - mu)) /
+                             7.0);
+        EXPECT_EQ(d.percentile(0.0), 1u);
+        EXPECT_EQ(d.percentile(0.5), 2u);
+        EXPECT_EQ(d.percentile(0.6), 3u);
+        EXPECT_EQ(d.percentile(0.9), 4u) << "target inside overflow";
+        EXPECT_EQ(d.percentile(1.0), 4u);
+        EXPECT_DOUBLE_EQ(d.cdfAt(0), 0.0);
+        EXPECT_DOUBLE_EQ(d.cdfAt(3), 4.0 / 7.0);
+        EXPECT_DOUBLE_EQ(d.cdfAt(4), 1.0);
+        EXPECT_DOUBLE_EQ(d.cdfAt(100), 1.0);
+    };
+    check(dist);
+
+    // A merge into an empty histogram carries the overflow along.
+    Distribution merged("m", 4);
+    merged.mergeFrom(dist);
+    check(merged);
+
+    merged.reset();
+    EXPECT_EQ(merged.overflow(), 0u);
+    EXPECT_EQ(merged.samples(), 0u);
+    EXPECT_EQ(merged.sum(), 0u);
+    EXPECT_DOUBLE_EQ(merged.mean(), 0.0);
+}
+
 TEST(Distribution, WeightedSamples)
 {
     Distribution dist("d", 8);
