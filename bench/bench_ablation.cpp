@@ -21,10 +21,8 @@
 
 #include <iostream>
 
-#include "cache/split_cache.hh"
 #include "harness/experiment.hh"
 #include "multi/miss_classifier.hh"
-#include "trace/filters.hh"
 #include "util/str.hh"
 #include "util/table.hh"
 
@@ -110,45 +108,18 @@ splitCacheAblation(std::ostream &os)
     printBanner(os, "Ablation 4: mixed vs split I/D caches "
                     "(PDP-11 suite, 1024B total, 16,8)");
 
-    const Suite suite = pdp11Suite();
+    // Split: two half-size caches fed the partitioned stream; the
+    // combined miss ratio weights each side by its share of the
+    // references.
     const CacheConfig mixed = makeConfig(1024, 16, 8, 2);
-    const CacheConfig half = makeConfig(512, 16, 8, 2);
-
-    double mixed_miss = 0.0;
-    double split_miss = 0.0;
-    for (const WorkloadSpec &spec : suite.traces) {
-        VectorTrace trace = buildTrace(spec);
-
-        Cache mixed_cache(mixed);
-        mixed_cache.run(trace);
-        mixed_miss += mixed_cache.stats().missRatio();
-
-        // Split: two half-size caches fed the partitioned stream;
-        // the combined miss ratio weights each side by its share of
-        // the references.
-        trace.reset();
-        KindFilter icache_stream(trace,
-                                 KindFilter::Select::InstructionsOnly);
-        Cache icache(half);
-        icache.run(icache_stream);
-
-        trace.reset();
-        KindFilter dcache_stream(trace, KindFilter::Select::DataOnly);
-        Cache dcache(half);
-        dcache.run(dcache_stream);
-
-        const double total =
-            static_cast<double>(icache.stats().accesses() +
-                                dcache.stats().accesses());
-        split_miss += (static_cast<double>(icache.stats().misses()) +
-                       static_cast<double>(dcache.stats().misses())) /
-                      total;
-    }
-    const double n = static_cast<double>(suite.traces.size());
+    CacheConfig split = mixed;
+    split.partition = CachePartition::SplitID;
+    const SuiteRun run = runSuite(pdp11Suite(), {mixed, split});
 
     TableWriter table({"organisation", "miss"});
-    table.addRow({"mixed 1024B", fmtRatio(mixed_miss / n)});
-    table.addRow({"split 512B I + 512B D", fmtRatio(split_miss / n)});
+    table.addRow({"mixed 1024B", fmtRatio(run.average[0].missRatio)});
+    table.addRow({"split 512B I + 512B D",
+                  fmtRatio(run.average[1].missRatio)});
     table.print(os);
     os << '\n';
 }
@@ -214,26 +185,16 @@ splitRatioAblation(std::ostream &os)
     TableWriter table({"budget", "organisation", "miss", "traffic"});
 
     for (const std::uint32_t total : {512u, 1024u, 2048u}) {
-        const SuiteRun mixed_run =
-            runSuite(suite, {makeConfig(total, 16, 8, 2)});
+        const CacheConfig mixed = makeConfig(total, 16, 8, 2);
+        CacheConfig split = mixed;
+        split.partition = CachePartition::SplitID;
+        const SuiteRun run = runSuite(suite, {mixed, split});
         table.addRow({strfmt("%uB", total), "mixed",
-                      fmtRatio(mixed_run.average[0].missRatio),
-                      fmtRatio(mixed_run.average[0].trafficRatio)});
-
-        double miss = 0.0;
-        double traffic = 0.0;
-        for (const WorkloadSpec &spec : suite.traces) {
-            VectorTrace trace = buildTrace(spec);
-            SplitCache split(makeConfig(total / 2, 16, 8, 2),
-                             makeConfig(total / 2, 16, 8, 2));
-            split.run(trace);
-            miss += split.missRatio();
-            traffic += split.trafficRatio();
-        }
-        const double n = static_cast<double>(suite.traces.size());
+                      fmtRatio(run.average[0].missRatio),
+                      fmtRatio(run.average[0].trafficRatio)});
         table.addRow({strfmt("%uB", total), "split I/D",
-                      strfmt("%.4f", miss / n),
-                      strfmt("%.4f", traffic / n)});
+                      fmtRatio(run.average[1].missRatio),
+                      fmtRatio(run.average[1].trafficRatio)});
     }
     table.print(os);
     os << "(mixed wins at these sizes: dynamic sharing beats a "

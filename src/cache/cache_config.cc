@@ -1,5 +1,6 @@
 #include "cache/cache_config.hh"
 
+#include "util/logging.hh"
 #include "util/str.hh"
 
 namespace occsim {
@@ -91,6 +92,17 @@ makeConfig(std::uint32_t net_size, std::uint32_t block_size,
     config.subBlockSize = sub_block_size;
     config.wordSize = word_size;
     return config;
+}
+
+CacheConfig
+evenSplitHalf(const CacheConfig &mixed_config)
+{
+    occsim_assert(mixed_config.netSize >= 2 * mixed_config.blockSize,
+                  "mixed cache too small to split");
+    CacheConfig half = mixed_config;
+    half.netSize = mixed_config.netSize / 2;
+    half.partition = CachePartition::Unified;
+    return half;
 }
 
 CacheConfig

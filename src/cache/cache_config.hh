@@ -76,8 +76,10 @@ const char *writePolicyName(WritePolicy policy);
  * Cache organization: one unified cache serving both streams, or a
  * split pair (instruction cache + data cache, each of half the net
  * size) routed by MemRef::isInstruction(). Section 3.2 lists the
- * split-vs-unified question among the design choices; the split case
- * is simulated by SplitCache as two independent halves.
+ * split-vs-unified question among the design choices. A split config
+ * is simulated as two plain unified caches of its evenSplitHalf, one
+ * fed the instruction fetches and one the data references; their
+ * statistics sum into the config's one summary.
  */
 enum class CachePartition : std::uint8_t {
     Unified = 0,
@@ -133,6 +135,13 @@ struct CacheConfig
 
     bool operator==(const CacheConfig &other) const = default;
 };
+
+/**
+ * One side of an even split of @p mixed_config: half the net size,
+ * same geometry otherwise, partition tag cleared (each side is an
+ * ordinary unified cache — the SplitID tag belongs to the pair).
+ */
+CacheConfig evenSplitHalf(const CacheConfig &mixed_config);
 
 /**
  * Convenience builder for the paper's standard sweep entries:

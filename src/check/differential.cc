@@ -9,7 +9,6 @@
 
 #include "cache/cache.hh"
 #include "cache/cache_geometry.hh"
-#include "cache/split_cache.hh"
 #include "multi/fused_replay.hh"
 #include "multi/sweep_plan.hh"
 #include "multi/sweep_runner.hh"
@@ -98,6 +97,26 @@ shardCompanion(const CacheConfig &config, std::uint32_t num_shards)
     return std::nullopt;
 }
 
+/** Awkward shard counts for @p config, when it is shard-eligible:
+ *  the smallest, a mid-size split when the geometry allows one, and
+ *  the largest legal count. */
+std::vector<std::uint32_t>
+awkwardShardCounts(const CacheConfig &config)
+{
+    if (!shardEligible(config))
+        return {};
+    const std::uint32_t max_shards = std::min<std::uint32_t>(
+        CacheGeometry(config).numSets(), kMaxShards);
+    std::vector<std::uint32_t> counts;
+    if (max_shards >= 2)
+        counts.push_back(2);
+    if (max_shards >= 8)
+        counts.push_back(max_shards / 2);
+    if (max_shards > 2)
+        counts.push_back(max_shards);
+    return counts;
+}
+
 /** Copy a raw reference vector into a shareable VectorTrace. */
 std::shared_ptr<const VectorTrace>
 packTrace(const std::vector<MemRef> &refs)
@@ -118,40 +137,66 @@ runDifferentialCase(const CacheConfig &config,
 {
     CaseReport report;
 
-    // Split I/D points take their own engine stack: the oracle is a
-    // pair of naive ReferenceCache halves partitioned by reference
-    // kind, diffed per side against the SplitCache pair, and the
-    // parallel routing layer must reproduce the combined summary bit
-    // for bit under both engine modes. The batch, shard and fused
-    // engines are unified-only, so the main path below keeps covering
-    // them.
+    // Engines below that take record spans run twice: from the packed
+    // records (the corpus layout) and from the MemRef span in place
+    // (the layout a sweep over VectorTraces replays). The label prefix
+    // says which.
+    const auto trace = packTrace(refs);
+    const PackedTrace packed(*trace);
+    const auto for_each_span = [&](const auto &check) {
+        check(std::string(), packed.data());
+        check(std::string("memref-"), refs.data());
+    };
+
+    // Split I/D points are two unified halves, each fed one reference
+    // kind. Per side, a naive ReferenceCache half is the oracle for a
+    // direct Cache half and for kind tiles (a one-shard tile and, for
+    // shard-eligible halves, forced shard counts) at awkward 7-record
+    // chunks. The sides' direct statistics sum into the summary both
+    // sweep policies must reproduce bit for bit: under DirectOnly the
+    // planner runs two direct half Caches, under Auto two kind tiles.
     if (config.partition == CachePartition::SplitID) {
         const CacheConfig half = evenSplitHalf(config);
-        ReferenceCache i_oracle(half);
-        ReferenceCache d_oracle(half);
-        for (const MemRef &ref : refs)
-            (ref.isInstruction() ? i_oracle : d_oracle).access(ref);
-        i_oracle.finalize();
-        d_oracle.finalize();
-        ReferenceStats i_want = i_oracle.stats();
-        const ReferenceStats d_want = d_oracle.stats();
-        if (options.perturbReference)
-            options.perturbReference(i_want);
+        std::vector<std::uint32_t> counts = awkwardShardCounts(half);
+        counts.insert(counts.begin(), 1);
+        std::vector<CacheStats> sides;
+        for (const RefStream stream : {RefStream::Ifetch, RefStream::Data}) {
+            const std::string side =
+                stream == RefStream::Ifetch ? "split-i" : "split-d";
+            ReferenceCache oracle(half);
+            Cache direct(half);
+            for (const MemRef &ref : refs) {
+                if (inStream(ref, stream)) {
+                    oracle.access(ref);
+                    direct.access(ref);
+                }
+            }
+            oracle.finalize();
+            direct.finalizeResidencies();
+            ReferenceStats want = oracle.stats();
+            if (stream == RefStream::Ifetch && options.perturbReference)
+                options.perturbReference(want);
+            for (const std::string &line : diffStats(want, direct.stats()))
+                report.diffs.push_back(side + "." + line);
+            sides.push_back(direct.stats());
 
-        SplitCache split = makeEvenSplit(config);
-        for (const MemRef &ref : refs)
-            split.access(ref);
-        split.finalizeResidencies();
-        for (const std::string &line :
-             diffStats(i_want, split.icache().stats()))
-            report.diffs.push_back("split-i." + line);
-        for (const std::string &line :
-             diffStats(d_want, split.dcache().stats()))
-            report.diffs.push_back("split-d." + line);
-
+            for_each_span([&](const std::string &span,
+                              const auto *records) {
+                for (const std::uint32_t shards : counts) {
+                    TileReplay tile({half}, shards, 7, stream);
+                    tile.run(records, refs.size());
+                    const std::string label =
+                        span + side + "-tile" + std::to_string(shards);
+                    for (const std::string &line :
+                         diffStats(want, tile.mergedStats(0)))
+                        report.diffs.push_back(label + "." + line);
+                }
+            });
+        }
+        sides[0].mergeFrom(sides[1]);
         const SweepResult direct_summary =
-            summarizeSplit(config, split);
-        const auto trace = packTrace(refs);
+            summarizeStats(config, 2 * CacheGeometry(half).grossBytes(),
+                           sides[0]);
         diffSweepResult("split-sweep-direct",
                         sweepOne(config, trace, SweepEngine::DirectOnly),
                         direct_summary, report.diffs);
@@ -189,7 +234,6 @@ runDifferentialCase(const CacheConfig &config,
 
     // Engines 2 and 3: a one-trace sweep under DirectOnly and Auto.
     // Both must reproduce the direct engine's summary bit for bit.
-    const auto trace = packTrace(refs);
     const std::vector<CacheConfig> configs{config};
     diffSweepResult("sweep-direct",
                     sweepOne(config, trace, SweepEngine::DirectOnly),
@@ -197,15 +241,6 @@ runDifferentialCase(const CacheConfig &config,
     diffSweepResult("sweep-auto",
                     sweepOne(config, trace, SweepEngine::Auto),
                     direct_summary, report.diffs);
-
-    // Engines 4 and 5 each run twice: from the packed records (the
-    // corpus layout) and from the MemRef span in place (the layout a
-    // sweep over VectorTraces replays). The label prefix says which.
-    const PackedTrace packed(*trace);
-    const auto for_each_span = [&](const auto &check) {
-        check(std::string(), packed.data());
-        check(std::string("memref-"), refs.data());
-    };
 
     // Engine 4: the tile engine standalone at deliberately awkward
     // 7-record chunks, so chunk-boundary handling is exercised on
@@ -225,25 +260,13 @@ runDifferentialCase(const CacheConfig &config,
         std::vector<SweepResult> want;
     };
     std::vector<Tile> tiles{{1, configs, {direct_summary}}};
-    if (shardEligible(config)) {
-        const CacheGeometry geom(config);
-        const std::uint32_t max_shards =
-            std::min<std::uint32_t>(geom.numSets(), kMaxShards);
-        std::vector<std::uint32_t> counts;
-        if (max_shards >= 2)
-            counts.push_back(2);
-        if (max_shards >= 8)
-            counts.push_back(max_shards / 2);
-        if (max_shards > 2)
-            counts.push_back(max_shards);
-        for (const std::uint32_t num_shards : counts) {
-            Tile tile{num_shards, configs, {direct_summary}};
-            if (const auto other = shardCompanion(config, num_shards)) {
-                tile.configs.push_back(*other);
-                tile.want.push_back(directSummary(*other, refs));
-            }
-            tiles.push_back(std::move(tile));
+    for (const std::uint32_t num_shards : awkwardShardCounts(config)) {
+        Tile tile{num_shards, configs, {direct_summary}};
+        if (const auto other = shardCompanion(config, num_shards)) {
+            tile.configs.push_back(*other);
+            tile.want.push_back(directSummary(*other, refs));
         }
+        tiles.push_back(std::move(tile));
     }
     for_each_span([&](const std::string &span, const auto *records) {
         for (const Tile &tile : tiles) {
@@ -306,14 +329,8 @@ runDifferentialCase(const CacheConfig &config,
         for (std::size_t m = 1; m < group.size(); ++m)
             member_summaries.push_back(directSummary(group[m], refs));
 
-        const CacheGeometry geom(config);
-        const std::uint32_t max_shards =
-            std::min<std::uint32_t>(geom.numSets(), kMaxShards);
-        std::vector<std::uint32_t> counts{1};
-        if (max_shards >= 2)
-            counts.push_back(2);
-        if (max_shards > 2)
-            counts.push_back(max_shards);
+        std::vector<std::uint32_t> counts = awkwardShardCounts(config);
+        counts.insert(counts.begin(), 1);
         for_each_span([&](const std::string &span, const auto *records) {
             for (const std::uint32_t num_shards : counts) {
                 FusedReplay fused(group, num_shards);

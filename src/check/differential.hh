@@ -31,8 +31,10 @@
  * over the MemRef span in place (diff labels prefixed "memref-"),
  * since a sweep over VectorTraces feeds them MemRef records.
  *
- * Split I/D configs take their own stack: a pair of oracle halves vs
- * the SplitCache, and both routing modes vs its summary.
+ * Split I/D configs take their own stack: per reference kind, an
+ * oracle half vs a direct Cache half and vs kind tiles (one-shard and
+ * forced shard counts, 7-record chunks, both record layouts); then
+ * both routing modes vs the halves' summed summary.
  *
  * All comparisons are exact — the engines promise bit-identical
  * numbers, so any difference, however small, is a bug in one of

@@ -15,7 +15,8 @@ namespace occsim {
 FusedKey
 fusedKeyOf(const CacheConfig &config)
 {
-    occsim_assert(shardEligible(config),
+    occsim_assert(shardEligible(config) &&
+                      config.partition == CachePartition::Unified,
                   "fused key of an ineligible config (%s)",
                   config.fullName().c_str());
     const CacheGeometry geom(config);
@@ -36,7 +37,8 @@ fusedGroups(const std::vector<CacheConfig> &configs,
     std::vector<std::vector<std::size_t>> groups;
     std::vector<FusedKey> keys;
     for (const std::size_t i : candidates) {
-        if (!shardEligible(configs[i]))
+        if (!shardEligible(configs[i]) ||
+            configs[i].partition != CachePartition::Unified)
             continue;
         const FusedKey key = fusedKeyOf(configs[i]);
         std::size_t g = groups.size();
@@ -707,9 +709,6 @@ FusedReplay::FusedReplay(const std::vector<CacheConfig> &configs,
                   "fused group needs at least one config");
     const FusedKey key = fusedKeyOf(configs_.front());
     for (const CacheConfig &config : configs_) {
-        occsim_assert(shardEligible(config),
-                      "fusing an ineligible config (%s)",
-                      config.fullName().c_str());
         occsim_assert(fusedKeyOf(config) == key,
                       "fused group mixes keys (%s)",
                       config.fullName().c_str());

@@ -31,7 +31,9 @@
  * like a tile, so it takes the same set-local configs. Next-block
  * prefetch is excluded on a second count too: its allocation depends
  * on each member's sub-block geometry, which would split the group's
- * shared tag state.
+ * shared tag state. A pass feeds every record to every member, so a
+ * split I/D config (two caches, each fed one reference kind) never
+ * fuses.
  *
  * Plane layout (all indexed so per-reference loops walk contiguous
  * memory): the touched and dirty masks depend only on WHICH
@@ -86,7 +88,8 @@ struct FusedKey
     bool operator==(const FusedKey &) const = default;
 };
 
-/** Grouping key of @p config (which must be shardEligible). */
+/** Grouping key of @p config (which must be unified and
+ *  shardEligible). */
 FusedKey fusedKeyOf(const CacheConfig &config);
 
 /** Most configs one fused pass can carry: the grain-validity planes
@@ -95,9 +98,10 @@ FusedKey fusedKeyOf(const CacheConfig &config);
 inline constexpr std::size_t kMaxGroupConfigs = 64;
 
 /**
- * Partition the shardEligible members of @p candidates into fusable
- * groups (first-appearance order, so the grouping is deterministic;
- * keys with more than kMaxGroupConfigs members split). Ineligible
+ * Partition the shardEligible unified members of @p candidates into
+ * fusable groups (first-appearance order, so the grouping is
+ * deterministic; keys with more than kMaxGroupConfigs members
+ * split). Ineligible
  * candidates are omitted entirely; groups of size one are returned
  * too — callers decide whether fusing a singleton is worth the plane
  * overhead (the sweep planner's fusableGroups leaves them batched).
@@ -117,7 +121,8 @@ fusedGroups(const std::vector<CacheConfig> &configs,
 class FusedReplay
 {
   public:
-    /** All @p configs must be shardEligible and share one FusedKey;
+    /** All @p configs must be unified, shardEligible and share one
+     *  FusedKey;
      *  @p num_shards must be 1 (unsharded) or planShardCount-valid
      *  (a power of two <= min(numSets, kMaxShards)). */
     explicit FusedReplay(const std::vector<CacheConfig> &configs,

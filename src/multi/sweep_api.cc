@@ -243,7 +243,7 @@ runSweep(const SweepRequest &request)
         for (std::size_t t = 0; t < plan.traces.size(); ++t)
             report.perTrace.push_back(planResults(plan, t));
         const std::size_t runs = plan.traces.size();
-        record.crossCheckSamples = runs * plan.shadowIndex.size();
+        record.crossCheckSamples = runs * shadowedConfigs(plan);
         record.fusedRuns = runs * plan.fusedGroups.size();
         record.fusedConfigs = static_cast<std::size_t>(
             std::count(plan.route.begin(), plan.route.end(),

@@ -1,8 +1,11 @@
 #include "multi/sweep_plan.hh"
 
+#include <map>
+#include <numeric>
 #include <type_traits>
 #include <variant>
 
+#include "cache/cache_geometry.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -35,25 +38,42 @@ struct TraceInput
     std::uint64_t limit = 0;
 };
 
-/** Drive a Cache or SplitCache over the first @p n of @p refs. */
-template <class Sim, class Rec>
-void
-replayDirect(Sim &sim, const Rec *refs, std::size_t n)
+/** The slots config @p c of @p configs takes: one on every record,
+ *  or for a split I/D config one half per reference kind. */
+std::vector<PlanSlot>
+slotsOf(const std::vector<CacheConfig> &configs, std::size_t c)
 {
-    if constexpr (std::is_same_v<Rec, MemRef>) {
-        for (std::size_t r = 0; r < n; ++r)
-            sim.access(refs[r]);
-    } else {
-        sim.replayPacked(refs, n);
+    if (configs[c].partition == CachePartition::SplitID)
+        return {{c, RefStream::Ifetch}, {c, RefStream::Data}};
+    return {{c, RefStream::All}};
+}
+
+/** Drive @p cache over the @p stream records among the first @p n of
+ *  @p refs, one record at a time; @return records fed. */
+template <class Rec>
+std::uint64_t
+replayDirect(Cache &cache, RefStream stream, const Rec *refs,
+             std::size_t n)
+{
+    std::uint64_t kept = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        if (!inStream(refs[r], stream))
+            continue;
+        if constexpr (std::is_same_v<Rec, MemRef>)
+            cache.access(refs[r]);
+        else
+            cache.replayPacked(refs + r, 1);
+        ++kept;
     }
-    sim.finalizeResidencies();
+    cache.finalizeResidencies();
+    return kept;
 }
 
 /** Run one plan task over the first @p n of its trace's records. */
 template <class Rec>
 void
-runTask(const PlanTask &task, TracePlan &tp, const Rec *refs,
-        std::size_t n)
+runTask(const PlanTask &task, const SweepPlan &plan, TracePlan &tp,
+        const Rec *refs, std::size_t n)
 {
     switch (task.kind) {
     case PlanTask::Kind::Tile:
@@ -68,25 +88,57 @@ runTask(const PlanTask &task, TracePlan &tp, const Rec *refs,
         break;
     }
     case PlanTask::Kind::Direct:
-    case PlanTask::Kind::Split: {
-        OCCSIM_TELEM_STAGE("engine.direct");
-        if (task.kind == PlanTask::Kind::Direct)
-            replayDirect(*tp.direct[task.engine], refs, n);
-        else
-            replayDirect(*tp.splits[task.engine], refs, n);
-        OCCSIM_TELEM_COUNT("engine.direct.refs", n);
-        OCCSIM_TELEM_COUNT("engine.direct.bytes", n * sizeof(Rec));
-        break;
-    }
     case PlanTask::Kind::Shadow: {
-        OCCSIM_TELEM_STAGE("engine.shadow");
-        replayDirect(*tp.shadows[task.engine], refs, n);
-        OCCSIM_TELEM_COUNT("engine.shadow.refs", n);
-        OCCSIM_TELEM_COUNT("engine.shadow.bytes", n * sizeof(Rec));
+        const bool shadow = task.kind == PlanTask::Kind::Shadow;
+        OCCSIM_TELEM_STAGE(shadow ? "engine.shadow" : "engine.direct");
+        const std::uint64_t kept = replayDirect(
+            *(shadow ? tp.shadows : tp.direct)[task.engine],
+            (shadow ? plan.shadowIndex : plan.directIndex)[task.engine]
+                .stream,
+            refs, n);
+        OCCSIM_TELEM_COUNT(shadow ? "engine.shadow.refs"
+                                  : "engine.direct.refs",
+                           kept);
+        OCCSIM_TELEM_COUNT(shadow ? "engine.shadow.bytes"
+                                  : "engine.direct.bytes",
+                           n * sizeof(Rec));
         break;
     }
     }
 }
+
+/** One trace's per-config summaries, fed slot by slot: a whole
+ *  config's slot is summarized alone, a split config's two halves
+ *  are summed and summarized once both are in, at twice a half's
+ *  gross size. */
+struct SlotSummaries
+{
+    explicit SlotSummaries(const std::vector<CacheConfig> &all)
+        : configs(all), out(all.size())
+    {
+    }
+
+    const std::vector<CacheConfig> &configs;
+    std::vector<SweepResult> out;
+    std::map<std::size_t, CacheStats> halves;
+
+    void add(const PlanSlot &slot, const CacheStats &stats)
+    {
+        const CacheConfig &config = configs[slot.config];
+        if (slot.stream == RefStream::All) {
+            out[slot.config] = summarizeStats(
+                config, CacheGeometry(config).grossBytes(), stats);
+            return;
+        }
+        const auto [half, first] = halves.try_emplace(slot.config, stats);
+        if (first)
+            return;
+        half->second.mergeFrom(stats);
+        out[slot.config] = summarizeStats(
+            config, 2 * CacheGeometry(evenSplitHalf(config)).grossBytes(),
+            half->second);
+    }
+};
 
 } // namespace
 
@@ -102,8 +154,6 @@ routeName(SweepRoute route)
         return "batch";
     case SweepRoute::Direct:
         return "direct";
-    case SweepRoute::Split:
-        return "split";
     }
     return "unknown";
 }
@@ -127,40 +177,46 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     plan.configs = configs;
     plan.route.assign(configs.size(), SweepRoute::Batch);
 
-    // Trace-independent routes first: split pairs and DirectOnly
-    // caches. The rest are candidates for fused, shard or batch.
-    const bool optimized = engine != SweepEngine::DirectOnly;
-    std::vector<std::size_t> candidates;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        SweepRoute &route = plan.route[c];
-        if (configs[c].partition == CachePartition::SplitID) {
-            route = SweepRoute::Split;
-            plan.splitIndex.push_back(c);
-        } else if (!optimized) {
-            route = SweepRoute::Direct;
-            plan.directIndex.push_back(c);
-        } else {
-            candidates.push_back(c);
-        }
+    // The cache every slot of a config simulates: the config itself,
+    // or for a split config its half.
+    std::vector<CacheConfig> simulated = configs;
+    for (CacheConfig &config : simulated) {
+        if (config.partition == CachePartition::SplitID)
+            config = evenSplitHalf(config);
     }
-    plan.fusedGroups = fusableGroups(configs, candidates);
+
+    // Trace-independent routes first: DirectOnly caches and fused
+    // groups (unified configs only). The other slots are candidates
+    // for shard or batch tiles.
+    const bool optimized = engine != SweepEngine::DirectOnly;
+    if (optimized) {
+        std::vector<std::size_t> all(configs.size());
+        std::iota(all.begin(), all.end(), 0);
+        plan.fusedGroups = fusableGroups(configs, all);
+    }
     for (const auto &group : plan.fusedGroups) {
         for (const std::size_t c : group)
             plan.route[c] = SweepRoute::Fused;
     }
-    std::erase_if(candidates, [&](std::size_t c) {
-        return plan.route[c] == SweepRoute::Fused;
-    });
+    std::vector<PlanSlot> candidates;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (const PlanSlot &slot : slotsOf(configs, c)) {
+            if (!optimized) {
+                plan.route[c] = SweepRoute::Direct;
+                plan.directIndex.push_back(slot);
+            } else if (plan.route[c] != SweepRoute::Fused) {
+                candidates.push_back(slot);
+            }
+        }
+    }
 
     if (engine == SweepEngine::CrossCheck) {
         // Shadow every 4th config (at least one) on the direct engine.
-        // Split pairs already run on it — shadowing one would compare
-        // the same code against itself.
         const std::size_t stride =
             std::max<std::size_t>(1, configs.size() / 4);
         for (std::size_t c = 0; c < configs.size(); c += stride) {
-            if (plan.route[c] != SweepRoute::Split)
-                plan.shadowIndex.push_back(c);
+            for (const PlanSlot &slot : slotsOf(configs, c))
+                plan.shadowIndex.push_back(slot);
         }
     }
 
@@ -180,11 +236,12 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     struct ShardTile
     {
         std::uint32_t shards;
+        RefStream stream;
         ShardWindow window;
         std::vector<std::size_t> members;
     };
-    // Per trace: its batch configs and its shard tiles.
-    std::vector<std::vector<std::size_t>> batch(plan.traces.size());
+    // Per trace: its batch slots and its shard tiles.
+    std::vector<std::vector<PlanSlot>> batch(plan.traces.size());
     std::vector<std::vector<ShardTile>> sharded(plan.traces.size());
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
@@ -202,35 +259,37 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
                 selectConfigs(configs, group),
                 shard_count(configs[group.front()])));
         }
-        // Shard tiles: each config joins the first tile of its shard
-        // count whose window still fits it, in first-appearance order.
+        // Shard tiles: each slot joins the first tile of its shard
+        // count and kind whose window still fits it, in
+        // first-appearance order.
         std::vector<ShardTile> &tiles = sharded[t];
-        for (const std::size_t c : candidates) {
-            const std::uint32_t shards = shard_count(configs[c]);
+        for (const PlanSlot &slot : candidates) {
+            const CacheConfig &config = simulated[slot.config];
+            const std::uint32_t shards = shard_count(config);
             if (shards == 1) {
-                batch[t].push_back(c);
+                batch[t].push_back(slot);
                 continue;
             }
-            plan.route[c] = SweepRoute::Shard;
+            plan.route[slot.config] = SweepRoute::Shard;
             auto tile = std::find_if(
                 tiles.begin(), tiles.end(), [&](const ShardTile &open) {
                     return open.shards == shards &&
-                           open.window.with(configs[c]).holds(
+                           open.stream == slot.stream &&
+                           open.window.with(config).holds(
                                floorLog2(shards));
                 });
             if (tile == tiles.end())
-                tile = tiles.insert(tiles.end(), {shards, {}, {}});
-            tile->window = tile->window.with(configs[c]);
-            tile->members.push_back(c);
+                tile = tiles.insert(tiles.end(),
+                                    {shards, slot.stream, {}, {}});
+            tile->window = tile->window.with(config);
+            tile->members.push_back(slot.config);
         }
-        for (const std::size_t c : plan.directIndex)
-            tp.direct.push_back(std::make_unique<Cache>(configs[c]));
-        for (const std::size_t c : plan.splitIndex) {
-            const CacheConfig half = evenSplitHalf(configs[c]);
-            tp.splits.push_back(std::make_unique<SplitCache>(half, half));
-        }
-        for (const std::size_t c : plan.shadowIndex)
-            tp.shadows.push_back(std::make_unique<Cache>(configs[c]));
+        for (const PlanSlot &slot : plan.directIndex)
+            tp.direct.push_back(
+                std::make_unique<Cache>(simulated[slot.config]));
+        for (const PlanSlot &slot : plan.shadowIndex)
+            tp.shadows.push_back(
+                std::make_unique<Cache>(simulated[slot.config]));
     }
 
     // Batch tiles sized to the pool: narrow enough that the plan's
@@ -238,7 +297,7 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     // L2-friendly default. One long trace's few unshardable configs
     // then run one per worker instead of serially in one tile.
     std::size_t batch_runs = 0;
-    for (const std::vector<std::size_t> &batched : batch)
+    for (const std::vector<PlanSlot> &batched : batch)
         batch_runs += batched.size();
     const std::size_t workers = std::max(threads, 1u);
     const std::size_t tile_configs = std::clamp<std::size_t>(
@@ -247,19 +306,30 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         TracePlan &tp = plan.traces[t];
         const auto add_tile = [&](std::vector<std::size_t> members,
-                                  std::uint32_t shards) {
+                                  std::uint32_t shards,
+                                  RefStream stream) {
             tp.tiles.push_back(std::make_unique<TileReplay>(
-                selectConfigs(configs, members), shards));
+                selectConfigs(simulated, members), shards,
+                kShardChunkRecords, stream));
             tp.tileIndex.push_back(std::move(members));
         };
-        const std::vector<std::size_t> &batched = batch[t];
-        for (std::size_t b = 0; b < batched.size(); b += tile_configs) {
-            const std::size_t end =
-                std::min(b + tile_configs, batched.size());
-            add_tile({batched.begin() + b, batched.begin() + end}, 1);
+        for (const RefStream stream :
+             {RefStream::All, RefStream::Ifetch, RefStream::Data}) {
+            std::vector<std::size_t> batched;
+            for (const PlanSlot &slot : batch[t]) {
+                if (slot.stream == stream)
+                    batched.push_back(slot.config);
+            }
+            for (std::size_t b = 0; b < batched.size();
+                 b += tile_configs) {
+                const std::size_t end =
+                    std::min(b + tile_configs, batched.size());
+                add_tile({batched.begin() + b, batched.begin() + end}, 1,
+                         stream);
+            }
         }
         for (ShardTile &tile : sharded[t])
-            add_tile(std::move(tile.members), tile.shards);
+            add_tile(std::move(tile.members), tile.shards, tile.stream);
 
         // The one task order.
         const auto add = [&](PlanTask::Kind kind, std::size_t engines,
@@ -281,7 +351,6 @@ planSweep(const std::vector<CacheConfig> &configs, SweepEngine engine,
             return std::size_t{tp.fused[g]->numShards()};
         });
         add(PlanTask::Kind::Direct, tp.direct.size(), one);
-        add(PlanTask::Kind::Split, tp.splits.size(), one);
         add(PlanTask::Kind::Shadow, tp.shadows.size(), one);
     }
     return plan;
@@ -323,7 +392,7 @@ runSweepPlan(SweepPlan &plan,
         const TraceInput &in = inputs[task.trace];
         std::visit(
             [&](const auto *records) {
-                runTask(task, plan.traces[task.trace], records,
+                runTask(task, plan, plan.traces[task.trace], records,
                         static_cast<std::size_t>(in.limit));
             },
             in.records);
@@ -335,10 +404,15 @@ runSweepPlan(SweepPlan &plan,
         return refs;
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         const std::vector<SweepResult> fast = planResults(plan, t);
-        for (std::size_t s = 0; s < plan.shadowIndex.size(); ++s) {
-            const std::size_t c = plan.shadowIndex[s];
-            if (!sameSweepResult(
-                    fast[c], summarizeCache(*plan.traces[t].shadows[s]))) {
+        SlotSummaries want(plan.configs);
+        for (std::size_t s = 0; s < plan.shadowIndex.size(); ++s)
+            want.add(plan.shadowIndex[s], plan.traces[t].shadows[s]->stats());
+        for (const PlanSlot &slot : plan.shadowIndex) {
+            // A split config's halves are checked once, as a pair.
+            if (slot.stream == RefStream::Data)
+                continue;
+            const std::size_t c = slot.config;
+            if (!sameSweepResult(fast[c], want.out[c])) {
                 fatal("cross-check mismatch: %s engine disagrees "
                       "with direct simulation for config %s on trace %s",
                       routeName(plan.route[c]),
@@ -348,7 +422,7 @@ runSweepPlan(SweepPlan &plan,
                           .c_str());
             }
         }
-        OCCSIM_TELEM_COUNT("cross_check.samples", plan.shadowIndex.size());
+        OCCSIM_TELEM_COUNT("cross_check.samples", shadowedConfigs(plan));
     }
     return refs;
 }
@@ -358,23 +432,31 @@ planResults(const SweepPlan &plan, std::size_t t)
 {
     occsim_assert(t < plan.traces.size(), "trace %zu was not planned", t);
     const TracePlan &tp = plan.traces[t];
-    std::vector<SweepResult> out(plan.configs.size());
-    const auto place = [&](const std::vector<std::size_t> &index,
-                           const std::vector<SweepResult> &results) {
-        for (std::size_t k = 0; k < results.size(); ++k)
-            out[index[k]] = results[k];
-    };
-    for (std::size_t k = 0; k < tp.tiles.size(); ++k)
-        place(tp.tileIndex[k], tp.tiles[k]->results());
-    for (std::size_t g = 0; g < tp.fused.size(); ++g)
-        place(plan.fusedGroups[g], tp.fused[g]->results());
-    for (std::size_t j = 0; j < tp.direct.size(); ++j)
-        out[plan.directIndex[j]] = summarizeCache(*tp.direct[j]);
-    for (std::size_t k = 0; k < tp.splits.size(); ++k) {
-        const std::size_t c = plan.splitIndex[k];
-        out[c] = summarizeSplit(plan.configs[c], *tp.splits[k]);
+    SlotSummaries summaries(plan.configs);
+    for (std::size_t k = 0; k < tp.tiles.size(); ++k) {
+        const TileReplay &tile = *tp.tiles[k];
+        for (std::size_t m = 0; m < tile.size(); ++m)
+            summaries.add({tp.tileIndex[k][m], tile.stream()},
+                          tile.mergedStats(m));
     }
-    return out;
+    for (std::size_t j = 0; j < tp.direct.size(); ++j)
+        summaries.add(plan.directIndex[j], tp.direct[j]->stats());
+    for (std::size_t g = 0; g < tp.fused.size(); ++g) {
+        const std::vector<SweepResult> results = tp.fused[g]->results();
+        for (std::size_t m = 0; m < results.size(); ++m)
+            summaries.out[plan.fusedGroups[g][m]] = results[m];
+    }
+    return std::move(summaries.out);
+}
+
+std::size_t
+shadowedConfigs(const SweepPlan &plan)
+{
+    return static_cast<std::size_t>(std::count_if(
+        plan.shadowIndex.begin(), plan.shadowIndex.end(),
+        [](const PlanSlot &slot) {
+            return slot.stream != RefStream::Data;
+        }));
 }
 
 ShardTelemetry

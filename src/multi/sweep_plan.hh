@@ -10,11 +10,8 @@
  * instances for each trace, and one flat task list in one fixed
  * order. Routing, in priority order:
  *
- *  - split        CachePartition::SplitID — a dedicated SplitCache
- *                 pair under every policy (no batched kernel routes by
- *                 reference kind);
- *  - direct       everything else under SweepEngine::DirectOnly, one
- *                 plain Cache per (trace, config);
+ *  - direct       every config under SweepEngine::DirectOnly, one
+ *                 plain Cache per (trace, slot);
  *  - fused        groups of >= 2 configs sharing a FusedKey
  *                 (fusableGroups), one FusedReplay per (trace, group);
  *  - shard        the remaining configs shouldShard picks on a trace,
@@ -24,6 +21,16 @@
  *                 (ShardWindow), so one filter pass per shard serves
  *                 the whole tile;
  *  - batch        the rest, in one-shard TileReplays.
+ *
+ * A config is one slot (PlanSlot) on every record, except that a
+ * CachePartition::SplitID config is two: one evenSplitHalf fed the
+ * instruction fetches and one fed the data references. Each half is
+ * an ordinary unified cache, so it takes the direct, shard or batch
+ * route like any other, on a tile of its own kind (a tile never
+ * mixes kinds: its filter keeps one RefStream). Halves never fuse —
+ * a fused pass feeds every record. planResults sums a split config's
+ * two halves (an exact integer merge) and summarizes the total once
+ * at twice a half's gross size.
  *
  * The shard verdict is per trace (lengths differ) and weighs the whole
  * sweep's unsharded task count — batch tiles and fused passes over
@@ -36,8 +43,9 @@
  * batch-routed (trace, config) runs: a grid wide enough to fill the
  * pool keeps the L2-friendly 8-config tile, and a few batch configs
  * on one long trace get a tile (a pool task) each instead of one
- * serial tile. A trace's tile list holds its one-shard tiles, then
- * its shard tiles.
+ * serial tile. Tiles keep one reference kind each: all-record tiles
+ * first, then ifetch-half and data-half tiles. A trace's tile list
+ * holds its one-shard tiles, then its shard tiles.
  *
  * runSweepPlan() executes a plan over the traces it was planned for,
  * given either as MemRef traces or as packed records (the plan is the
@@ -56,7 +64,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/split_cache.hh"
 #include "multi/fused_replay.hh"
 #include "multi/tile_replay.hh"
 #include "util/thread_pool.hh"
@@ -99,11 +106,10 @@ enum class SweepRoute : std::uint8_t {
     Shard,
     Batch,
     Direct,
-    Split,
 };
 
 /** @return the manifest name of @p route ("fused", "shard", "batch",
- *  "direct", "split"). */
+ *  "direct"). */
 const char *routeName(SweepRoute route);
 
 /** References one trace of @p size contributes under @p max_refs
@@ -124,18 +130,29 @@ std::vector<std::vector<std::size_t>>
 fusableGroups(const std::vector<CacheConfig> &configs,
               const std::vector<std::size_t> &candidates);
 
-/** The engine instances pricing one trace of a plan. Slot k of each
- *  per-config list simulates the config named by the matching index
- *  list (the plan-wide ones unless noted). */
+/** One cache of a plan: grid config @c config fed the records
+ *  @c stream keeps (All for a unified config; a split config has an
+ *  Ifetch and a Data slot, each simulating its evenSplitHalf). */
+struct PlanSlot
+{
+    std::size_t config = 0;
+    RefStream stream = RefStream::All;
+
+    bool operator==(const PlanSlot &) const = default;
+};
+
+/** The engine instances pricing one trace of a plan. Entry k of each
+ *  per-slot list simulates the slot named by the matching index list
+ *  (the plan-wide ones unless noted). */
 struct TracePlan
 {
     std::vector<std::unique_ptr<FusedReplay>> fused;
     /** One-shard (batch) tiles, then sharded ones. */
     std::vector<std::unique_ptr<TileReplay>> tiles;
-    /** This trace's config indices per tile, in member order. */
+    /** This trace's config indices per tile, in member order (a
+     *  member is the tile's stream() slot of that config). */
     std::vector<std::vector<std::size_t>> tileIndex;
     std::vector<std::unique_ptr<Cache>> direct;
-    std::vector<std::unique_ptr<SplitCache>> splits;
     std::vector<std::unique_ptr<Cache>> shadows;
 };
 
@@ -147,7 +164,6 @@ struct PlanTask
         Tile,
         Fused,
         Direct,
-        Split,
         Shadow,
     };
     Kind kind = Kind::Tile;
@@ -164,15 +180,14 @@ struct SweepPlan
     std::vector<SweepRoute> route;
     /** Config indices per FusedReplay slot. */
     std::vector<std::vector<std::size_t>> fusedGroups;
-    /** Config indices of the direct Caches, split pairs and
-     *  CrossCheck shadow Caches (the same on every trace). */
-    std::vector<std::size_t> directIndex;
-    std::vector<std::size_t> splitIndex;
-    std::vector<std::size_t> shadowIndex;
+    /** Slots of the direct Caches and of the CrossCheck shadow
+     *  Caches (the same on every trace). */
+    std::vector<PlanSlot> directIndex;
+    std::vector<PlanSlot> shadowIndex;
     /** One per planned trace. */
     std::vector<TracePlan> traces;
     /** Per trace: tiles' shards, fused passes (or their shards),
-     *  direct caches, split pairs, shadows. */
+     *  direct caches, shadows. */
     std::vector<PlanTask> tasks;
 };
 
@@ -203,6 +218,10 @@ runSweepPlan(SweepPlan &plan,
 /** Planned trace @p t's summaries, in config order. */
 std::vector<SweepResult> planResults(const SweepPlan &plan,
                                      std::size_t t);
+
+/** Configs @p plan shadows on each trace under CrossCheck (a split
+ *  config's two shadow halves are one). */
+std::size_t shadowedConfigs(const SweepPlan &plan);
 
 /** Imbalance summary over every sharded run of @p plan (sharded
  *  tiles' members and sharded fused groups). */

@@ -159,14 +159,6 @@ summarizeCache(const Cache &cache)
 }
 
 SweepResult
-summarizeSplit(const CacheConfig &config, const SplitCache &split)
-{
-    CacheStats merged = split.icache().stats();
-    merged.mergeFrom(split.dcache().stats());
-    return summarizeStats(config, split.grossBytes(), merged);
-}
-
-SweepResult
 summarizeCoherent(const CacheConfig &config,
                   const CoherentSystem &system)
 {
@@ -213,9 +205,20 @@ runSingle(const CacheConfig &config, TraceSource &source,
           std::uint64_t max_refs)
 {
     if (config.partition == CachePartition::SplitID) {
-        SplitCache split = makeEvenSplit(config);
-        split.run(source, max_refs);
-        return summarizeSplit(config, split);
+        const CacheConfig half = evenSplitHalf(config);
+        Cache icache(half);
+        Cache dcache(half);
+        MemRef ref;
+        for (std::uint64_t count = 0;
+             (max_refs == 0 || count < max_refs) && source.next(ref);
+             ++count)
+            (ref.isInstruction() ? icache : dcache).access(ref);
+        icache.finalizeResidencies();
+        dcache.finalizeResidencies();
+        CacheStats merged = icache.stats();
+        merged.mergeFrom(dcache.stats());
+        return summarizeStats(config, 2 * icache.geometry().grossBytes(),
+                              merged);
     }
     Cache cache(config);
     cache.run(source, max_refs);

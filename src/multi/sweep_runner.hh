@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cache/cache.hh"
-#include "cache/split_cache.hh"
 #include "multi/sample_replay.hh"
 #include "trace/trace.hh"
 
@@ -107,14 +106,6 @@ SweepResult summarizeStats(const CacheConfig &config,
                            const CacheStats &stats);
 
 /**
- * Summarize a finished split I/D pair under its original (SplitID)
- * config: the two halves' statistics merge exactly (integer sums)
- * and the combined totals flow through summarizeStats.
- */
-SweepResult summarizeSplit(const CacheConfig &config,
-                           const SplitCache &split);
-
-/**
  * Summarize a finished coherent scenario run for grid entry
  * @p config: per-core statistics merge exactly across cores, the
  * merged totals flow through summarizeStats, and the bus counters
@@ -123,8 +114,10 @@ SweepResult summarizeSplit(const CacheConfig &config,
 SweepResult summarizeCoherent(const CacheConfig &config,
                               const CoherentSystem &system);
 
-/** Simulate one configuration over @p source (routing SplitID
- *  configs to a SplitCache pair); returns its summary. */
+/** Simulate one configuration over @p source and return its
+ *  summary. A SplitID config runs as two evenSplitHalf Caches, each
+ *  fed one reference kind; their statistics sum into one summary at
+ *  twice a half's gross size. */
 SweepResult runSingle(const CacheConfig &config, TraceSource &source,
                       std::uint64_t max_refs = 0);
 

@@ -16,13 +16,10 @@ shardEligible(const CacheConfig &config)
     // Random replacement draws victims from one Rng shared by every
     // set; PrefetchNextOnMiss allocates in the sequentially-next
     // block, i.e. in another set (and with >1 shard, another shard).
-    // A split I/D pair routes by reference kind, not set index, so
-    // its two halves see different sub-traces. Either way the run is
-    // not set-local. Everything else is: see the header's proof
-    // sketch.
+    // Either way the run is not set-local. Everything else is: see
+    // the header's proof sketch.
     return config.replacement != ReplacementPolicy::Random &&
-           config.fetch != FetchPolicy::PrefetchNextOnMiss &&
-           config.partition == CachePartition::Unified;
+           config.fetch != FetchPolicy::PrefetchNextOnMiss;
 }
 
 ShardMode
@@ -83,8 +80,8 @@ ShardWindow::with(const CacheConfig &config) const
 
 TileReplay::TileReplay(const std::vector<CacheConfig> &configs,
                        std::uint32_t num_shards,
-                       std::size_t chunk_records)
-    : configs_(configs), chunkRecords_(chunk_records)
+                       std::size_t chunk_records, RefStream stream)
+    : configs_(configs), chunkRecords_(chunk_records), stream_(stream)
 {
     occsim_assert(!configs.empty(), "tile needs a config");
     occsim_assert(chunkRecords_ > 0, "chunk size must be positive");
@@ -135,7 +132,7 @@ TileReplay::runShard(std::size_t shard, const Rec *refs, std::size_t n)
             for (auto it = tile; it != tile + members; ++it)
                 (*it)->replayPacked(records, count);
         },
-        chunkRecords_);
+        chunkRecords_, stream_);
     for (auto it = tile; it != tile + members; ++it)
         (*it)->finalizeResidencies();
     refs_[shard] += kept;

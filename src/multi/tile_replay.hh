@@ -21,7 +21,11 @@
  *    private Caches, so one long (trace, config) run spreads over
  *    several workers. With one shard the filter is the identity: a
  *    packed span replays in place, and a MemRef span is packed one
- *    chunk at a time into a buffer private to the call.
+ *    chunk at a time into a buffer private to the call;
+ *  - a tile may instead keep one reference kind (RefStream): the
+ *    halves of split I/D configs ride tiles of their own, the I
+ *    halves behind an ifetch filter and the D halves behind a data
+ *    filter, so a split config is two ordinary unified members.
  *
  * Sharding needs set-local behaviour: what happens in one set must
  * never depend on references to other sets (shardEligible). Two
@@ -42,7 +46,9 @@
  * touch only the accessed frame, so everything else is shardable.
  * Tests prove both directions of this predicate by force-sharding an
  * ineligible config and exhibiting the divergence. A one-shard tile
- * takes any unified config.
+ * takes any unified config. The kind filter keeps a set-local run
+ * set-local: a split half sees a sub-trace of its kind, and sharding
+ * that sub-trace by set is exact for the same reasons.
  *
  * The filter only needs the shard bits to pick whole sets, i.e. to
  * lie inside every member's set-index field
@@ -154,10 +160,13 @@ class TileReplay
      * @param chunk_records records filtered and replayed per chunk
      *        (the differential fuzzer uses deliberately awkward
      *        values like 7 to exercise chunk-boundary handling).
+     * @param stream the records every member sees: all of them, or
+     *        one side of split I/D pairs whose halves the members are.
      */
     TileReplay(const std::vector<CacheConfig> &configs,
                std::uint32_t num_shards,
-               std::size_t chunk_records = kShardChunkRecords);
+               std::size_t chunk_records = kShardChunkRecords,
+               RefStream stream = RefStream::All);
 
     /** Member configs in the tile. */
     std::size_t size() const { return configs_.size(); }
@@ -167,14 +176,16 @@ class TileReplay
     }
     /** Lowest address bit of the shard window (0 at one shard). */
     std::uint32_t windowBits() const { return windowBits_; }
+    /** The reference kinds the members see. */
+    RefStream stream() const { return stream_; }
 
-    /** Filter the records of shard @p shard among the first @p n of
-     *  @p refs once (forEachShardChunk), replay each chunk through
-     *  every member's shard cache, and finalize their residencies —
-     *  per member exactly one Cache::run pass over that sub-trace.
-     *  @p Rec is MemRef or PackedRecord. Repeated passes accumulate
-     *  as if the traces were concatenated (same contract as
-     *  Cache::run). */
+    /** Filter the stream records of shard @p shard among the first
+     *  @p n of @p refs once (forEachShardChunk), replay each chunk
+     *  through every member's shard cache, and finalize their
+     *  residencies — per member exactly one Cache::run pass over that
+     *  sub-trace. @p Rec is MemRef or PackedRecord. Repeated passes
+     *  accumulate as if the traces were concatenated (same contract
+     *  as Cache::run). */
     template <class Rec>
     void runShard(std::size_t shard, const Rec *refs, std::size_t n);
 
@@ -202,6 +213,7 @@ class TileReplay
   private:
     std::vector<CacheConfig> configs_;
     std::size_t chunkRecords_;
+    RefStream stream_;
     std::uint32_t windowBits_ = 0;
     std::uint32_t shardBits_ = 0;
     /** Shard-major: shard s's caches are [s * size(), (s+1) * size()). */
@@ -218,7 +230,9 @@ class TileReplay
  */
 struct ShardTelemetry
 {
-    std::size_t shardedRuns = 0;   ///< (trace, config) runs sharded
+    /** (trace, config) runs sharded; each sharded half of a split
+     *  I/D config counts as one run. */
+    std::size_t shardedRuns = 0;
     std::uint32_t maxShards = 0;   ///< largest shard count used
     std::uint64_t maxShardRefs = 0;  ///< fullest shard sub-trace
     std::uint64_t minShardRefs = 0;  ///< emptiest shard sub-trace

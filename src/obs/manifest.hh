@@ -46,8 +46,9 @@ struct ConfigRoute
     std::string config;  ///< CacheConfig::shortName()
     std::string engine;  ///< "direct" / "fused" / "batch" /
                          ///< "shard" (sharded on at least one
-                         ///< trace) / "split" / "sample" /
-                         ///< "coherent"
+                         ///< trace) / "sample" / "coherent"; a
+                         ///< split I/D config names its halves'
+                         ///< route
     /** Sampling engine only: the headline miss-ratio estimate
      *  (cross-trace mean with its standard error), so a sampled
      *  manifest carries the uncertainty of its numbers. Absent from

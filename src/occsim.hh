@@ -24,7 +24,6 @@
 #include "cache/cache_geometry.hh"
 #include "cache/cache_stats.hh"
 #include "cache/sector_cache.hh"
-#include "cache/split_cache.hh"
 
 // Traces: representation, generation, filtering, persistence, and
 // the on-disk packed corpus.

@@ -173,9 +173,23 @@ packedTraceShared(const std::shared_ptr<const VectorTrace> &trace);
  *  chunk buffer, all L2-resident. */
 inline constexpr std::size_t kShardChunkRecords = 32768;
 
+/** The records a filter keeps by reference kind: all of them (a
+ *  unified cache's stream), or one side of a split I/D pair. */
+enum class RefStream : std::uint8_t { All, Ifetch, Data };
+
+/** True when @p stream keeps record @p rec (a MemRef or a
+ *  PackedRecord). */
+template <class Rec>
+bool
+inStream(const Rec &rec, RefStream stream)
+{
+    return stream == RefStream::All ||
+           rec.isInstruction() == (stream == RefStream::Ifetch);
+}
+
 /**
- * Stream set shard @p shard of the first @p n records of @p refs into
- * @p sink: record r belongs to shard
+ * Stream set shard @p shard of the @p stream records among the first
+ * @p n of @p refs into @p sink: record r belongs to shard
  * (addrOf(r) >> blockBits) & (2^shardBits - 1). @p refs is a MemRef
  * or a PackedRecord span; either way the sink receives packed records.
  *
@@ -183,20 +197,22 @@ inline constexpr std::size_t kShardChunkRecords = 32768;
  * numSets >= 2^shardBits, the set index is (addr >> blockBits) mod
  * numSets, so every record of one shard maps to a set congruent to
  * that shard's index — sets are partitioned across shards and one
- * filter serves every such config.
+ * filter serves every such config. The kind test selects one side of
+ * a split I/D pair: each half is a unified cache fed only its kind.
  *
  * The records are scanned @p chunk_records at a time; a branchless
- * compaction copies each chunk's shard records, byte for byte, into
+ * compaction copies each chunk's kept records, byte for byte, into
  * one PackedRecord buffer private to this call, and every non-empty
  * buffer goes to sink(const PackedRecord *, std::size_t). Compacted
- * MemRef records are then packed in place, so only this shard's
- * share of a chunk pays for the pack. The sink sees the shard's
- * records in trace order, which is all a set-local engine observes.
- * No copy of the trace is made: each call reads all @p n records.
+ * MemRef records are then packed in place, so only the kept share of
+ * a chunk pays for the pack. The sink sees its records in trace
+ * order, which is all a set-local engine observes. No copy of the
+ * trace is made: each call reads all @p n records. Whether the kind
+ * is tested is decided once per chunk, outside the per-record loop.
  *
- * At 0 shard bits (one shard) the filter is the identity: a
- * PackedRecord chunk goes to the sink in place, and a MemRef chunk
- * is packed once into the call's buffer.
+ * At 0 shard bits (one shard) on the All stream the filter is the
+ * identity: a PackedRecord chunk goes to the sink in place, and a
+ * MemRef chunk is packed once into the call's buffer.
  * @return records passed to @p sink.
  */
 template <class Rec, class Sink>
@@ -204,12 +220,15 @@ std::uint64_t
 forEachShardChunk(const Rec *refs, std::size_t n,
                   std::uint32_t block_bits, std::uint32_t shard_bits,
                   std::uint32_t shard, Sink &&sink,
-                  std::size_t chunk_records = kShardChunkRecords)
+                  std::size_t chunk_records = kShardChunkRecords,
+                  RefStream stream = RefStream::All)
 {
     constexpr bool kPacked = std::is_same_v<Rec, PackedRecord>;
     static_assert(sizeof(Rec) == sizeof(PackedRecord));
     const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
-    const bool identity = shard_bits == 0;
+    const bool by_kind = stream != RefStream::All;
+    const bool ifetch = stream == RefStream::Ifetch;
+    const bool identity = shard_bits == 0 && !by_kind;
     std::vector<PackedRecord> buffer(
         identity && kPacked ? 0 : std::min(chunk_records, n));
     std::uint64_t kept = 0;
@@ -228,14 +247,22 @@ forEachShardChunk(const Rec *refs, std::size_t n,
             continue;
         }
         // Every record is written, still in its own layout; only a
-        // shard record advances the cursor, which never passes the
-        // read index.
-        std::size_t out = 0;
-        for (std::size_t i = 0; i < len; ++i) {
-            const Rec rec = chunk[i];
-            std::memcpy(&buffer[out].bits, &rec, sizeof rec);
-            out += ((addrOf(rec) >> block_bits) & mask) == shard;
-        }
+        // kept record advances the cursor, which never passes the read
+        // index. The kind test is compiled in or out per chunk.
+        const auto compact = [=, dst = buffer.data()](auto by_kind_tag) {
+            std::size_t out = 0;
+            for (std::size_t i = 0; i < len; ++i) {
+                const Rec rec = chunk[i];
+                std::memcpy(&dst[out].bits, &rec, sizeof rec);
+                bool keep = ((addrOf(rec) >> block_bits) & mask) == shard;
+                if constexpr (decltype(by_kind_tag)::value)
+                    keep = keep & (rec.isInstruction() == ifetch);
+                out += keep;
+            }
+            return out;
+        };
+        const std::size_t out = by_kind ? compact(std::true_type{})
+                                        : compact(std::false_type{});
         if constexpr (!kPacked) {
             for (std::size_t i = 0; i < out; ++i) {
                 buffer[i] =

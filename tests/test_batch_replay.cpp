@@ -6,7 +6,9 @@
  * tile width, chunk size, record layout and thread count — the tiling
  * changes only the interleaving between independent caches, never
  * what any one cache observes — and to the independent ReferenceCache
- * for every policy combination.
+ * for every policy combination. Tiles of one reference kind carry the
+ * halves of split I/D configs: each member must equal a ReferenceCache
+ * fed only that kind.
  */
 
 #include <gtest/gtest.h>
@@ -278,6 +280,114 @@ TEST(TileReplay, ReplacementAndAssocKernelsMatchTheReferenceCache)
             TileReplay batch({config}, 1, 513);
             batch.run(packed.data(), packed.size());
             expectMatchesOracle(config, *trace, batch.mergedStats(0));
+        }
+    }
+}
+
+TEST(TileReplay, KindTilesRouteEachReferenceToOneHalf)
+{
+    // An ifetch tile sees only instruction fetches and a data tile
+    // only data references: the same address on the other side is a
+    // fresh miss.
+    const CacheConfig half = makeConfig(64, 16, 8, 2);
+    const std::vector<MemRef> refs{{0x100, RefKind::Ifetch, 2},
+                                   {0x100, RefKind::Ifetch, 2},
+                                   {0x100, RefKind::DataRead, 2}};
+    TileReplay itile({half}, 1, kShardChunkRecords, RefStream::Ifetch);
+    TileReplay dtile({half}, 1, kShardChunkRecords, RefStream::Data);
+    itile.run(refs.data(), refs.size());
+    dtile.run(refs.data(), refs.size());
+    EXPECT_EQ(itile.stream(), RefStream::Ifetch);
+    EXPECT_EQ(itile.shardRefs()[0], 2u);
+    EXPECT_EQ(dtile.shardRefs()[0], 1u);
+    EXPECT_EQ(itile.mergedStats(0).accesses(), 2u);
+    EXPECT_EQ(itile.mergedStats(0).misses(), 1u);
+    EXPECT_EQ(dtile.mergedStats(0).accesses(), 1u);
+    EXPECT_EQ(dtile.mergedStats(0).misses(), 1u);
+}
+
+TEST(TileReplay, DataStreamingCannotEvictTheInstructionHalf)
+{
+    // The paper's motivation for considering the split: a long data
+    // sweep that wipes a mixed 128-byte cache leaves the 64-byte
+    // instruction half untouched.
+    std::vector<MemRef> refs{{0x100, RefKind::Ifetch, 2}};
+    for (Addr addr = 0x1000; addr < 0x2000; addr += 16)
+        refs.push_back({addr, RefKind::DataRead, 2});
+    refs.push_back({0x100, RefKind::Ifetch, 2});
+
+    TileReplay itile({makeConfig(64, 16, 16, 2)}, 1, kShardChunkRecords,
+                     RefStream::Ifetch);
+    itile.run(refs.data(), refs.size());
+    EXPECT_EQ(itile.mergedStats(0).accesses(), 2u);
+    EXPECT_EQ(itile.mergedStats(0).misses(), 1u);
+
+    Cache mixed(makeConfig(128, 16, 16, 2));
+    for (std::size_t r = 0; r + 1 < refs.size(); ++r)
+        mixed.access(refs[r]);
+    EXPECT_NE(mixed.access(refs.back()), AccessOutcome::Hit);
+}
+
+TEST(TileReplay, SplitHalvesMatchTheReferenceHalves)
+{
+    // Every member of a kind tile equals a ReferenceCache fed only
+    // that kind, counter for counter: one-shard tiles of every half
+    // (Random and next-block prefetch included) and four-shard tiles
+    // of the set-local ones, at awkward and default chunk sizes, over
+    // both record layouts.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), kRefs);
+    const PackedTrace packed(*trace);
+    const std::uint32_t word = suite.profile.wordSize;
+
+    CacheConfig forward = makeConfig(1024, 32, 8, word);
+    forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig fifo = makeConfig(512, 16, 16, word);
+    fifo.replacement = ReplacementPolicy::FIFO;
+    fifo.write = WritePolicy::CopyBack;
+    CacheConfig random = makeConfig(512, 16, 4, word);
+    random.replacement = ReplacementPolicy::Random;
+    CacheConfig prefetch = makeConfig(1024, 16, 8, word);
+    prefetch.fetch = FetchPolicy::PrefetchNextOnMiss;
+    const std::vector<CacheConfig> local{makeConfig(512, 16, 8, word),
+                                         forward, fifo};
+    std::vector<CacheConfig> every = local;
+    every.push_back(random);
+    every.push_back(prefetch);
+
+    for (const RefStream stream : {RefStream::Ifetch, RefStream::Data}) {
+        std::vector<MemRef> side;
+        for (const MemRef &ref : trace->refs()) {
+            if (inStream(ref, stream))
+                side.push_back(ref);
+        }
+        ASSERT_FALSE(side.empty());
+        for (const auto &[configs, shards] :
+             {std::pair{every, 1u}, std::pair{local, 4u}}) {
+            std::vector<ReferenceStats> want;
+            for (const CacheConfig &config : configs) {
+                ReferenceCache oracle(config);
+                oracle.run(side);
+                want.push_back(oracle.stats());
+            }
+            for (const std::size_t chunk : {std::size_t{7}, kShardChunkRecords}) {
+                const auto check = [&](const auto *records) {
+                    TileReplay tile(configs, shards, chunk, stream);
+                    tile.run(records, trace->size());
+                    for (std::size_t m = 0; m < configs.size(); ++m) {
+                        SCOPED_TRACE(configs[m].fullName());
+                        for (const std::string &line :
+                             diffStats(want[m], tile.mergedStats(m)))
+                            ADD_FAILURE() << line;
+                    }
+                };
+                SCOPED_TRACE(testing::Message()
+                             << "stream " << static_cast<int>(stream)
+                             << " shards " << shards << " chunk "
+                             << chunk);
+                check(packed.data());
+                check(trace->refs().data());
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the CacheConfig API: naming, builders, enum names,
- * and equality.
+ * equality, and the even I/D split's half.
  */
 
 #include <gtest/gtest.h>
@@ -82,4 +82,20 @@ TEST(CacheConfig, Equality)
     b = a;
     b.fetch = FetchPolicy::LoadForward;
     EXPECT_NE(a, b);
+}
+
+TEST(CacheConfig, EvenSplitHalvesEachSide)
+{
+    // Each side of an even split is an ordinary unified cache of half
+    // the net size, the same geometry otherwise.
+    CacheConfig mixed = makeConfig(1024, 16, 8, 2);
+    mixed.partition = CachePartition::SplitID;
+    mixed.fetch = FetchPolicy::LoadForward;
+    const CacheConfig half = evenSplitHalf(mixed);
+    EXPECT_EQ(half.netSize, 512u);
+    EXPECT_EQ(half.partition, CachePartition::Unified);
+    CacheConfig rest = half;
+    rest.netSize = mixed.netSize;
+    rest.partition = mixed.partition;
+    EXPECT_EQ(rest, mixed);
 }

@@ -2,7 +2,8 @@
  * @file
  * Determinism tests for sharded tiles, the shard route: the streaming
  * shard filter must hand every record to exactly one shard, in trace
- * order (and at one shard, every record in place), a sharded
+ * order (and at one shard, every record in place; with a kind
+ * stream, only that kind's records), a sharded
  * TileReplay's merged statistics must be bit-identical to an
  * unsharded run for every
  * eligible policy combination and shard count, and BOTH directions of
@@ -264,6 +265,61 @@ TEST(ShardFilter, ZeroShardBitsPackMemRefChunksInOrder)
     ASSERT_EQ(seen.size(), refs.size());
     for (std::size_t i = 0; i < refs.size(); ++i)
         ASSERT_EQ(seen[i].bits, PackedRecord::pack(refs[i]).bits) << i;
+}
+
+TEST(ShardFilter, KindStreamsKeepOneReferenceKindPerShard)
+{
+    // With a kind stream the filter keeps, per shard, exactly the
+    // records of that kind in trace order, at any chunk length and
+    // from either record layout; at zero shard bits it keeps one kind
+    // of the whole trace. The two kinds of a shard partition it.
+    const Suite suite = pdp11Suite();
+    const auto trace = buildTraceShared(suite.traces.front(), 20000);
+    const PackedTrace packed(*trace);
+    constexpr std::uint32_t kBlockBits = 4;
+    for (const std::uint32_t shard_bits : {0u, 2u}) {
+        const std::uint32_t shards = 1u << shard_bits;
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{7}, kShardChunkRecords}) {
+            for (std::uint32_t s = 0; s < shards; ++s) {
+                SCOPED_TRACE(testing::Message()
+                             << "shardBits " << shard_bits << " chunk "
+                             << chunk << " shard " << s);
+                std::vector<std::uint64_t> ifetch;
+                std::vector<std::uint64_t> data;
+                for (std::size_t i = 0; i < packed.size(); ++i) {
+                    if (((packed[i].addr() >> kBlockBits) &
+                         (shards - 1)) == s)
+                        (packed[i].isInstruction() ? ifetch : data)
+                            .push_back(packed[i].bits);
+                }
+                ASSERT_FALSE(ifetch.empty());
+                ASSERT_FALSE(data.empty());
+                const auto filter = [&](const auto *refs,
+                                        RefStream stream) {
+                    std::vector<std::uint64_t> out;
+                    const std::uint64_t kept = forEachShardChunk(
+                        refs, packed.size(), kBlockBits, shard_bits, s,
+                        [&](const PackedRecord *records,
+                            std::size_t count) {
+                            EXPECT_GT(count, 0u);
+                            EXPECT_LE(count, chunk);
+                            for (std::size_t i = 0; i < count; ++i)
+                                out.push_back(records[i].bits);
+                        },
+                        chunk, stream);
+                    EXPECT_EQ(kept, out.size());
+                    return out;
+                };
+                EXPECT_EQ(filter(packed.data(), RefStream::Ifetch), ifetch);
+                EXPECT_EQ(filter(trace->refs().data(), RefStream::Ifetch),
+                          ifetch);
+                EXPECT_EQ(filter(packed.data(), RefStream::Data), data);
+                EXPECT_EQ(filter(trace->refs().data(), RefStream::Data),
+                          data);
+            }
+        }
+    }
 }
 
 TEST(TileReplay, BitIdenticalToDirectAcrossPoliciesAndShardCounts)

@@ -18,7 +18,9 @@
 #include <set>
 #include <string>
 
+#include "cache/cache_geometry.hh"
 #include "cache/sector_cache.hh"
+#include "check/reference_cache.hh"
 #include "harness/experiment.hh"
 #include "multi/sweep_api.hh"
 #include "multi/sweep_runner.hh"
@@ -79,6 +81,72 @@ manifestRoutes(const SweepReport &report)
          report.manifest.sweeps.back().routes)
         out.push_back(route.engine);
     return out;
+}
+
+/** Sum of two oracle runs of one geometry: every counter and
+ *  histogram bucket. */
+ReferenceStats
+sumReference(ReferenceStats a, const ReferenceStats &b)
+{
+    for (std::uint64_t ReferenceStats::*field :
+         {&ReferenceStats::accesses, &ReferenceStats::misses,
+          &ReferenceStats::blockMisses, &ReferenceStats::coldMisses,
+          &ReferenceStats::ifetchAccesses, &ReferenceStats::ifetchMisses,
+          &ReferenceStats::writeAccesses, &ReferenceStats::writeMisses,
+          &ReferenceStats::wordsFetched, &ReferenceStats::coldWords,
+          &ReferenceStats::redundantWords, &ReferenceStats::writeWords,
+          &ReferenceStats::storeWords, &ReferenceStats::writebackWords,
+          &ReferenceStats::prefetchWords, &ReferenceStats::prefetches,
+          &ReferenceStats::usefulPrefetches, &ReferenceStats::bursts,
+          &ReferenceStats::evictions})
+        a.*field += b.*field;
+    for (std::vector<std::uint64_t> ReferenceStats::*hist :
+         {&ReferenceStats::burstWords, &ReferenceStats::coldBurstWords,
+          &ReferenceStats::residencyTouched}) {
+        EXPECT_EQ((a.*hist).size(), (b.*hist).size());
+        for (std::size_t i = 0; i < (b.*hist).size(); ++i)
+            (a.*hist)[i] += (b.*hist)[i];
+    }
+    return a;
+}
+
+/** The oracle's summary of @p config over @p trace: one
+ *  ReferenceCache, or for a split config two halves, each fed one
+ *  reference kind, summed. */
+SweepResult
+oracleResult(const CacheConfig &config, const VectorTrace &trace)
+{
+    const bool split = config.partition == CachePartition::SplitID;
+    const CacheConfig cache = split ? evenSplitHalf(config) : config;
+    const std::vector<RefStream> streams =
+        split ? std::vector{RefStream::Ifetch, RefStream::Data}
+              : std::vector{RefStream::All};
+    std::vector<ReferenceStats> sides;
+    for (const RefStream stream : streams) {
+        ReferenceCache oracle(cache);
+        for (const MemRef &ref : trace.refs()) {
+            if (inStream(ref, stream))
+                oracle.access(ref);
+        }
+        oracle.finalize();
+        sides.push_back(oracle.stats());
+    }
+    const ReferenceStats sum =
+        split ? sumReference(sides[0], sides[1]) : sides[0];
+    const CacheGeometry geom(cache);
+    SweepResult want;
+    want.config = config;
+    want.grossBytes = streams.size() * geom.grossBytes();
+    want.missRatio = sum.missRatio();
+    want.warmMissRatio = sum.warmMissRatio();
+    want.trafficRatio = sum.trafficRatio();
+    want.warmTrafficRatio = sum.warmTrafficRatio();
+    want.nibbleTrafficRatio = sum.nibbleTrafficRatio();
+    want.warmNibbleTrafficRatio = sum.warmNibbleTrafficRatio();
+    want.meanSubBlocksTouched = sum.meanSubBlocksTouched();
+    want.neverReferencedFraction =
+        sum.neverReferencedFraction(geom.subBlocksPerBlock());
+    return want;
 }
 
 } // namespace
@@ -164,10 +232,12 @@ TEST(SweepApi, MaxRefsCapsEveryEngineIdentically)
 TEST(SweepApi, ResidencyIsIdenticalOnEveryRoute)
 {
     // Every route carries the residency pair bit-identically to the
-    // CacheStats of a direct Cache (a merged SplitCache pair for the
-    // split config). The grid reaches split, fused, batch and (under
-    // OCCSIM_SHARD=1 on 4 workers) shard; DirectOnly and CrossCheck
-    // add direct and shadows; packed input runs the packed engines.
+    // CacheStats of a direct Cache (for the split config, two half
+    // Caches fed one reference kind each, merged). The grid reaches
+    // fused, batch and (under OCCSIM_SHARD=1 on 4 workers) shard, the
+    // split config's halves riding kind tiles; DirectOnly adds direct,
+    // and CrossCheck shadows every config, the split one included;
+    // packed input runs the packed engines.
     const Fixture fx;
     const std::uint32_t word = pdp11Suite().profile.wordSize;
     CacheConfig split = makeConfig(1024, 16, 8, word);
@@ -194,12 +264,14 @@ TEST(SweepApi, ResidencyIsIdenticalOnEveryRoute)
         auto &row = want.emplace_back();
         for (const CacheConfig &config : configs) {
             if (config.partition == CachePartition::SplitID) {
-                SplitCache pair = makeEvenSplit(config);
+                Cache icache(evenSplitHalf(config));
+                Cache dcache(evenSplitHalf(config));
                 for (const MemRef &ref : trace->refs())
-                    pair.access(ref);
-                pair.finalizeResidencies();
-                CacheStats merged = pair.icache().stats();
-                merged.mergeFrom(pair.dcache().stats());
+                    (ref.isInstruction() ? icache : dcache).access(ref);
+                icache.finalizeResidencies();
+                dcache.finalizeResidencies();
+                CacheStats merged = icache.stats();
+                merged.mergeFrom(dcache.stats());
                 row.push_back(residency(merged));
             } else {
                 Cache cache(config);
@@ -241,6 +313,11 @@ TEST(SweepApi, ResidencyIsIdenticalOnEveryRoute)
                 for (const std::size_t c : {1u, 2u, 3u})
                     EXPECT_EQ(routes[c], "fused") << c;
             }
+            if (m == "cross") {
+                // Seven configs shadow at stride one: all of them.
+                EXPECT_EQ(report.manifest.sweeps.back().crossCheckSamples,
+                          fx.traces.size() * configs.size());
+            }
 
             const double n = static_cast<double>(fx.traces.size());
             for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -263,9 +340,8 @@ TEST(SweepApi, ResidencyIsIdenticalOnEveryRoute)
             }
         }
     }
-    EXPECT_EQ(routes_seen, (std::set<std::string>{"split", "fused",
-                                                  "batch", "shard",
-                                                  "direct"}));
+    EXPECT_EQ(routes_seen, (std::set<std::string>{"fused", "batch",
+                                                  "shard", "direct"}));
 }
 
 TEST(SweepApi, WantAverageFalseSkipsAveraging)
@@ -514,8 +590,9 @@ TEST(SweepApi, BatchTilesFollowThePoolWidth)
 
 TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
 {
-    // One mixed grid reaching every route: a split I/D pair, a lone
-    // sub == block config and a lone sector config (batched, or
+    // One mixed grid reaching every route: a split I/D config (its
+    // halves on kind tiles, batched or sharded like any config), a
+    // lone sub == block config and a lone sector config (batched, or
     // sharded under OCCSIM_SHARD=1), a two-member fused group, and a
     // Random config (never shard-eligible, so always batched).
     const Fixture fx;
@@ -557,10 +634,11 @@ TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
 
         // Each engine's refs counter counts config-refs, so it must
         // equal the refs of exactly the configs the manifest names
-        // for it (split pairs run on the direct engine).
+        // for it (a split config's halves keep the I and the D
+        // records, which sum to the refs).
         std::map<std::string, std::uint64_t> want;
         for (const std::string &route : routes)
-            want[route == "split" ? "direct" : route] += report.refs;
+            want[route] += report.refs;
         for (const char *engine :
              {"fused", "shard", "batch", "direct", "shadow"}) {
             std::uint64_t got = 0;
@@ -577,11 +655,11 @@ TEST(SweepApi, EveryRouteReportsTheEngineThatRan)
     obs::setTelemetryEnabled(was_enabled);
 
     using Routes = std::vector<std::string>;
-    EXPECT_EQ(seen["0"], (Routes{"split", "batch", "fused", "fused",
+    EXPECT_EQ(seen["0"], (Routes{"batch", "batch", "fused", "fused",
                                  "batch", "batch"}));
-    EXPECT_EQ(seen["1"], (Routes{"split", "shard", "fused", "fused",
+    EXPECT_EQ(seen["1"], (Routes{"shard", "shard", "fused", "fused",
                                  "shard", "batch"}));
-    EXPECT_EQ(seen["direct"], (Routes{"split", "direct", "direct",
+    EXPECT_EQ(seen["direct"], (Routes{"direct", "direct", "direct",
                                       "direct", "direct", "direct"}));
 }
 
@@ -676,6 +754,96 @@ TEST(SweepApi, SubBlockEqualsBlockConfigsJoinTheirSectorSiblings)
         fused += routes[c] == "fused";
     }
     EXPECT_EQ(fused, 4u);  // blocks 4, 8, 16, 32
+}
+
+TEST(SweepApi, SplitConfigsMatchTheReferenceHalvesOnEveryRoute)
+{
+    // Split I/D configs of every kind of half (set-local at two block
+    // sizes, Random, next-block prefetch, copy-back FIFO) beside
+    // unified ones, one of them a fused pair keyed like a split half,
+    // over two traces. Every mode must equal the oracle — two
+    // ReferenceCache halves fed one reference kind each, summed — bit
+    // for bit: Auto with OCCSIM_SHARD unset, 0 and 1, DirectOnly,
+    // CrossCheck (which shadows the five split configs) and packed
+    // input, on 1 and 4 workers. No split config ever fuses.
+    const Fixture fx;
+    const std::uint32_t word = pdp11Suite().profile.wordSize;
+    const auto split_of = [](CacheConfig config) {
+        config.partition = CachePartition::SplitID;
+        return config;
+    };
+    CacheConfig forward = makeConfig(2048, 32, 8, word);
+    forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig half_forward = makeConfig(512, 16, 8, word);
+    half_forward.fetch = FetchPolicy::LoadForward;
+    CacheConfig random = makeConfig(1024, 16, 4, word);
+    random.replacement = ReplacementPolicy::Random;
+    CacheConfig prefetch = makeConfig(2048, 16, 8, word);
+    prefetch.fetch = FetchPolicy::PrefetchNextOnMiss;
+    CacheConfig copy_back = makeConfig(1024, 16, 16, word);
+    copy_back.replacement = ReplacementPolicy::FIFO;
+    copy_back.write = WritePolicy::CopyBack;
+    const std::vector<CacheConfig> configs{
+        split_of(makeConfig(1024, 16, 8, word)),
+        makeConfig(512, 16, 16, word),
+        split_of(forward),
+        half_forward,
+        split_of(random),
+        forward,
+        split_of(prefetch),
+        makeConfig(1024, 32, 8, word),
+        split_of(copy_back),
+        makeConfig(1024, 16, 8, word)};
+
+    std::vector<std::vector<SweepResult>> want;
+    for (const auto &trace : fx.traces) {
+        auto &row = want.emplace_back();
+        for (const CacheConfig &config : configs)
+            row.push_back(oracleResult(config, *trace));
+    }
+
+    for (const unsigned threads : {1u, 4u}) {
+        for (const char *mode : {"auto", "shard0", "shard1", "direct",
+                                 "cross", "packed"}) {
+            SCOPED_TRACE(std::string(mode) + " threads " +
+                         std::to_string(threads));
+            const std::string m = mode;
+            const EnvGuard guard("OCCSIM_SHARD",
+                                 m == "shard0"   ? "0"
+                                 : m == "shard1" ? "1"
+                                                 : nullptr);
+            ThreadPool pool(threads);
+            SweepRequest request;
+            request.configs = configs;
+            request.pool = &pool;
+            if (m == "packed") {
+                for (const auto &trace : fx.traces)
+                    request.packedTraces.push_back(
+                        packedTraceShared(trace));
+            } else {
+                request.traces = fx.traces;
+            }
+            request.engine = m == "direct" ? SweepEngine::DirectOnly
+                             : m == "cross" ? SweepEngine::CrossCheck
+                                            : SweepEngine::Auto;
+            const SweepReport report = runSweep(request);
+            expectIdenticalGrid(report.perTrace, want);
+
+            const auto routes = manifestRoutes(report);
+            EXPECT_EQ(routes[1], m == "direct" ? "direct" : "fused");
+            for (std::size_t c = 0; c < configs.size(); c += 2) {
+                const bool set_local = c != 4 && c != 6;
+                const char *route =
+                    m == "direct" ? "direct"
+                    : m == "shard1" && threads == 4 && set_local
+                        ? "shard"
+                        : "batch";
+                EXPECT_EQ(routes[c], route) << configs[c].fullName();
+            }
+            EXPECT_EQ(report.manifest.sweeps.back().crossCheckSamples,
+                      m == "cross" ? fx.traces.size() * 5 : 0u);
+        }
+    }
 }
 
 TEST(SweepApi, EngineNamesAreStable)
